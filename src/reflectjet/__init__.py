@@ -36,11 +36,9 @@ from .acoustic import (
 from .elastic import (
     ElasticSymbolSeries,
     PolarizationBasis,
-    RecursionMatrices,
     forward_symbols_elastic,
     polarization_basis,
     principal_rt_matrices,
-    recursion_matrices,
     sh_reflection,
 )
 from .inversion import (
@@ -85,12 +83,10 @@ __all__ = [
     "flux_residual",
     "ElasticSymbolSeries",
     "PolarizationBasis",
-    "RecursionMatrices",
     "polarization_basis",
     "principal_rt_matrices",
     "sh_reflection",
     "forward_symbols_elastic",
-    "recursion_matrices",
     "SymbolSample",
     "SymbolSamples",
     "RecoveryReport",

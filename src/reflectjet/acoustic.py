@@ -228,16 +228,21 @@ def forward_symbols(cov: Covector, model: InterfaceModel, depth: int,
     return AcousticSymbolSeries(orders=orders, covector=cov, depth=depth)
 
 
-def principal_rt(cov: Covector, model: InterfaceModel, tol: float = GLANCING_TOL):
-    """Order-0 reflection/transmission coefficients (R0, T0 = 1 + R0)."""
+def _impedances_r0(cov: Covector, model: InterfaceModel, tol: float):
+    """Order-0 impedances mu- xi3I, mu+ xi3T and the reflection R0."""
     if model.is_elastic:
         raise TypeError("acoustic engine requires an acoustic model")
     minus, plus = model.minus, model.plus
     xi_i = vertical_wavenumber(cov, minus.cs[0], tol)
     xi_t = vertical_wavenumber(cov, plus.cs[0], tol)
-    mu_m = minus.rho[0] * minus.cs[0] ** 2
-    mu_p = plus.rho[0] * plus.cs[0] ** 2
-    r0 = (mu_m * xi_i - mu_p * xi_t) / (mu_m * xi_i + mu_p * xi_t)
+    z_i = minus.rho[0] * minus.cs[0] ** 2 * xi_i
+    z_t = plus.rho[0] * plus.cs[0] ** 2 * xi_t
+    return z_i, z_t, (z_i - z_t) / (z_i + z_t)
+
+
+def principal_rt(cov: Covector, model: InterfaceModel, tol: float = GLANCING_TOL):
+    """Order-0 reflection/transmission coefficients (R0, T0 = 1 + R0)."""
+    _, _, r0 = _impedances_r0(cov, model, tol)
     return r0, 1.0 + r0
 
 
@@ -247,10 +252,6 @@ def flux_residual(cov: Covector, model: InterfaceModel, tol: float = GLANCING_TO
     Algebraically zero; the returned round-off residual is bounded by
     1e-12 * mu- xi3I for well-scaled inputs.
     """
-    r0, t0 = principal_rt(cov, model, tol)
-    minus, plus = model.minus, model.plus
-    xi_i = vertical_wavenumber(cov, minus.cs[0], tol)
-    xi_t = vertical_wavenumber(cov, plus.cs[0], tol)
-    mu_m = minus.rho[0] * minus.cs[0] ** 2
-    mu_p = plus.rho[0] * plus.cs[0] ** 2
-    return mu_m * xi_i * (1.0 - r0 * r0) - mu_p * xi_t * t0 * t0
+    z_i, z_t, r0 = _impedances_r0(cov, model, tol)
+    t0 = 1.0 + r0
+    return z_i * (1.0 - r0 * r0) - z_t * t0 * t0

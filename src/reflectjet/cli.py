@@ -154,23 +154,22 @@ def cmd_forward(args):
     return 0
 
 
+def _recover(kind, samples, minus, depth, geometry, tols):
+    recover = (inversion.elastic_recover_jets if kind == "elastic"
+               else inversion.acoustic_recover_jets)
+    return recover(samples, minus, depth, geometry=geometry,
+                   residual_tol=tols["residual"], cond_limit=tols["condition"],
+                   glancing_tol=tols["glancing"])
+
+
 def cmd_invert(args):
     tols = _parse_tols(args.tol)
     minus, geometry = modelio.load_minus_side(args.model)
     samples, kind = modelio.read_symbol_csv(args.symbols, log=log)
     orders = samples.orders()
     depth = -min(orders) if args.depth is None else args.depth
-    geom = geometry if args.known_geometry else None
-    if kind == "elastic":
-        report = inversion.elastic_recover_jets(
-            samples, minus, depth, geometry=geom,
-            residual_tol=tols["residual"], cond_limit=tols["condition"],
-            glancing_tol=tols["glancing"])
-    else:
-        report = inversion.acoustic_recover_jets(
-            samples, minus, depth, geometry=geom,
-            residual_tol=tols["residual"], cond_limit=tols["condition"],
-            glancing_tol=tols["glancing"])
+    report = _recover(kind, samples, minus, depth,
+                      geometry if args.known_geometry else None, tols)
     doc = report.to_dict()
     doc["kind"] = kind
     doc["depth"] = depth
@@ -194,25 +193,12 @@ def _relative_jet_errors(recovered, truth):
 
 def _roundtrip_one(model, depth, covs, tols, recover_geometry):
     kind = "elastic" if model.is_elastic else "acoustic"
-    if kind == "elastic":
-        series = [elastic.forward_symbols_elastic(c, model, depth,
-                                                  tols["glancing"])
-                  for c in covs]
-        samples = inversion.SymbolSamples.from_elastic_series(series)
-        report = inversion.elastic_recover_jets(
-            samples, model.minus, depth,
-            geometry=None if recover_geometry else model.geometry,
-            residual_tol=tols["residual"], cond_limit=tols["condition"],
-            glancing_tol=tols["glancing"])
-    else:
-        series = [acoustic.forward_symbols(c, model, depth, tols["glancing"])
-                  for c in covs]
-        samples = inversion.SymbolSamples.from_acoustic_series(series)
-        report = inversion.acoustic_recover_jets(
-            samples, model.minus, depth,
-            geometry=None if recover_geometry else model.geometry,
-            residual_tol=tols["residual"], cond_limit=tols["condition"],
-            glancing_tol=tols["glancing"])
+    forward = (elastic.forward_symbols_elastic if kind == "elastic"
+               else acoustic.forward_symbols)
+    series = [forward(c, model, depth, tols["glancing"]) for c in covs]
+    samples = inversion.SymbolSamples.from_acoustic_series(series)
+    report = _recover(kind, samples, model.minus, depth,
+                      None if recover_geometry else model.geometry, tols)
     errors = _relative_jet_errors(report.plus, model.plus)
     kappa_err = None
     if recover_geometry and report.kappas is not None:
@@ -224,9 +210,7 @@ def _roundtrip_one(model, depth, covs, tols, recover_geometry):
     recovered_model = type(model)(model.minus, report.plus, model.geometry)
     t_err = 0.0
     for cov, truth in zip(covs, series):
-        redo = (elastic.forward_symbols_elastic if kind == "elastic"
-                else acoustic.forward_symbols)(cov, recovered_model, depth,
-                                               tols["glancing"])
+        redo = forward(cov, recovered_model, depth, tols["glancing"])
         for (_, _, t_true), (_, _, t_rec) in zip(truth.orders, redo.orders):
             t_err = max(t_err, float(np.max(np.abs(np.asarray(t_rec)
                                                    - np.asarray(t_true)))))

@@ -93,29 +93,6 @@ class PolarizationBasis:
     M2: np.ndarray
 
 
-@dataclass(frozen=True)
-class RecursionMatrices:
-    """Closed-form P-wave recursion data at one covector.
-
-    D_P is stored as the 2x2 coefficient matrix [d_gamma | d_alpha]
-    multiplying ((gamma_2)_{J+1}, (alpha)_{J+1}); `coefficient_matrix` is
-    the 2x3 map from the (1+|J|)-th derivatives of (log cP, log cS,
-    log sqrt(rho)) to ((gamma_2)_{J-1}, d(alpha)_J / dnu): the |J| = 1
-    seed matrix itself, or (I 0) M_J M for deeper orders.  These closed
-    forms document the top-order coefficient structure of the P-wave
-    amplitude recursion; the forward engine itself computes every order
-    through the generic jet-transport cascade.
-    """
-
-    A_P: np.ndarray
-    B_P: np.ndarray
-    C_P: np.ndarray
-    D_P: np.ndarray
-    M_gamma_alpha: np.ndarray
-    M_J: np.ndarray
-    coefficient_matrix: np.ndarray
-
-
 _BRANCH_SIGNS = {"incident": 1.0, "reflected": -1.0, "transmitted": 1.0}
 
 
@@ -609,65 +586,3 @@ def principal_rt_matrices(cov: Covector, model: InterfaceModel,
     run = _ElasticRun(cov, model.minus.truncate(0), model.plus.truncate(0),
                       None, 0, tol)
     return run.order0_matrices()
-
-
-def recursion_matrices(cov: Covector, side: ElasticSideJet, order: int,
-                       tol: float = GLANCING_TOL) -> RecursionMatrices:
-    """Closed-form P-wave recursion matrices at one covector.
-
-    Evaluated on the transmitted (positive) branch.  `order` is the
-    symbol order J <= -1; the composite coefficient matrix uses
-    M_J = [[A^-1 B, A^-1 C], [I, 0]]^(|J|-1).
-    """
-    if order > -1:
-        raise ValueError("recursion matrices are defined for orders J <= -1")
-    tau = cov.tau
-    xi = cov.xi_norm
-    cp = side.cp[0]
-    cs = side.cs[0]
-    clm_sq = cp * cp - cs * cs
-    z = vertical_wavenumber(cov, cp, tol)
-    a_p = np.array([
-        [1.0, -((cp / tau) ** 3)],
-        [0.0, -2.0 * cp * cp * z],
-    ], dtype=complex)
-    c_p = np.array([
-        [(cp / tau) ** 2 * (cs * cs / clm_sq + cp * cp * xi * xi / tau ** 2), 0.0],
-        [-clm_sq * (cp / tau) * xi * xi * z, 0.0],
-    ], dtype=complex)
-    b_p = np.array([
-        [2j * cs * cs * cp * cp * z / (clm_sq * tau * tau),
-         cp ** 5 * z / tau ** 5],
-        [-clm_sq * xi * xi * tau / cp,
-         clm_sq * cp * z / tau + cs * cs],
-    ], dtype=complex)
-    d_gamma = np.array([-cp * cp * cs * cs / (clm_sq * tau * tau),
-                        cs * cs * tau * xi * xi / (cp * z)], dtype=complex)
-    d_alpha = np.array([
-        -cp ** 3 * (clm_sq * cp * cp * xi * xi / tau ** 2 + cs * cs)
-        / (clm_sq * tau ** 3 * z),
-        -clm_sq * cp * cp * xi * xi / tau ** 2,
-    ], dtype=complex)
-    d_p = np.column_stack([d_gamma, d_alpha])
-    m_ga = np.array([
-        [-cp * cp / (2.0 * tau * tau * z * z),
-         4j * cp ** 3 * cs * cs / (tau ** 3 * clm_sq),
-         1j * (1.0 - 2.0 * cs * cs / clm_sq) * cp ** 3 / tau ** 3],
-        [-0.5 * (1.0 - xi * xi / (z * z)), 0.0, -1.0],
-    ], dtype=complex)
-
-    a_inv = np.linalg.inv(a_p)
-    block = np.zeros((4, 4), dtype=complex)
-    block[:2, :2] = a_inv @ b_p
-    block[:2, 2:] = a_inv @ c_p
-    block[2:, :2] = np.eye(2)
-    m_j = np.linalg.matrix_power(block, -order - 1)
-    m_mat = np.vstack([a_inv @ b_p, np.eye(2)]) @ m_ga
-    m_mat[:2, 0] += a_inv @ d_alpha
-    if order == -1:
-        coeff = m_ga.copy()
-    else:
-        coeff = (np.hstack([np.eye(2), np.zeros((2, 2))]) @ m_j @ m_mat)
-    return RecursionMatrices(A_P=a_p, B_P=b_p, C_P=c_p, D_P=d_p,
-                             M_gamma_alpha=m_ga, M_J=m_j,
-                             coefficient_matrix=coeff)

@@ -58,12 +58,18 @@ def level_set_curvature_profile(spec: CurvatureSpectrum, s: float) -> float:
     s-derivative at s = 0 equals the closed-form value.  Crossing a focal
     point (1 + s kappa_i = 0) is rejected.
     """
-    total = 0.0
+    return _curvature_profile(spec, s, float)
+
+
+def _curvature_profile(spec: CurvatureSpectrum, s, number):
+    """sum_i kappa_i / (1 + s kappa_i), with every kappa_i cast to `number`."""
+    total = number(0)
     for k in spec.kappas:
-        denom = 1.0 + s * k
-        if denom == 0.0:
+        kn = number(k)
+        denom = 1 + s * kn
+        if denom == 0:
             raise FocalPoint(f"focal point at s={s} for curvature {k}")
-        total += k / denom
+        total += kn / denom
     return total
 
 
@@ -118,14 +124,7 @@ def richardson_derivative(func, x, order: int, step=1e-3):
 
 def rational_curvature_profile(spec: CurvatureSpectrum, s) -> "Fraction":
     """level_set_curvature_profile in exact rational arithmetic."""
-    total = Fraction(0)
-    for k in spec.kappas:
-        kf = Fraction(k)
-        denom = 1 + s * kf
-        if denom == 0:
-            raise FocalPoint(f"focal point at s={s} for curvature {k}")
-        total += kf / denom
-    return total
+    return _curvature_profile(spec, s, Fraction)
 
 
 def tangential_stretch_jet(spec: CurvatureSpectrum, xi, depth: int) -> Jet:

@@ -50,6 +50,7 @@ from .medium import (
     Covector,
     ElasticSideJet,
     InterfaceGeometry,
+    side_to_dict,
 )
 
 log = logging.getLogger("reflectjet.inversion")
@@ -108,20 +109,14 @@ class SymbolSamples:
 
     @staticmethod
     def from_acoustic_series(series_list):
-        """Reflection samples from forward AcousticSymbolSeries runs."""
-        out = []
-        for series in series_list:
-            for j, a_r, _ in series.orders:
-                out.append(SymbolSample(series.covector, j, a_r))
-        return SymbolSamples(out)
-
-    @staticmethod
-    def from_elastic_series(series_list):
+        """Reflection samples from forward acoustic or elastic series runs."""
         out = []
         for series in series_list:
             for j, r, _ in series.orders:
                 out.append(SymbolSample(series.covector, j, r))
         return SymbolSamples(out)
+
+    from_elastic_series = from_acoustic_series
 
 
 @dataclass(frozen=True)
@@ -142,11 +137,7 @@ class RecoveryReport:
             "conditions": {str(k): v for k, v in self.conditions.items()},
             "timings": {str(k): v for k, v in self.timings.items()},
         }
-        side = {"rho_jet": list(self.plus.rho.coeffs),
-                "cs_jet": list(self.plus.cs.coeffs)}
-        if isinstance(self.plus, ElasticSideJet):
-            side["cp_jet"] = list(self.plus.cp.coeffs)
-        out["plus"] = side
+        out["plus"] = side_to_dict(self.plus)
         if self.mean_curvature is not None:
             out["mean_curvature"] = self.mean_curvature
         if self.mean_curvature_derivative is not None:
@@ -259,18 +250,40 @@ def _order0_fit(b_values, reflections, mu_minus, cs_minus, residual_tol):
     return cs_plus, rho_plus, mu_plus, resid / scale, cond
 
 
-def acoustic_recover_order0(samples, minus: AcousticSideJet,
-                            residual_tol: float = RESIDUAL_TOL):
-    """(cs_plus, rho_plus) at the interface from order-0 samples."""
-    samples = _as_samples(samples)
+def _acoustic_order0(samples: SymbolSamples, minus: AcousticSideJet,
+                     residual_tol: float):
+    """((cs_plus, rho_plus), residual, condition) from order-0 samples."""
     group = samples.at_order(0)
     mu_minus = minus.rho[0] * minus.cs[0] ** 2
-    cs_plus, rho_plus, _, _, _ = _order0_fit(
+    cs_plus, rho_plus, _, res, cond = _order0_fit(
         [s.slowness for s in group],
         [s.value for s in group],
         mu_minus, minus.cs[0], residual_tol,
     )
-    return cs_plus, rho_plus
+    return (cs_plus, rho_plus), res, cond
+
+
+def acoustic_recover_order0(samples, minus: AcousticSideJet,
+                            residual_tol: float = RESIDUAL_TOL):
+    """(cs_plus, rho_plus) at the interface from order-0 samples."""
+    values, _, _ = _acoustic_order0(_as_samples(samples), minus, residual_tol)
+    return values
+
+
+def _scan_roots(func, lo, hi, root_tol):
+    """Roots of `func` on [lo, hi]: sign changes over a uniform grid,
+    refined by bracketed root finding; exact zeros on the grid count."""
+    from scipy.optimize import brentq
+
+    grid = np.linspace(lo, hi, _ROOT_SCAN_POINTS)
+    values = [func(x) for x in grid]
+    roots = []
+    for i in range(len(grid) - 1):
+        if values[i] == 0.0:
+            roots.append(grid[i])
+        elif values[i] * values[i + 1] < 0.0:
+            roots.append(brentq(func, grid[i], grid[i + 1], xtol=root_tol))
+    return roots
 
 
 # --- linearized per-order solves ---------------------------------------------
@@ -308,6 +321,99 @@ def _lstsq_real(design_cols, y_complex, order, cond_limit, residual_tol):
     return sol, resid / scale, cond
 
 
+def _recover_jets(samples, minus, depth, geometry, side_type, fields,
+                  order0, engine, residual_tol, cond_limit,
+                  glancing_tol) -> RecoveryReport:
+    """The per-order recovery shared by acoustic and elastic data.
+
+    `fields` names the unknown side-jet fields in design-column order;
+    `order0(samples)` returns their interface values in that order with
+    the order-0 residual and condition; `engine` is the forward series
+    each lower order is linearized against.  Order -k solves for the
+    k-th derivative of every field, and with `geometry=None` order -1
+    also solves for the principal curvatures.
+    """
+    samples = _as_samples(samples)
+    samples.require_orders(depth)
+    if minus.depth < depth:
+        raise ValueError("minus-side jets shallower than requested depth")
+    n = len(fields)
+    # a degenerate sample set is rejected before any engine work
+    for k in range(1, depth + 1):
+        group = samples.at_order(-k)
+        recover_here = geometry is None and k == 1
+        need = min(n + 2 if recover_here else n, 3)
+        if len(_distinct_abs([s.slowness for s in group])) < need:
+            raise DegenerateAngles(
+                f"order {-k} needs >= {need} distinct |b| samples"
+            )
+        if recover_here and _distinct_directions(
+                [s.covector for s in group]) < 2:
+            raise DegenerateAngles(
+                "curvature recovery needs samples in two tangential "
+                "directions (the mean curvature alone is gauge-equivalent "
+                "to a density gradient)"
+            )
+
+    t0 = time.perf_counter()
+    values0, res0, cond0 = order0(samples)
+    residuals, conditions = {0: res0}, {0: cond0}
+    timings = {0: time.perf_counter() - t0}
+
+    coeffs = [[v] for v in values0]
+    zeros = (0.0,) * n
+    geom = geometry  # None until recovered
+    recovered_kappas = None
+
+    for k in range(1, depth + 1):
+        t_start = time.perf_counter()
+        group = samples.at_order(-k)
+        covs = [s.covector for s in group]
+        measured = np.concatenate(
+            [np.asarray(s.value, dtype=complex).ravel() for s in group])
+        recover_here = geometry is None and k == 1
+        minus_k = minus.truncate(k)
+
+        def run(tops, gm):
+            plus = side_type(**{name: Jet(c + [top])
+                                for name, c, top in zip(fields, coeffs, tops)})
+            return np.concatenate([
+                np.asarray(engine(cov, minus_k, plus, gm, k,
+                                  glancing_tol)[k][0]).ravel()
+                for cov in covs
+            ])
+
+        base_geom = geom if geom is not None else InterfaceGeometry()
+        base = run(zeros, base_geom)
+        cols = [run(tuple(float(i == j) for j in range(n)), base_geom) - base
+                for i in range(n)]
+        if recover_here:
+            cols.append(run(zeros, InterfaceGeometry(1.0, 0.0)) - base)
+            cols.append(run(zeros, InterfaceGeometry(0.0, 1.0)) - base)
+        sol, res, cond = _lstsq_real(cols, measured - base, -k,
+                                     cond_limit, residual_tol)
+        for c, value in zip(coeffs, sol):
+            c.append(float(value))
+        if recover_here:
+            recovered_kappas = (float(sol[n]), float(sol[n + 1]))
+            geom = InterfaceGeometry(*recovered_kappas)
+        residuals[-k], conditions[-k] = res, cond
+        timings[-k] = time.perf_counter() - t_start
+        log.debug("order %d solved: residual %.3e cond %.3e", -k, res, cond)
+
+    plus = side_type(**{name: Jet(c) for name, c in zip(fields, coeffs)})
+    mean_h = d_h = None
+    if recovered_kappas is not None:
+        k1, k2 = recovered_kappas
+        mean_h = k1 + k2
+        d_h = -(k1 * k1 + k2 * k2)
+    return RecoveryReport(plus=plus, mean_curvature=mean_h,
+                          mean_curvature_derivative=d_h,
+                          kappas=recovered_kappas,
+                          residuals=residuals, conditions=conditions,
+                          timings=timings)
+
+
 def acoustic_recover_jets(samples, minus: AcousticSideJet, depth: int,
                           geometry=None,
                           residual_tol: float = RESIDUAL_TOL,
@@ -321,82 +427,11 @@ def acoustic_recover_jets(samples, minus: AcousticSideJet, depth: int,
     two extra unknowns, which needs samples in at least two tangential
     directions (see the module note on identifiability).
     """
-    samples = _as_samples(samples)
-    samples.require_orders(depth)
-    if minus.depth < depth:
-        raise ValueError("minus-side jets shallower than requested depth")
-    group0 = samples.at_order(0)
-    t0 = time.perf_counter()
-    mu_minus = minus.rho[0] * minus.cs[0] ** 2
-    cs0, rho0, _, res0, cond0 = _order0_fit(
-        [s.slowness for s in group0],
-        [s.value for s in group0],
-        mu_minus, minus.cs[0], residual_tol,
-    )
-    residuals, conditions = {0: res0}, {0: cond0}
-    timings = {0: time.perf_counter() - t0}
-
-    rho_coeffs, cs_coeffs = [rho0], [cs0]
-    geom = geometry  # None until recovered
-    recovered_kappas = None
-
-    for k in range(1, depth + 1):
-        t_start = time.perf_counter()
-        group = samples.at_order(-k)
-        covs = [s.covector for s in group]
-        measured = np.array([complex(s.value) for s in group])
-        recover_here = geometry is None and k == 1
-        n_unknowns = 4 if recover_here else 2
-        if len(_distinct_abs([s.slowness for s in group])) < min(n_unknowns, 3):
-            raise DegenerateAngles(
-                f"order {-k} needs >= {min(n_unknowns, 3)} distinct |b| samples"
-            )
-        if recover_here and _distinct_directions(covs) < 2:
-            raise DegenerateAngles(
-                "curvature recovery needs samples in two tangential "
-                "directions (the mean curvature alone is gauge-equivalent "
-                "to a density gradient)"
-            )
-        minus_k = minus.truncate(k)
-
-        def run(cs_top, rho_top, gm):
-            plus = AcousticSideJet(Jet(rho_coeffs + [rho_top]),
-                                   Jet(cs_coeffs + [cs_top]))
-            return np.array([
-                acoustic.forward_series(cov, minus_k, plus, gm, k,
-                                        glancing_tol)[k][0]
-                for cov in covs
-            ])
-
-        base_geom = geom if geom is not None else InterfaceGeometry()
-        base = run(0.0, 0.0, base_geom)
-        cols = [run(1.0, 0.0, base_geom) - base,
-                run(0.0, 1.0, base_geom) - base]
-        if recover_here:
-            cols.append(run(0.0, 0.0, InterfaceGeometry(1.0, 0.0)) - base)
-            cols.append(run(0.0, 0.0, InterfaceGeometry(0.0, 1.0)) - base)
-        sol, res, cond = _lstsq_real(cols, measured - base, -k,
-                                     cond_limit, residual_tol)
-        cs_coeffs.append(float(sol[0]))
-        rho_coeffs.append(float(sol[1]))
-        if recover_here:
-            recovered_kappas = (float(sol[2]), float(sol[3]))
-            geom = InterfaceGeometry(*recovered_kappas)
-        residuals[-k], conditions[-k] = res, cond
-        timings[-k] = time.perf_counter() - t_start
-        log.debug("order %d solved: residual %.3e cond %.3e", -k, res, cond)
-
-    plus = AcousticSideJet(Jet(rho_coeffs), Jet(cs_coeffs))
-    mean_h = d_h = None
-    if recovered_kappas is not None:
-        k1, k2 = recovered_kappas
-        mean_h = k1 + k2
-        d_h = -(k1 * k1 + k2 * k2)
-    return RecoveryReport(plus=plus, mean_curvature=mean_h,
-                          mean_curvature_derivative=d_h,
-                          kappas=recovered_kappas,
-                          residuals=residuals, conditions=conditions,
-                          timings=timings)
+    return _recover_jets(samples, minus, depth, geometry, AcousticSideJet,
+                         ("cs", "rho"),
+                         lambda s: _acoustic_order0(s, minus, residual_tol),
+                         acoustic.forward_series,
+                         residual_tol, cond_limit, glancing_tol)
 
 
 # --- relative-amplitude mode -------------------------------------------------
@@ -416,8 +451,6 @@ def acoustic_recover_relative(ratios, minus: AcousticSideJet,
     range; every consistent root is validated against all samples and
     multiple survivors raise AmbiguousRoot carrying them all.
     """
-    from scipy.optimize import brentq
-
     samples = [s for s in _as_samples(ratios).at_order(0)
                if abs(s.slowness - reference.slowness) > 1e-12]
     if len(samples) < 2:
@@ -467,15 +500,8 @@ def acoustic_recover_relative(ratios, minus: AcousticSideJet,
                                                  10.0 * b_max)
     if w_hi <= w_lo:
         raise NoRoot("empty slowness bracket for the plus-side speed")
-    grid = np.linspace(w_lo * (1 + 1e-9), w_hi, _ROOT_SCAN_POINTS)
-    values = [mismatch(w) for w in grid]
-    roots = []
-    for i in range(len(grid) - 1):
-        v0, v1 = values[i], values[i + 1]
-        if v0 == 0.0:
-            roots.append(grid[i])
-        elif v0 * v1 < 0.0:
-            roots.append(brentq(mismatch, grid[i], grid[i + 1], xtol=root_tol))
+    roots = _scan_roots(mismatch, w_lo * (1 + 1e-9), w_hi, root_tol)
+
     def ratio_misfit(mu_p, w):
         """Worst reproduction error of the measured ratios; the trivial
         transparent root solves the quadratic formally but fails here."""
@@ -525,20 +551,21 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
                            residual_tol: float = RESIDUAL_TOL,
                            root_tol: float = ROOT_TOL,
                            glancing_tol: float = GLANCING_TOL):
-    """(rho_plus, cs_plus, cp_plus) at the interface from order-0 matrices.
+    """(rho_plus, cs_plus, cp_plus, residual, condition) at the interface
+    from order-0 matrices.
 
     (rho, cs) come from the SH entry r33 alone via the acoustic-style
     closed form; cp follows by bracketed root finding on the P-P entry
     of the 6x6 solve, confirmed by least squares over all entries.
+    `residual` is the misfit of all nine entries relative to the summed
+    norms of the measured matrices; `condition` is that of the r33 fit.
     """
-    from scipy.optimize import brentq
-
     samples = _as_samples(samples)
     group = samples.at_order(0)
     b_values = [s.slowness for s in group]
     r33 = [complex(np.asarray(s.value)[2, 2]).real for s in group]
     mu_minus = minus.rho[0] * minus.cs[0] ** 2
-    cs_plus, rho_plus, _, _, _ = _order0_fit(
+    cs_plus, rho_plus, _, _, cond = _order0_fit(
         b_values, r33, mu_minus, minus.cs[0], residual_tol,
     )
 
@@ -563,14 +590,7 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
     def gap(cp):
         return float((forward_r(cp, probe) - meas)[0, 0].real)
 
-    grid = np.linspace(cp_lo, cp_hi, _ROOT_SCAN_POINTS)
-    values = [gap(c) for c in grid]
-    roots = []
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            roots.append(grid[i])
-        elif values[i] * values[i + 1] < 0.0:
-            roots.append(brentq(gap, grid[i], grid[i + 1], xtol=root_tol))
+    roots = _scan_roots(gap, cp_lo, cp_hi, root_tol)
     if not roots:
         raise NoRoot("no compressional speed matches the P-P reflection")
 
@@ -588,7 +608,9 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
             f"order-0 elastic matrices disagree with the recovered parameters "
             f"(misfit {misfit:.3e})"
         )
-    return rho_plus, cs_plus, best
+    scale = max(sum(float(np.linalg.norm(np.asarray(s.value, dtype=complex)))
+                    for s in group), 1e-300)
+    return rho_plus, cs_plus, best, misfit / scale, cond
 
 
 def elastic_recover_jets(samples, minus: ElasticSideJet, depth: int,
@@ -608,77 +630,14 @@ def elastic_recover_jets(samples, minus: ElasticSideJet, depth: int,
         raise ValueError(
             f"elastic recovery depth is capped at {elastic.ELASTIC_DEPTH_CAP}"
         )
-    samples = _as_samples(samples)
-    samples.require_orders(depth)
-    if minus.depth < depth:
-        raise ValueError("minus-side jets shallower than requested depth")
-    t0 = time.perf_counter()
-    rho0, cs0, cp0 = elastic_recover_order0(
-        samples, minus, residual_tol=residual_tol, glancing_tol=glancing_tol)
-    residuals, conditions = {0: 0.0}, {0: 1.0}
-    timings = {0: time.perf_counter() - t0}
 
-    rho_coeffs, cs_coeffs, cp_coeffs = [rho0], [cs0], [cp0]
-    geom = geometry
-    recovered_kappas = None
+    def order0(samples):
+        rho0, cs0, cp0, res0, cond0 = elastic_recover_order0(
+            samples, minus, residual_tol=residual_tol,
+            glancing_tol=glancing_tol)
+        return (cs0, cp0, rho0), res0, cond0
 
-    for k in range(1, depth + 1):
-        t_start = time.perf_counter()
-        group = samples.at_order(-k)
-        covs = [s.covector for s in group]
-        measured = np.concatenate(
-            [np.asarray(s.value, dtype=complex).ravel() for s in group])
-        recover_here = geometry is None and k == 1
-        n_unknowns = 5 if recover_here else 3
-        if len(_distinct_abs([s.slowness for s in group])) < 3:
-            raise DegenerateAngles(
-                f"order {-k} needs >= 3 distinct |b| samples"
-            )
-        if recover_here and _distinct_directions(covs) < 2:
-            raise DegenerateAngles(
-                "curvature recovery needs samples in two tangential directions"
-            )
-        minus_k = minus.truncate(k)
-
-        def run(cs_top, cp_top, rho_top, gm):
-            plus = ElasticSideJet(Jet(rho_coeffs + [rho_top]),
-                                  Jet(cs_coeffs + [cs_top]),
-                                  Jet(cp_coeffs + [cp_top]))
-            return np.array([
-                elastic.forward_series_elastic(cov, minus_k, plus, gm, k,
-                                               glancing_tol)[k][0].ravel()
-                for cov in covs
-            ]).ravel()
-
-        base_geom = geom if geom is not None else InterfaceGeometry()
-        base = run(0.0, 0.0, 0.0, base_geom)
-        cols = [run(1.0, 0.0, 0.0, base_geom) - base,
-                run(0.0, 1.0, 0.0, base_geom) - base,
-                run(0.0, 0.0, 1.0, base_geom) - base]
-        if recover_here:
-            cols.append(run(0.0, 0.0, 0.0, InterfaceGeometry(1.0, 0.0)) - base)
-            cols.append(run(0.0, 0.0, 0.0, InterfaceGeometry(0.0, 1.0)) - base)
-        sol, res, cond = _lstsq_real(cols, measured - base, -k,
-                                     cond_limit, residual_tol)
-        cs_coeffs.append(float(sol[0]))
-        cp_coeffs.append(float(sol[1]))
-        rho_coeffs.append(float(sol[2]))
-        if recover_here:
-            recovered_kappas = (float(sol[3]), float(sol[4]))
-            geom = InterfaceGeometry(*recovered_kappas)
-        residuals[-k], conditions[-k] = res, cond
-        timings[-k] = time.perf_counter() - t_start
-        log.debug("elastic order %d solved: residual %.3e cond %.3e",
-                  -k, res, cond)
-
-    plus = ElasticSideJet(Jet(rho_coeffs), Jet(cs_coeffs), Jet(cp_coeffs))
-    mean_h = d_h = None
-    if recovered_kappas is not None:
-        k1, k2 = recovered_kappas
-        mean_h = k1 + k2
-        d_h = -(k1 * k1 + k2 * k2)
-    return RecoveryReport(plus=plus, mean_curvature=mean_h,
-                          mean_curvature_derivative=d_h,
-                          kappas=recovered_kappas,
-                          residuals=residuals, conditions=conditions,
-                          timings=timings)
+    return _recover_jets(samples, minus, depth, geometry, ElasticSideJet,
+                         ("cs", "cp", "rho"), order0,
+                         elastic.forward_series_elastic,
+                         residual_tol, cond_limit, glancing_tol)

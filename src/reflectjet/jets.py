@@ -177,11 +177,3 @@ def jet_derivative(a: Jet) -> Jet:
     if a.depth == 0:
         raise DepthMismatch("cannot differentiate a depth-0 jet")
     return Jet(a.coeffs[1:])
-
-
-def jet_pow_int(a: Jet, n: int) -> Jet:
-    """a**n for small non-negative integer n."""
-    out = identity_jet(a.depth)
-    for _ in range(n):
-        out = jet_mul(out, a)
-    return out

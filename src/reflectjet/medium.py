@@ -88,6 +88,14 @@ class ElasticSideJet:
         )
 
 
+def side_to_dict(side) -> dict:
+    """The side's jets keyed as in the model JSON."""
+    out = {"rho_jet": list(side.rho.coeffs), "cs_jet": list(side.cs.coeffs)}
+    if isinstance(side, ElasticSideJet):
+        out["cp_jet"] = list(side.cp.coeffs)
+    return out
+
+
 @dataclass(frozen=True)
 class InterfaceGeometry:
     """Principal curvatures of the interface at the evaluation point.

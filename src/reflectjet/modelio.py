@@ -23,6 +23,7 @@ from .medium import (
     ElasticSideJet,
     InterfaceGeometry,
     InterfaceModel,
+    side_to_dict,
 )
 
 ACOUSTIC_HEADER = ["tau", "xi1", "xi2", "order", "re_aR", "im_aR", "re_aT", "im_aT"]
@@ -57,13 +58,6 @@ def side_from_dict(obj, where):
         return AcousticSideJet(rho, cs)
     except Exception as exc:
         raise ParseError(f"model field '{where}': {exc}") from exc
-
-
-def side_to_dict(side):
-    out = {"rho_jet": list(side.rho.coeffs), "cs_jet": list(side.cs.coeffs)}
-    if isinstance(side, ElasticSideJet):
-        out["cp_jet"] = list(side.cp.coeffs)
-    return out
 
 
 def geometry_from_dict(obj):
@@ -107,24 +101,22 @@ def model_to_dict(model: InterfaceModel) -> dict:
     }
 
 
-def load_model(path) -> InterfaceModel:
+def _load_json(path):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
-    return model_from_dict(obj)
+
+
+def load_model(path) -> InterfaceModel:
+    return model_from_dict(_load_json(path))
 
 
 def load_minus_side(path):
     """(minus side, geometry) for inversion inputs; 'plus' may be absent."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from exc
+    obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ParseError("model JSON must be an object")
     minus = side_from_dict(obj.get("minus"), "minus")

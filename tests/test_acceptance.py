@@ -130,7 +130,7 @@ def test_criterion_3_elastic_order0():
             closed = sh_reflection(cov, model.minus, model.plus)
             worst_r33 = max(worst_r33, abs(s.orders[0][1][2, 2] - closed))
         samples = SymbolSamples.from_elastic_series(series)
-        rho, cs, cp = elastic_recover_order0(samples, model.minus)
+        rho, cs, cp, _, _ = elastic_recover_order0(samples, model.minus)
         truth = (model.plus.rho[0], model.plus.cs[0], model.plus.cp[0])
         worst_par = max(worst_par,
                         max(abs(r - t) / t for r, t in zip((rho, cs, cp),

@@ -11,7 +11,6 @@ from reflectjet.elastic import (
     forward_symbols_elastic,
     polarization_basis,
     principal_rt_matrices,
-    recursion_matrices,
     sh_reflection,
 )
 from reflectjet.errors import DepthExceeded, EvanescentError
@@ -220,28 +219,3 @@ def test_mode_converted_evanescent_rejected():
     # S hyperbolic everywhere but P evanescent on the plus side
     with pytest.raises(EvanescentError):
         principal_rt_matrices(Covector(1.0, (0.4, 0.0)), model)
-
-
-def test_recursion_matrices_closed_forms():
-    side = ElasticSideJet(Jet([1.1, 0.2]), Jet([0.9, 0.1]), Jet([1.8, -0.2]))
-    cov = Covector(1.0, (0.2, 0.0))
-    rm = recursion_matrices(cov, side, -1)
-    cp = side.cp[0]
-    z = vertical_wavenumber(cov, cp)
-    # A_P = [[1, -(cP/tau)^3], [0, -2 cP^2 xi3P]]: invertible off glancing
-    assert rm.A_P[0, 0] == 1.0
-    assert rm.A_P[0, 1] == pytest.approx(-(cp / 1.0) ** 3)
-    assert rm.A_P[1, 0] == 0.0
-    assert rm.A_P[1, 1] == pytest.approx(-2.0 * cp * cp * z)
-    assert abs(np.linalg.det(rm.A_P)) > 1e-12
-    # M_J at |J| = 1 is the empty product
-    np.testing.assert_allclose(rm.M_J, np.eye(4))
-    # log sqrt(rho) column of the |J| = 1 coefficient matrix, row 2
-    assert rm.coefficient_matrix[1, 2] == pytest.approx(-1.0)
-    assert rm.M_gamma_alpha[1, 2] == pytest.approx(-1.0)
-    # deeper orders iterate the block power
-    rm2 = recursion_matrices(cov, side, -2)
-    assert rm2.M_J.shape == (4, 4)
-    assert rm2.coefficient_matrix.shape == (2, 3)
-    with pytest.raises(ValueError):
-        recursion_matrices(cov, side, 0)

@@ -7,7 +7,11 @@ import pytest
 from conftest import max_rel_err, two_direction_grid
 
 from reflectjet.acoustic import forward_symbols
-from reflectjet.elastic import forward_symbols_elastic, sh_reflection
+from reflectjet.elastic import (
+    forward_symbols_elastic,
+    principal_rt_matrices,
+    sh_reflection,
+)
 from reflectjet.errors import (
     AmbiguousRoot,
     ComplexCurvatures,
@@ -300,8 +304,8 @@ def test_elastic_order0_round_trip():
     plus = ElasticSideJet(Jet([1.5]), Jet([1.2]), Jet([2.5]))
     model = InterfaceModel(minus, plus)
     covs = hyperbolic_grid(model, 6)
-    rho, cs, cp = elastic_recover_order0(_elastic_samples(model, covs, 0),
-                                         minus)
+    rho, cs, cp, _, _ = elastic_recover_order0(_elastic_samples(model, covs, 0),
+                                               minus)
     assert rho == pytest.approx(1.5, rel=1e-8)
     assert cs == pytest.approx(1.2, rel=1e-8)
     assert cp == pytest.approx(2.5, rel=1e-8)
@@ -311,8 +315,8 @@ def test_elastic_order0_identical_media(rng):
     side = ElasticSideJet(Jet([1.1]), Jet([0.9]), Jet([1.8]))
     model = InterfaceModel(side, side)
     covs = hyperbolic_grid(model, 5)
-    rho, cs, cp = elastic_recover_order0(_elastic_samples(model, covs, 0),
-                                         side)
+    rho, cs, cp, _, _ = elastic_recover_order0(_elastic_samples(model, covs, 0),
+                                               side)
     assert rho == pytest.approx(1.1, rel=1e-7)
     assert cs == pytest.approx(0.9, rel=1e-7)
     assert cp == pytest.approx(1.8, rel=1e-6)
@@ -363,6 +367,43 @@ def test_elastic_curved_round_trip(rng):
     rec = sorted(report.kappas)
     true = sorted((model.geometry.kappa1, model.geometry.kappa2))
     assert max(abs(a - b) for a, b in zip(rec, true)) <= 1e-7
+
+
+def test_elastic_degenerate_set_rejected_before_order0(rng, monkeypatch):
+    # one tangential direction cannot pin the curvatures: that shows in
+    # the sample set, so no order-0 root scan may run first
+    import reflectjet.inversion as inversion
+
+    def order0(*args, **kwargs):
+        raise AssertionError("order-0 recovery ran on a degenerate sample set")
+
+    model = random_elastic_model(rng, 1, curved=True)
+    samples = _elastic_samples(model, hyperbolic_grid(model, 6), 1)
+    monkeypatch.setattr(inversion, "elastic_recover_order0", order0)
+    with pytest.raises(DegenerateAngles):
+        elastic_recover_jets(samples, model.minus, 1, geometry=None)
+
+
+def test_elastic_report_order0_diagnostics(rng):
+    model = random_elastic_model(rng, 1)
+    exact = _elastic_samples(model, hyperbolic_grid(model, 6), 1)
+    # a small order-0 perturbation keeps the misfit off round-off
+    samples = SymbolSamples([
+        SymbolSample(s.covector, s.order,
+                     s.value + (1e-10 if s.order == 0 else 0.0))
+        for s in exact.samples])
+    report = elastic_recover_jets(samples, model.minus, 1,
+                                  geometry=InterfaceGeometry())
+    fitted = InterfaceModel(model.minus.truncate(0), report.plus.truncate(0))
+    misfit = scale = 0.0
+    for s in samples.at_order(0):
+        r0 = principal_rt_matrices(s.covector, fitted)[0]
+        misfit += float(np.linalg.norm(r0 - s.value))
+        scale += float(np.linalg.norm(s.value))
+    assert misfit > 0.0
+    assert report.residuals[0] == pytest.approx(misfit / scale, rel=1e-9)
+    assert report.conditions[0] != 1.0
+    assert report.conditions[0] >= 1.0
 
 
 # --- curvature factorization --------------------------------------------------
