@@ -48,7 +48,7 @@ from .jets import (
     jet_scale,
     jet_sqrt,
 )
-from .jets import _binom_row
+from .jets import _leibniz_terms
 from .medium import (
     GLANCING_TOL,
     AcousticSideJet,
@@ -87,9 +87,12 @@ class _BranchState:
 
 
 def _convolve_coeff(m, a, b):
-    """Coefficient m of the Leibniz product of coefficient sequences."""
-    row = _binom_row(m)
-    return sum(row[j] * a[j] * b[m - j] for j in range(m + 1))
+    """Coefficient m of the Leibniz product of coefficient sequences
+    (accumulated as in `jets.jet_mul`)."""
+    acc = 0
+    for c, i, j in _leibniz_terms(m + 1)[m]:
+        acc += c * a[i] * b[j]
+    return acc
 
 
 def _fill(value, branch: _BranchState, source, depth: int):
@@ -162,6 +165,40 @@ def _zeta_jet(side: AcousticSideJet, tau: float, stretch: Jet, depth: int,
     return jet_sqrt(radicand)
 
 
+# Minus-side results of recent calls, keyed by the identities of the
+# (frozen) inputs.  The inversion evaluates the engine several times per
+# covector with only the plus side changed.  An entry holds its inputs,
+# so the ids in its key cannot be reused while it is cached.
+_MINUS_CACHE = {}
+_MINUS_CACHE_SIZE = 128
+
+
+def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
+                tol: float):
+    """Curvature jets, incident and reflected branch states and the
+    incident amplitude jets of every order: all that does not depend on
+    the plus side."""
+    key = (id(cov), id(minus), id(geometry), depth, tol)
+    hit = _MINUS_CACHE.get(key)
+    if hit is not None:
+        return hit[1]
+    h, stretch = curvature_jets(cov, geometry, depth)
+    z_minus = _zeta_jet(minus, cov.tau, stretch, depth, tol)
+    br_i = _branch_state(minus, z_minus, h, depth)
+    br_r = _branch_state(minus, jet_scale(z_minus, -1.0), h, depth)
+    amp_i = [_fill(1.0 + 0.0j, br_i, None, depth)]
+    h_coeffs = h.coeffs if h is not None else None
+    for k in range(1, depth + 1):
+        d = depth - k
+        s_i = _wave_operator_source(br_i, amp_i[-1], h_coeffs, d)
+        amp_i.append(_fill(0.0j, br_i, s_i, d))
+    value = (h, stretch, br_i, br_r, tuple(tuple(a) for a in amp_i))
+    if len(_MINUS_CACHE) >= _MINUS_CACHE_SIZE:
+        _MINUS_CACHE.clear()
+    _MINUS_CACHE[key] = ((cov, minus, geometry), value)
+    return value
+
+
 def forward_series(
     cov: Covector,
     minus: AcousticSideJet,
@@ -181,21 +218,15 @@ def forward_series(
         raise DepthExceeded(
             f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
         )
-    tau = cov.tau
-    h, stretch = curvature_jets(cov, geometry, depth)
-
-    z_minus = _zeta_jet(minus, tau, stretch, depth, tol)
-    z_plus = _zeta_jet(plus, tau, stretch, depth, tol)
-
-    br_i = _branch_state(minus, z_minus, h, depth)
-    br_r = _branch_state(minus, jet_scale(z_minus, -1.0), h, depth)
+    h, stretch, br_i, br_r, amp_i = _minus_side(cov, minus, geometry,
+                                                depth, tol)
+    z_plus = _zeta_jet(plus, cov.tau, stretch, depth, tol)
     br_t = _branch_state(plus, z_plus, h, depth)
 
     mu_m, mu_p = br_i.mu[0], br_t.mu[0]
     denom = mu_m * br_i.zeta0 + mu_p * br_t.zeta0
     r0 = (mu_m * br_i.zeta0 - mu_p * br_t.zeta0) / denom
 
-    amp_i = [_fill(1.0 + 0.0j, br_i, None, depth)]
     amp_r = [_fill(complex(r0), br_r, None, depth)]
     amp_t = [_fill(complex(1.0 + r0), br_t, None, depth)]
     out = [(complex(r0), complex(1.0 + r0))]
@@ -203,12 +234,10 @@ def forward_series(
     h_coeffs = h.coeffs if h is not None else None
     for k in range(1, depth + 1):
         d = depth - k
-        s_i = _wave_operator_source(br_i, amp_i[-1], h_coeffs, d)
         s_r = _wave_operator_source(br_r, amp_r[-1], h_coeffs, d)
         s_t = _wave_operator_source(br_t, amp_t[-1], h_coeffs, d)
-        jump = mu_m * (amp_i[-1][1] + amp_r[-1][1]) - mu_p * amp_t[-1][1]
+        jump = mu_m * (amp_i[k - 1][1] + amp_r[-1][1]) - mu_p * amp_t[-1][1]
         val = -1j * jump / denom
-        amp_i.append(_fill(0.0j, br_i, s_i, d))
         amp_r.append(_fill(val, br_r, s_r, d))
         amp_t.append(_fill(val, br_t, s_t, d))
         out.append((val, val))

@@ -23,11 +23,34 @@ _BINOM_ROWS = [(1,)]
 
 def _binom_row(n: int):
     """Row n of Pascal's triangle, cached."""
+    if n < len(_BINOM_ROWS):
+        return _BINOM_ROWS[n]
     while len(_BINOM_ROWS) <= n:
         prev = _BINOM_ROWS[-1]
         row = (1,) + tuple(prev[i] + prev[i + 1] for i in range(len(prev) - 1)) + (1,)
         _BINOM_ROWS.append(row)
     return _BINOM_ROWS[n]
+
+
+_LEIBNIZ = {}
+
+
+def _leibniz_terms(n: int):
+    """For k < n, the Leibniz terms (C(k,j), j, k-j) of coefficient k of
+    a product, cached per n."""
+    terms = _LEIBNIZ.get(n)
+    if terms is None:
+        terms = tuple(tuple((c, j, k - j) for j, c in enumerate(_binom_row(k)))
+                      for k in range(n))
+        _LEIBNIZ[n] = terms
+    return terms
+
+
+# The recurrences below accumulate in explicit loops rather than with
+# sum() over a generator: the jets are short, so the generator's set-up
+# cost dominated.  Each loop starts from the integer 0 and adds the terms
+# in index order, the same operations as sum() performs up to Python 3.11
+# (3.12 compensates float sums).
 
 
 class Jet:
@@ -105,12 +128,15 @@ def _check_depths(a: Jet, b: Jet):
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Leibniz product: out[k] = sum_j C(k,j) a[j] b[k-j]."""
-    _check_depths(a, b)
     ac, bc = a.coeffs, b.coeffs
+    if len(ac) != len(bc):
+        _check_depths(a, b)  # raises
     out = []
-    for k in range(len(ac)):
-        row = _binom_row(k)
-        out.append(sum(row[j] * ac[j] * bc[k - j] for j in range(k + 1)))
+    for terms in _leibniz_terms(len(ac)):
+        acc = 0
+        for c, i, j in terms:
+            acc += c * ac[i] * bc[j]
+        out.append(acc)
     return Jet(out)
 
 
@@ -132,7 +158,9 @@ def jet_inv(a: Jet) -> Jet:
     out = [inv0]
     for k in range(1, len(ac)):
         row = _binom_row(k)
-        acc = sum(row[j] * ac[j] * out[k - j] for j in range(1, k + 1))
+        acc = 0
+        for j in range(1, k + 1):
+            acc += row[j] * ac[j] * out[k - j]
         out.append(-acc * inv0)
     return Jet(out)
 
@@ -150,7 +178,9 @@ def jet_log(a: Jet) -> Jet:
     out = [math.log(a0)]
     for m in range(len(ac) - 1):
         row = _binom_row(m)
-        acc = sum(row[j] * ac[j] * out[m + 1 - j] for j in range(1, m + 1))
+        acc = 0
+        for j in range(1, m + 1):
+            acc += row[j] * ac[j] * out[m + 1 - j]
         out.append((ac[m + 1] - acc) / a0)
     return Jet(out)
 
@@ -163,7 +193,10 @@ def jet_exp(a: Jet) -> Jet:
     ac = a.coeffs
     for m in range(len(ac) - 1):
         row = _binom_row(m)
-        out.append(sum(row[j] * out[j] * ac[m + 1 - j] for j in range(m + 1)))
+        acc = 0
+        for j in range(m + 1):
+            acc += row[j] * out[j] * ac[m + 1 - j]
+        out.append(acc)
     return Jet(out)
 
 
