@@ -7,9 +7,6 @@ jet of density and wave speeds below the interface, plus the principal
 curvatures, from sampled reflection-symbol data.
 """
 
-import logging
-import os
-
 from .jets import Jet, jet_inv, jet_log, jet_mul
 from .geometry import (
     CurvatureSpectrum,
@@ -54,11 +51,6 @@ from .inversion import (
 )
 
 __version__ = "0.1.0"
-
-_level = os.environ.get("REFLECTJET_LOG")
-if _level:
-    logging.basicConfig()
-    logging.getLogger("reflectjet").setLevel(_level.upper())
 
 __all__ = [
     "Jet",

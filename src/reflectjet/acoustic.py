@@ -54,6 +54,7 @@ from .medium import (
     AcousticSideJet,
     Covector,
     InterfaceModel,
+    cached_by_identity,
     curvature_jets,
     vertical_wavenumber,
 )
@@ -165,23 +166,12 @@ def _zeta_jet(side: AcousticSideJet, tau: float, stretch: Jet, depth: int,
     return jet_sqrt(radicand)
 
 
-# Minus-side results of recent calls, keyed by the identities of the
-# (frozen) inputs.  The inversion evaluates the engine several times per
-# covector with only the plus side changed.  An entry holds its inputs,
-# so the ids in its key cannot be reused while it is cached.
-_MINUS_CACHE = {}
-_MINUS_CACHE_SIZE = 128
-
-
+@cached_by_identity(3)
 def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
                 tol: float):
     """Curvature jets, incident and reflected branch states and the
     incident amplitude jets of every order: all that does not depend on
     the plus side."""
-    key = (id(cov), id(minus), id(geometry), depth, tol)
-    hit = _MINUS_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
     h, stretch = curvature_jets(cov, geometry, depth)
     z_minus = _zeta_jet(minus, cov.tau, stretch, depth, tol)
     br_i = _branch_state(minus, z_minus, h, depth)
@@ -192,11 +182,7 @@ def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
         d = depth - k
         s_i = _wave_operator_source(br_i, amp_i[-1], h_coeffs, d)
         amp_i.append(_fill(0.0j, br_i, s_i, d))
-    value = (h, stretch, br_i, br_r, tuple(tuple(a) for a in amp_i))
-    if len(_MINUS_CACHE) >= _MINUS_CACHE_SIZE:
-        _MINUS_CACHE.clear()
-    _MINUS_CACHE[key] = ((cov, minus, geometry), value)
-    return value
+    return h, stretch, br_i, br_r, tuple(tuple(a) for a in amp_i)
 
 
 def forward_series(

@@ -18,6 +18,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -398,9 +399,23 @@ def build_parser():
     return parser
 
 
+def _configure_logging():
+    """Solver logging to stderr at the REFLECTJET_LOG level, if set."""
+    level = os.environ.get("REFLECTJET_LOG")
+    if not level:
+        return
+    try:
+        logging.getLogger("reflectjet").setLevel(level.upper())
+    except ValueError:
+        raise ParseError(
+            f"REFLECTJET_LOG={level!r} is not a logging level") from None
+    logging.basicConfig()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _configure_logging()
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,20 @@ closes every order with right-hand sides built from the normal
 derivatives of the order J+1 amplitudes.  All remainder contributions
 ride along exactly in the jet coefficients.
 
+The plus side enters only through the transmitted branch and the 6x6
+system, so everything else is computed once per covector, minus side,
+geometry, depth and tolerance and reused (`_minus_side`): the curvature
+jets, the incident and reflected mode contexts, their interface
+columns, and for each incident column the incident cascade together
+with what its compatibility checks need.  The inversion evaluates the
+engine four times per covector and order with only the plus side
+changed, and the order-0 cp scan about a hundred times per sample.  The
+reuse is exact: a cached value comes from the same operations, in the
+same order, that a fresh run performs, so every output is
+bit-identical.  Every compatibility check of every branch still runs
+on every call, cached or not, because its bound depends on the plus
+side through the run's amplitude and operator scales.
+
 The forward depth is capped at two orders below principal
 (ELASTIC_DEPTH_CAP): the machinery iterates further, but only orders
 0..-2 are validated by the round-trip suite, so deeper requests are
@@ -37,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthExceeded, SingularInterfaceSystem
+from .errors import CascadeIncompatible, DepthExceeded, SingularInterfaceSystem
 from .jets import (
     Jet,
     constant_jet,
@@ -52,6 +66,7 @@ from .medium import (
     Covector,
     ElasticSideJet,
     InterfaceModel,
+    cached_by_identity,
     curvature_jets,
     derive_lame_jets,
     vertical_wavenumber,
@@ -150,13 +165,16 @@ class _ModeCtx:
     `kt` is the jet of the tangential wavenumber along the normal: the
     constant |xi'| for a flat interface, sqrt of the shape-operator
     stretch profile otherwise, which keeps |Xi|^2 = kt^2 + zeta^2 equal
-    to tau^2/c^2 exactly at every depth.
+    to tau^2/c^2 exactly at every depth.  The operator jets `_l1` and
+    `_pinv` use at a depth depend on the material and the phase alone;
+    `ops(d)` computes them once and every later cascade shares them.
     """
 
-    __slots__ = ("kt", "zeta", "rho", "lam", "mu", "lam_mu", "h", "kernels",
-                 "q0", "p_diag")
+    __slots__ = ("kt", "zeta", "rho", "lam", "mu", "lam_mu", "h", "mode",
+                 "tau", "xi_sq", "kernels", "q0", "p_diag", "op_scale",
+                 "_ops")
 
-    def __init__(self, kt, zeta, rho, lam, mu, h, mode):
+    def __init__(self, kt, zeta, rho, lam, mu, h, mode, tau):
         self.kt = kt
         self.zeta = zeta
         self.rho = rho
@@ -164,15 +182,18 @@ class _ModeCtx:
         self.mu = mu
         self.lam_mu = lam + mu
         self.h = h
+        self.mode = mode
+        self.tau = tau
         depth = zeta.depth
-        norm = jet_sqrt(_xi_norm_sq(kt, zeta))
-        inv_norm = jet_inv(norm)
+        self.xi_sq = _xi_norm_sq(kt, zeta)
+        inv_norm = jet_inv(jet_sqrt(self.xi_sq))
         kz = jet_mul(kt, inv_norm)
         zn = jet_mul(zeta, inv_norm)
         zero = constant_jet(0.0, depth)
+        p33 = lam + jet_scale(mu, 2.0)
         if mode == "P":
             self.kernels = ((kz, zero, zn),)
-            c2 = lam + jet_scale(mu, 2.0)
+            c2 = p33
         else:
             one = constant_jet(1.0, depth)
             self.kernels = ((zn, zero, jet_scale(kz, -1.0)), (zero, one, zero))
@@ -180,7 +201,60 @@ class _ModeCtx:
         # q = -2i (rho c^2) zeta is the kernel-transport divisor; only its
         # value coefficient divides, the rest rides in the projected jets.
         self.q0 = -2j * c2[0] * zeta[0]
-        self.p_diag = (mu, mu, lam + jet_scale(mu, 2.0))
+        self.p_diag = (mu, mu, p33)
+        # this context's share of the round-off yardstick of the cascade
+        # compatibility checks
+        self.op_scale = abs(self.q0) + max(abs(c) for c in p33.coeffs) \
+            * (1.0 + abs(zeta[0]))
+        self._ops = {}
+
+    def ops(self, d: int) -> "_DepthOps":
+        ops = self._ops.get(d)
+        if ops is None:
+            ops = self._ops[d] = _DepthOps(self, d)
+        return ops
+
+
+class _DepthOps:
+    """The material-and-phase jets of one context at depth d: the factors
+    of `_l1` that do not involve the amplitude, and the inverses `_pinv`
+    divides by."""
+
+    __slots__ = ("kt", "zeta", "lam", "lm", "mu_p", "lam_p", "kt_p",
+                 "zeta_p", "d_mu_zeta", "mu_zeta", "two_mu_zeta", "mu_kt_p",
+                 "mu_zeta_p", "mu_p_zeta", "h", "hmu", "zero", "inv_xi_sq",
+                 "inv_m", "inv_lm_xi4")
+
+    def __init__(self, ctx: _ModeCtx, d: int):
+        self.kt = kt = _fit(ctx.kt, d)
+        self.zeta = zeta = _fit(ctx.zeta, d)
+        self.lam = _fit(ctx.lam, d)
+        self.lm = lm = _fit(ctx.lam_mu, d)
+        mu = _fit(ctx.mu, d)
+        self.mu_p = mu_p = _fit(jet_derivative(ctx.mu), d)
+        self.lam_p = _fit(jet_derivative(ctx.lam), d)
+        self.kt_p = kt_p = _fit(jet_derivative(ctx.kt), d)
+        self.zeta_p = zeta_p = _fit(jet_derivative(ctx.zeta), d)
+        self.d_mu_zeta = _fit(jet_derivative(jet_mul(ctx.mu, ctx.zeta)), d)
+        self.mu_zeta = jet_mul(mu, zeta)
+        self.two_mu_zeta = jet_scale(self.mu_zeta, 2.0)
+        self.mu_kt_p = jet_mul(mu, kt_p)
+        self.mu_zeta_p = jet_mul(mu, zeta_p)
+        self.mu_p_zeta = jet_mul(mu_p, zeta)
+        self.h = self.hmu = None
+        if ctx.h is not None:
+            self.h = h = _fit(ctx.h, d)
+            self.hmu = jet_mul(h, mu)
+        self.zero = constant_jet(0.0, d)
+        xi_sq = _fit(ctx.xi_sq, d)
+        self.inv_xi_sq = jet_inv(xi_sq)
+        self.inv_m = self.inv_lm_xi4 = None
+        if ctx.mode == "P":
+            m = jet_scale(_fit(ctx.rho, d), ctx.tau * ctx.tau) \
+                - jet_mul(mu, xi_sq)
+            self.inv_m = jet_inv(m)
+        else:
+            self.inv_lm_xi4 = jet_inv(jet_mul(lm, jet_mul(xi_sq, xi_sq)))
 
 
 def _xi_norm_sq(kt, zeta):
@@ -188,7 +262,7 @@ def _xi_norm_sq(kt, zeta):
 
 
 def _fit(j: Jet, d: int) -> Jet:
-    if j.depth < d:
+    if len(j.coeffs) <= d:
         raise ValueError("jet shallower than requested depth")
     return j.truncate(d)
 
@@ -221,11 +295,6 @@ def _jv_values(v):
     return np.array([complex(c[0]) for c in v])
 
 
-def _xi_dot(ctx, v, d):
-    return jet_mul(_fit(ctx.kt, d), _fit(v[0], d)) \
-        + jet_mul(_fit(ctx.zeta, d), _fit(v[2], d))
-
-
 def _l1(ctx: _ModeCtx, a, d: int):
     """Degree-(+1) transport operator applied to an amplitude jet-vector.
 
@@ -233,38 +302,29 @@ def _l1(ctx: _ModeCtx, a, d: int):
     mean-curvature divergence correction (ctx.h) and the normal
     variation Xi' = (kt', 0, zeta') of the phase gradient.
     """
+    op = ctx.ops(d)
+    kt, zeta, lm, two_mu_zeta = op.kt, op.zeta, op.lm, op.two_mu_zeta
+    d_mu_zeta = op.d_mu_zeta
     da = _jv_fit(_jv_deriv(a), d)
     a1, a2, a3 = _jv_fit(a, d)
-    kt = _fit(ctx.kt, d)
-    kt_p = _fit(jet_derivative(ctx.kt), d)
-    zeta = _fit(ctx.zeta, d)
-    zeta_p = _fit(jet_derivative(ctx.zeta), d)
-    lam = _fit(ctx.lam, d)
-    mu = _fit(ctx.mu, d)
-    lm = _fit(ctx.lam_mu, d)
-    lam_p = _fit(jet_derivative(ctx.lam), d)
-    mu_p = _fit(jet_derivative(ctx.mu), d)
-    mu_zeta_p = _fit(jet_derivative(jet_mul(ctx.mu, ctx.zeta)), d)
     xi_da = jet_mul(kt, da[0]) + jet_mul(zeta, da[2])
     xi_a = jet_mul(kt, a1) + jet_mul(zeta, a3)
-    xi_p_a = jet_mul(kt_p, a1) + jet_mul(zeta_p, a3)
-    two_mu_zeta = jet_scale(jet_mul(mu, zeta), 2.0)
+    xi_p_a = jet_mul(op.kt_p, a1) + jet_mul(op.zeta_p, a3)
 
     o1 = jet_mul(kt, jet_mul(lm, da[2])) + jet_mul(two_mu_zeta, da[0]) \
-        + jet_mul(kt, jet_mul(mu_p, a3)) + jet_mul(jet_mul(mu, kt_p), a3) \
-        + jet_mul(mu_zeta_p, a1)
-    o2 = jet_mul(two_mu_zeta, da[1]) + jet_mul(mu_zeta_p, a2)
-    o3 = jet_mul(lm, jet_mul(zeta, da[2]) + xi_da) + jet_mul(lam, xi_p_a) \
-        + jet_mul(jet_mul(mu, zeta_p), a3) \
-        + jet_mul(two_mu_zeta, da[2]) + jet_mul(lam_p, xi_a) \
-        + jet_mul(jet_mul(mu_p, zeta), a3) + jet_mul(mu_zeta_p, a3)
-    if ctx.h is not None:
-        h = _fit(ctx.h, d)
-        hmu = jet_mul(h, mu)
+        + jet_mul(kt, jet_mul(op.mu_p, a3)) + jet_mul(op.mu_kt_p, a3) \
+        + jet_mul(d_mu_zeta, a1)
+    o2 = jet_mul(two_mu_zeta, da[1]) + jet_mul(d_mu_zeta, a2)
+    o3 = jet_mul(lm, jet_mul(zeta, da[2]) + xi_da) + jet_mul(op.lam, xi_p_a) \
+        + jet_mul(op.mu_zeta_p, a3) \
+        + jet_mul(two_mu_zeta, da[2]) + jet_mul(op.lam_p, xi_a) \
+        + jet_mul(op.mu_p_zeta, a3) + jet_mul(d_mu_zeta, a3)
+    if op.h is not None:
+        hmu = op.hmu
         o1 = o1 + jet_mul(hmu, jet_mul(kt, a3) + jet_mul(zeta, a1))
         o2 = o2 + jet_mul(hmu, jet_mul(zeta, a2))
-        o3 = o3 + jet_mul(h, jet_mul(lam, xi_a)
-                          + jet_scale(jet_mul(jet_mul(mu, zeta), a3), 2.0))
+        o3 = o3 + jet_mul(op.h, jet_mul(op.lam, xi_a)
+                          + jet_scale(jet_mul(op.mu_zeta, a3), 2.0))
     return tuple(jet_scale(o, -1j) for o in (o1, o2, o3))
 
 
@@ -283,45 +343,67 @@ def _rhs_scale(rhs):
     return max(max(abs(c) for c in comp.coeffs) for comp in rhs)
 
 
-def _pinv(ctx: _ModeCtx, mode: str, rhs, d: int, tau: float, noise_floor: float):
+# relative tolerance of the cascade compatibility checks
+_COMPAT_RTOL = 1e-8
+
+
+def _pinv(ctx: _ModeCtx, rhs, d: int):
     """Minimal-norm solution of p(Xi) x = rhs on the mode's eikonal branch.
 
     Solvability is not assumed: the kernel component of `rhs` vanishes
     identically when the transport fills of the higher orders were
-    consistent, and the assertions below turn any violation (a
-    bookkeeping or operator bug) into a loud failure instead of a
-    silently wrong symbol.  `noise_floor` is the round-off scale of the
-    cancellations that produced `rhs` (amplitude scale times operator
-    scale), which keeps the check meaningful when a mode is inactive and
-    its rhs is pure round-off.
+    consistent.  Returns the solution and the compatibility check of
+    `rhs`, for `_check_compatible`: its gaps, each the largest
+    coefficient of a part of `rhs` that must vanish, their bound's factor
+    and the scale of `rhs`.  The check is kept apart from the solve
+    because its bound depends on every branch of the run.
     """
-    kt = _fit(ctx.kt, d)
-    zeta = _fit(ctx.zeta, d)
-    xi_sq = _fit(_xi_norm_sq(ctx.kt, ctx.zeta), d)
-    xi_rhs = _xi_dot(ctx, rhs, d)
-    tol = 1e-8 * _rhs_scale(rhs) + noise_floor
-    if mode == "P":
+    op = ctx.ops(d)
+    kt, zeta, zero = op.kt, op.zeta, op.zero
+    rhs = _jv_fit(rhs, d)
+    xi_rhs = jet_mul(kt, rhs[0]) + jet_mul(zeta, rhs[2])
+    scale = _rhs_scale(rhs)
+    coef_dir = jet_mul(xi_rhs, op.inv_xi_sq)
+    if ctx.mode == "P":
         # p = -m I + (lam+mu) Xi (x) Xi with m = rho tau^2 - mu |Xi|^2 > 0;
         # range = kernel-orthogonal complement, so Xi . rhs must vanish.
-        assert max(abs(c) for c in xi_rhs.coeffs) \
-            <= (1.0 + abs(zeta[0])) * tol, \
-            "P-mode cascade compatibility violated"
-        m = jet_scale(_fit(ctx.rho, d), tau * tau) - jet_mul(_fit(ctx.mu, d), xi_sq)
-        inv_m = jet_inv(m)
-        coef = jet_mul(xi_rhs, jet_inv(xi_sq))
-        proj = (jet_mul(coef, kt), constant_jet(0.0, d), jet_mul(coef, zeta))
-        return tuple(jet_mul(jet_scale(r - p, -1.0), inv_m)
-                     for r, p in zip(_jv_fit(rhs, d), proj))
+        check = ((max(abs(c) for c in xi_rhs.coeffs),),
+                 1.0 + abs(zeta[0]), scale)
+        proj = (jet_mul(coef_dir, kt), zero, jet_mul(coef_dir, zeta))
+        return tuple(jet_mul(jet_scale(r - p, -1.0), op.inv_m)
+                     for r, p in zip(rhs, proj)), check
     # S: p = (lam+mu) Xi (x) Xi; range = span(Xi), so the part of rhs
-    # orthogonal to Xi must vanish.
-    coef_dir = jet_mul(xi_rhs, jet_inv(xi_sq))
-    for r, xi_c in zip(_jv_fit(rhs, d), (kt, constant_jet(0.0, d), zeta)):
-        gap = r - jet_mul(coef_dir, xi_c)
-        assert max(abs(c) for c in gap.coeffs) <= tol, \
-            "S-mode cascade compatibility violated"
-    coef = jet_mul(xi_rhs, jet_inv(jet_mul(_fit(ctx.lam_mu, d),
-                                           jet_mul(xi_sq, xi_sq))))
-    return (jet_mul(coef, kt), constant_jet(0.0, d), jet_mul(coef, zeta))
+    # orthogonal to Xi must vanish.  The factor 1.0 leaves the bound
+    # exact.
+    gaps = tuple(max(abs(c) for c in (r - jet_mul(coef_dir, xi_c)).coeffs)
+                 for r, xi_c in zip(rhs, (kt, zero, zeta)))
+    coef = jet_mul(xi_rhs, op.inv_lm_xi4)
+    return (jet_mul(coef, kt), zero, jet_mul(coef, zeta)), (gaps, 1.0, scale)
+
+
+_BRANCH_NAMES = {"I": "incident", "R": "reflected", "T": "transmitted"}
+
+
+def _check_compatible(key, check, noise_floor: float):
+    """Raise CascadeIncompatible unless every gap of `check` is within
+    its bound.
+
+    The bound is a relative tolerance on the scale of the right-hand
+    side plus `noise_floor`, the round-off scale of the cancellations
+    that produced it (amplitude scale times operator scale), which keeps
+    the check meaningful when a mode is inactive and its right-hand side
+    is pure round-off.  A violation is a bookkeeping or operator bug, so
+    it fails loudly instead of returning a silently wrong symbol.
+    """
+    gaps, factor, scale = check
+    bound = factor * (_COMPAT_RTOL * scale + noise_floor)
+    for gap in gaps:
+        if not gap <= bound:
+            branch, mode = key
+            raise CascadeIncompatible(
+                f"{_BRANCH_NAMES[branch]} {mode}-mode cascade compatibility "
+                f"violated (gap {gap:.3e} > bound {bound:.3e})"
+            )
 
 
 def _kernel_fill(ctx: _ModeCtx, w, alpha0, a_next, d: int):
@@ -332,14 +414,16 @@ def _kernel_fill(ctx: _ModeCtx, w, alpha0, a_next, d: int):
     """
     kernels = [_jv_fit(kv, d) for kv in ctx.kernels]
     alphas = [[complex(a)] for a in alpha0]
+    source = _l0(ctx, a_next, d - 1) if a_next is not None and d >= 1 \
+        else None
     for m in range(d):
         partial = _jv_fit(w, d)
         for al, kv in zip(alphas, kernels):
             pad = Jet(tuple(al) + (0.0,) * (d + 1 - len(al)))
             partial = _jv_add(partial, _jv_scale_jet(kv, pad))
-        rhs = _l1(ctx, partial, d - 1) if d >= 1 else None
-        if a_next is not None:
-            rhs = _jv_add(rhs, _l0(ctx, a_next, d - 1))
+        rhs = _l1(ctx, partial, d - 1)
+        if source is not None:
+            rhs = _jv_add(rhs, source)
         for al, kv in zip(alphas, kernels):
             terms = [jet_mul(_fit(kc, d - 1), rc) for kc, rc in zip(kv, rhs)]
             g = terms[0] + terms[1] + terms[2]
@@ -364,59 +448,180 @@ def _traction_phase(ctx: _ModeCtx, v):
     ])
 
 
+# --- one branch's cascade step ------------------------------------------------
+#
+# A branch is its (P, S) mode contexts and, per mode, its amplitude
+# jet-vectors keyed by order.  The incident branch and the reflected and
+# transmitted ones run through the same three steps; only the solve that
+# fixes each order's kernel values differs.
+
+
+def _branch_particular(ctxs, amps, J: int, d: int):
+    """Order-J particular solutions of one branch from its order J+1 and
+    J+2 amplitudes, with the scales of the order J+1 amplitudes and the
+    pending compatibility checks, both in (P, S) order."""
+    ws, scales, checks = [], [], []
+    for ctx, amp in zip(ctxs, amps):
+        rhs = tuple(jet_scale(c, -1.0) for c in _l1(ctx, amp[J + 1], d))
+        nxt = amp.get(J + 2)
+        if nxt is not None:
+            rhs = tuple(r - c for r, c in zip(rhs, _l0(ctx, nxt, d)))
+        w, check = _pinv(ctx, rhs, d)
+        ws.append(w)
+        scales.append(_rhs_scale(amp[J + 1]))
+        checks.append(check)
+    return ws, scales, checks
+
+
+def _branch_fill(ctxs, ws, vals, amps, J: int, d: int):
+    """Order-J amplitude jets of one branch, from its particular solutions
+    and the kernel values `vals` in (P, SV, SH) slots."""
+    for ctx, w, amp in zip(ctxs, ws, amps):
+        alpha0 = (vals[P],) if ctx.mode == "P" else (vals[SV], vals[SH])
+        amp[J] = _kernel_fill(ctx, w, alpha0, amp.get(J + 1), d)
+
+
+def _branch_traction(ctxs, ws, amps, J: int):
+    """F = sum_modes [tr1(values) + P_side d(a)_{J+1}/dnu] at x3 = 0."""
+    total = np.zeros(3, dtype=complex)
+    for ctx, w, amp in zip(ctxs, ws, amps):
+        total += _traction_phase(ctx, _jv_values(w))
+        dvals = np.array([complex(c[1]) for c in amp[J + 1]])
+        pd = np.array([complex(ctx.p_diag[i][0]) for i in range(3)])
+        total += pd * dvals
+    return total
+
+
+def _columns(ctx_p: _ModeCtx, ctx_s: _ModeCtx):
+    """Displacement and traction columns (P, SV, SH) of one branch."""
+    cols, tracs = [], []
+    for ctx, kernel in ((ctx_p, ctx_p.kernels[0]),
+                        (ctx_s, ctx_s.kernels[0]),
+                        (ctx_s, ctx_s.kernels[1])):
+        v = _jv_values(kernel)
+        cols.append(v)
+        tracs.append(_traction_phase(ctx, v))
+    return np.array(cols).T, np.array(tracs).T
+
+
+def _side_ctxs(cov: Covector, side: ElasticSideJet, kt, stretch, h,
+               depth: int, tol: float, branches):
+    """Mode contexts of the named branches ("I", "R", "T") on one side;
+    the reflected branch carries the negated vertical wavenumber."""
+    tau = cov.tau
+    rho = side.rho.truncate(depth)
+    lam, mu = derive_lame_jets(side.truncate(depth))
+    zetas = []
+    for mode, speed in (("P", side.cp), ("S", side.cs)):
+        vertical_wavenumber(cov, speed[0], tol)
+        c = speed.truncate(depth)
+        inv_c2 = jet_inv(jet_mul(c, c))
+        radicand = jet_scale(inv_c2, tau * tau) - stretch.truncate(depth)
+        zetas.append((mode, jet_sqrt(radicand)))
+    ctx = {}
+    for branch in branches:
+        for mode, zeta in zetas:
+            if branch == "R":
+                zeta = jet_scale(zeta, -1.0)
+            ctx[branch, mode] = _ModeCtx(kt, zeta, rho, lam, mu, h, mode,
+                                         tau)
+    return ctx
+
+
+class _MinusSide:
+    """The part of one covector's run that the plus side does not touch:
+    curvature jets, the incident and reflected contexts and columns, and
+    per incident column the incident branch's cascade."""
+
+    def __init__(self, cov: Covector, minus: ElasticSideJet, geometry,
+                 depth: int, tol: float):
+        self.depth = depth
+        self.h, self.stretch = curvature_jets(cov, geometry, depth)
+        if self.stretch[0] > 0.0:
+            self.kt = jet_sqrt(self.stretch)
+        else:
+            self.kt = constant_jet(0.0, depth)  # normal incidence: q vanishes
+        self.ctx = _side_ctxs(cov, minus, self.kt, self.stretch, self.h,
+                              depth, tol, ("I", "R"))
+        self.S, self.T = {}, {}
+        for branch in ("I", "R"):
+            self.S[branch], self.T[branch] = _columns(self.ctx[branch, "P"],
+                                                      self.ctx[branch, "S"])
+        self.order0_rhs = np.vstack([self.S["I"], self.T["I"]]).astype(complex)
+        self._incident = {}
+
+    def incident(self, q: int):
+        """Per order J = 0..-depth, what the cascade of incident column q
+        gives the interface solve: None at order 0, then the amplitude
+        scales and pending checks of the incident modes, the incident
+        displacement and its traction at the interface."""
+        # computed on first use: order-0 runs never need it
+        steps = self._incident.get(q)
+        if steps is None:
+            steps = self._incident[q] = self._incident_cascade(q)
+        return steps
+
+    def _incident_cascade(self, q: int):
+        K = self.depth
+        ctxs = (self.ctx["I", "P"], self.ctx["I", "S"])
+        amps = ({}, {})
+        steps = []
+        for step in range(K + 1):
+            J, d = -step, K - step
+            if step == 0:
+                ws = (_jv_zero(d), _jv_zero(d))
+                # the trace of the incident field vanishes below the
+                # principal order
+                alpha = np.zeros(3, dtype=complex)
+                alpha[q] = 1.0
+                steps.append(None)
+            else:
+                ws, scales, checks = _branch_particular(ctxs, amps, J, d)
+                w_val = _jv_values(ws[0]) + _jv_values(ws[1])
+                alpha = np.linalg.solve(self.S["I"].astype(complex), -w_val)
+                # (u_I)_J at the interface: zero by construction, kept
+                # explicit
+                disp = w_val + self.S["I"] @ alpha
+                trac = _branch_traction(ctxs, ws, amps, J)
+                trac += self.T["I"] @ alpha
+                steps.append((scales, checks, disp, trac))
+            if step < K:
+                _branch_fill(ctxs, ws, alpha, amps, J, d)
+        return steps
+
+
+@cached_by_identity(3)
+def _minus_side(cov: Covector, minus: ElasticSideJet, geometry, depth: int,
+                tol: float) -> _MinusSide:
+    return _MinusSide(cov, minus, geometry, depth, tol)
+
+
+_CHECK_KEYS = (("I", "P"), ("I", "S"), ("R", "P"), ("R", "S"),
+               ("T", "P"), ("T", "S"))
+
+
 class _ElasticRun:
-    """One covector, one model: contexts, interface matrices, cascades."""
+    """One covector, one model: the transmitted contexts, the interface
+    matrices and the reflected/transmitted cascades, on top of the cached
+    minus side."""
 
     def __init__(self, cov: Covector, minus: ElasticSideJet,
                  plus: ElasticSideJet, geometry, depth: int, tol: float):
-        tau = cov.tau
-        self.tau = tau
         self.depth = depth
-        h, stretch = curvature_jets(cov, geometry, depth)
-        if stretch[0] > 0.0:
-            kt = jet_sqrt(stretch)
-        else:
-            kt = constant_jet(0.0, depth)  # normal incidence: q vanishes
-        self.ctx = {}
-        for branch, side, sign in (("I", minus, 1.0), ("R", minus, -1.0),
-                                   ("T", plus, 1.0)):
-            rho = side.rho.truncate(depth)
-            lam, mu = derive_lame_jets(side.truncate(depth))
-            for mode, speed in (("P", side.cp), ("S", side.cs)):
-                vertical_wavenumber(cov, speed[0], tol)
-                c = speed.truncate(depth)
-                inv_c2 = jet_inv(jet_mul(c, c))
-                radicand = jet_scale(inv_c2, tau * tau) \
-                    - stretch.truncate(depth)
-                zeta = jet_scale(jet_sqrt(radicand), sign)
-                self.ctx[branch, mode] = _ModeCtx(kt, zeta, rho, lam, mu, h,
-                                                  mode)
-        # round-off yardstick for the cascade compatibility assertions
-        self.op_scale = max(
-            abs(ctx.q0) + max(abs(c) for c in ctx.p_diag[2].coeffs)
-            * (1.0 + abs(ctx.zeta[0]))
-            for ctx in self.ctx.values()
-        )
+        ms = self.minus = _minus_side(cov, minus, geometry, depth, tol)
+        self.ctx = dict(ms.ctx)
+        self.ctx.update(_side_ctxs(cov, plus, ms.kt, ms.stretch, ms.h,
+                                   depth, tol, ("T",)))
+        # round-off yardstick for the cascade compatibility checks
+        self.op_scale = max(ctx.op_scale for ctx in self.ctx.values())
         self._assemble_interface()
 
-    def _columns(self, branch):
-        """Displacement and traction columns (P, SV, SH) of one branch."""
-        ctx_p = self.ctx[branch, "P"]
-        ctx_s = self.ctx[branch, "S"]
-        cols, tracs = [], []
-        for ctx, kernel in ((ctx_p, ctx_p.kernels[0]),
-                            (ctx_s, ctx_s.kernels[0]),
-                            (ctx_s, ctx_s.kernels[1])):
-            v = _jv_values(kernel)
-            cols.append(v)
-            tracs.append(_traction_phase(ctx, v))
-        return np.array(cols).T, np.array(tracs).T
-
     def _assemble_interface(self):
-        self.S = {}
-        self.T = {}
-        for branch in ("I", "R", "T"):
-            self.S[branch], self.T[branch] = self._columns(branch)
+        ms = self.minus
+        self.S = {"R": ms.S["R"]}
+        self.T = {"R": ms.T["R"]}
+        self.S["T"], self.T["T"] = _columns(self.ctx["T", "P"],
+                                            self.ctx["T", "S"])
         m6 = np.zeros((6, 6), dtype=complex)
         m6[:3, :3] = -self.S["R"]
         m6[:3, 3:] = self.S["T"]
@@ -429,107 +634,62 @@ class _ElasticRun:
                 condition=cond,
             )
         self.m6 = m6
-        self.s_inv = {b: np.linalg.inv(self.S[b]) for b in ("I", "R", "T")}
 
     def order0_matrices(self):
-        rhs = np.vstack([self.S["I"], self.T["I"]]).astype(complex)
-        sol = np.linalg.solve(self.m6, rhs)
+        sol = np.linalg.solve(self.m6, self.minus.order0_rhs)
         return sol[:3, :], sol[3:, :]
 
-    # -- full cascade for one incident polarization column ------------------
-
-    def run_column(self, q: int):
-        """Symbol columns [(R_J[:, q], T_J[:, q]) for J = 0..-depth]."""
-        K = self.depth
-        amps = {key: {} for key in self.ctx}
-        out = []
+    def series(self):
+        """[(R_J, T_J) for J = 0..-depth]."""
         r0, t0 = self.order0_matrices()
-
-        for step in range(K + 1):
-            J = -step
-            d = K - step
-            w = {}
-            if step > 0:
-                rhs_all = {}
-                amp_scale = 0.0
-                for key, ctx in self.ctx.items():
-                    rhs = tuple(jet_scale(c, -1.0)
-                                for c in _l1(ctx, amps[key][J + 1], d))
-                    nxt = amps[key].get(J + 2)
-                    if nxt is not None:
-                        rhs = tuple(r - c
-                                    for r, c in zip(rhs, _l0(ctx, nxt, d)))
-                    rhs_all[key] = rhs
-                    amp_scale = max(amp_scale, _rhs_scale(amps[key][J + 1]))
-                floor = 1e-12 * amp_scale * self.op_scale
-                for key, ctx in self.ctx.items():
-                    w[key] = _pinv(ctx, key[1], rhs_all[key], d, self.tau,
-                                   floor)
-            else:
-                for key in self.ctx:
-                    w[key] = _jv_zero(d)
-
-            w_val = {b: _jv_values(w[b, "P"]) + _jv_values(w[b, "S"])
-                     for b in ("I", "R", "T")}
-
-            # incident kernel values: trace of the incident field vanishes
-            # below the principal order.
-            if step == 0:
-                alpha_i = np.zeros(3, dtype=complex)
-                alpha_i[q] = 1.0
-                x_r, x_t = r0[:, q].copy(), t0[:, q].copy()
-            else:
-                alpha_i = np.linalg.solve(self.S["I"].astype(complex),
-                                          -w_val["I"])
-                rhs6 = np.zeros(6, dtype=complex)
-                rhs6[:3] = self._disp_total("I", w, alpha_i) \
-                    + w_val["R"] - w_val["T"]
-                f_i = self._traction_total("I", amps, w, alpha_i, J, d)
-                f_r = self._traction_total("R", amps, w, None, J, d)
-                f_t = self._traction_total("T", amps, w, None, J, d)
-                rhs6[3:] = f_i + f_r - f_t
-                sol = np.linalg.solve(self.m6, rhs6)
-                x_r, x_t = sol[:3], sol[3:]
-
-            # fill amplitude jets for every branch/mode
-            for key, ctx in self.ctx.items():
-                branch, mode = key
-                if branch == "I":
-                    vals = alpha_i
-                elif branch == "R":
-                    vals = x_r
-                else:
-                    vals = x_t
-                if mode == "P":
-                    alpha0 = (vals[P],)
-                else:
-                    alpha0 = (vals[SV], vals[SH])
-                nxt = amps[key].get(J + 1)
-                amps[key][J] = _kernel_fill(ctx, w[key], alpha0, nxt, d)
-
-            out.append((x_r + self.s_inv["R"] @ w_val["R"],
-                        x_t + self.s_inv["T"] @ w_val["T"]))
+        s_inv = {b: np.linalg.inv(self.S[b]) for b in ("R", "T")}
+        cols = [self._column(q, r0, t0, s_inv) for q in (P, SV, SH)]
+        out = []
+        for k in range(self.depth + 1):
+            r = np.column_stack([cols[q][k][0] for q in (P, SV, SH)])
+            t = np.column_stack([cols[q][k][1] for q in (P, SV, SH)])
+            out.append((r, t))
         return out
 
-    def _disp_total(self, branch, w, alpha):
-        # (u_I)_J at the interface: zero by construction, kept explicit.
-        total = _jv_values(w[branch, "P"]) + _jv_values(w[branch, "S"])
-        return total + self.S[branch] @ alpha
-
-    def _traction_total(self, branch, amps, w, alpha, J, d):
-        """F = sum_modes [tr1(values) + P_side d(a)_{J+1}/dnu] at x3 = 0."""
-        total = np.zeros(3, dtype=complex)
-        for mode in ("P", "S"):
-            ctx = self.ctx[branch, mode]
-            v = _jv_values(w[branch, mode])
-            total += _traction_phase(ctx, v)
-            prev = amps[branch, mode][J + 1]
-            dvals = np.array([complex(c[1]) for c in prev])
-            pd = np.array([complex(ctx.p_diag[i][0]) for i in range(3)])
-            total += pd * dvals
-        if alpha is not None:
-            total += self.T[branch] @ alpha
-        return total
+    def _column(self, q: int, r0, t0, s_inv):
+        """Symbol columns [(R_J[:, q], T_J[:, q]) for J = 0..-depth]."""
+        K = self.depth
+        incident = self.minus.incident(q)
+        ctx_r = (self.ctx["R", "P"], self.ctx["R", "S"])
+        ctx_t = (self.ctx["T", "P"], self.ctx["T", "S"])
+        amp_r, amp_t = ({}, {}), ({}, {})
+        out = []
+        for step in range(K + 1):
+            J, d = -step, K - step
+            if step == 0:
+                w_r = w_t = (_jv_zero(d), _jv_zero(d))
+                x_r, x_t = r0[:, q].copy(), t0[:, q].copy()
+            else:
+                scales_i, checks_i, disp_i, trac_i = incident[step]
+                w_r, scales_r, checks_r = _branch_particular(ctx_r, amp_r, J, d)
+                w_t, scales_t, checks_t = _branch_particular(ctx_t, amp_t, J, d)
+                amp_scale = 0.0
+                for s in scales_i + scales_r + scales_t:
+                    amp_scale = max(amp_scale, s)
+                floor = 1e-12 * amp_scale * self.op_scale
+                for key, check in zip(_CHECK_KEYS,
+                                      checks_i + checks_r + checks_t):
+                    _check_compatible(key, check, floor)
+            val_r = _jv_values(w_r[0]) + _jv_values(w_r[1])
+            val_t = _jv_values(w_t[0]) + _jv_values(w_t[1])
+            if step > 0:
+                rhs6 = np.zeros(6, dtype=complex)
+                rhs6[:3] = disp_i + val_r - val_t
+                f_r = _branch_traction(ctx_r, w_r, amp_r, J)
+                f_t = _branch_traction(ctx_t, w_t, amp_t, J)
+                rhs6[3:] = trac_i + f_r - f_t
+                sol = np.linalg.solve(self.m6, rhs6)
+                x_r, x_t = sol[:3], sol[3:]
+            if step < K:
+                _branch_fill(ctx_r, w_r, x_r, amp_r, J, d)
+                _branch_fill(ctx_t, w_t, x_t, amp_t, J, d)
+            out.append((x_r + s_inv["R"] @ val_r, x_t + s_inv["T"] @ val_t))
+        return out
 
 
 def forward_series_elastic(
@@ -555,14 +715,7 @@ def forward_series_elastic(
         raise DepthExceeded(
             f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
         )
-    run = _ElasticRun(cov, minus, plus, geometry, depth, tol)
-    cols = [run.run_column(q) for q in (P, SV, SH)]
-    out = []
-    for k in range(depth + 1):
-        r = np.column_stack([cols[q][k][0] for q in (P, SV, SH)])
-        t = np.column_stack([cols[q][k][1] for q in (P, SV, SH)])
-        out.append((r, t))
-    return out
+    return _ElasticRun(cov, minus, plus, geometry, depth, tol).series()
 
 
 def forward_symbols_elastic(cov: Covector, model: InterfaceModel, depth: int,

@@ -56,6 +56,11 @@ class SingularInterfaceSystem(ReflectJetError):
         self.condition = condition
 
 
+class CascadeIncompatible(ReflectJetError):
+    """An elastic transport cascade right-hand side left the range of the
+    eikonal operator: the higher-order fills were inconsistent."""
+
+
 class FocalPoint(ReflectJetError):
     """Parallel-surface curvature profile evaluated across a focal point."""
 

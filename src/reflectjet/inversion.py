@@ -581,9 +581,13 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
     probe = group[0]  # smallest |b|: P-P entry is monotone in impedance there
     meas = np.asarray(probe.value, dtype=complex)
 
+    # one truncated minus side for every evaluation, so that the engine's
+    # minus-side cache serves the whole scan
+    minus0 = minus.truncate(0)
+
     def forward_r(cp, sample):
         plus = ElasticSideJet(Jet([rho_plus]), Jet([cs_plus]), Jet([cp]))
-        run = elastic._ElasticRun(sample.covector, minus.truncate(0), plus,
+        run = elastic._ElasticRun(sample.covector, minus0, plus,
                                   None, 0, glancing_tol)
         return run.order0_matrices()[0]
 

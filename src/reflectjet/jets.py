@@ -105,15 +105,30 @@ class Jet:
         return jet_scale(self, -1.0)
 
     def truncate(self, depth: int) -> "Jet":
-        """Drop derivatives above `depth` (extend with zeros if shorter)."""
+        """Drop derivatives above `depth` (extend with zeros if shorter).
+
+        A jet is immutable, so one already at `depth` is returned as is."""
         n = depth + 1
-        if len(self.coeffs) >= n:
+        if len(self.coeffs) == n:
+            return self
+        if len(self.coeffs) > n:
             return Jet(self.coeffs[:n])
         return Jet(self.coeffs + (0.0,) * (n - len(self.coeffs)))
 
 
+_new_jet = Jet.__new__
+
+
+def _jet(coeffs: tuple) -> Jet:
+    """A jet on a non-empty coefficient tuple, without Jet's checks: the
+    functions below build their results from jets that passed them."""
+    out = _new_jet(Jet)
+    out.coeffs = coeffs
+    return out
+
+
 def constant_jet(value, depth: int) -> Jet:
-    return Jet((value,) + (0.0,) * depth)
+    return _jet((value,) + (0.0,) * depth)
 
 
 def identity_jet(depth: int) -> Jet:
@@ -137,16 +152,17 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
         for c, i, j in terms:
             acc += c * ac[i] * bc[j]
         out.append(acc)
-    return Jet(out)
+    return _jet(tuple(out))
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
-    _check_depths(a, b)
-    return Jet(x + y for x, y in zip(a.coeffs, b.coeffs))
+    if len(a.coeffs) != len(b.coeffs):
+        _check_depths(a, b)  # raises
+    return _jet(tuple([x + y for x, y in zip(a.coeffs, b.coeffs)]))
 
 
 def jet_scale(a: Jet, s) -> Jet:
-    return Jet(s * x for x in a.coeffs)
+    return _jet(tuple([s * x for x in a.coeffs]))
 
 
 def jet_inv(a: Jet) -> Jet:
@@ -162,7 +178,7 @@ def jet_inv(a: Jet) -> Jet:
         for j in range(1, k + 1):
             acc += row[j] * ac[j] * out[k - j]
         out.append(-acc * inv0)
-    return Jet(out)
+    return _jet(tuple(out))
 
 
 def jet_log(a: Jet) -> Jet:
@@ -182,7 +198,7 @@ def jet_log(a: Jet) -> Jet:
         for j in range(1, m + 1):
             acc += row[j] * ac[j] * out[m + 1 - j]
         out.append((ac[m + 1] - acc) / a0)
-    return Jet(out)
+    return _jet(tuple(out))
 
 
 def jet_exp(a: Jet) -> Jet:
@@ -197,7 +213,7 @@ def jet_exp(a: Jet) -> Jet:
         for j in range(m + 1):
             acc += row[j] * out[j] * ac[m + 1 - j]
         out.append(acc)
-    return Jet(out)
+    return _jet(tuple(out))
 
 
 def jet_sqrt(a: Jet) -> Jet:
@@ -209,4 +225,4 @@ def jet_derivative(a: Jet) -> Jet:
     """Shift: the jet of f' (depth drops by one)."""
     if a.depth == 0:
         raise DepthMismatch("cannot differentiate a depth-0 jet")
-    return Jet(a.coeffs[1:])
+    return _jet(a.coeffs[1:])

@@ -1,12 +1,13 @@
 """Command-line interface: formats, determinism, exit codes, schemas."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from reflectjet import schemas
+from reflectjet import elastic, schemas
 from reflectjet.cli import main
 from reflectjet.modelio import (
     load_model,
@@ -258,3 +259,37 @@ def test_tolerance_override_parsing(tmp_path):
     rc = main(["forward", "--model", model, "--out", str(tmp_path / "y.csv"),
                "--grid", "0,0.2", "--tol", "glancing=1e-6"])
     assert rc == 0
+
+
+def test_cascade_incompatibility_exit3(tmp_path, monkeypatch, capsys):
+    doc = {"minus": {"rho_jet": [1.0, 0.3], "cs_jet": [1.0, -0.2],
+                     "cp_jet": [2.0, 0.4]},
+           "plus": {"rho_jet": [1.4, -0.1], "cs_jet": [1.2, 0.2],
+                    "cp_jet": [2.3, -0.3]}}
+    model = _write_model(tmp_path, doc, "emodel.json")
+    monkeypatch.setattr(elastic, "_COMPAT_RTOL", -1.0)
+    rc = main(["forward", "--model", model, "--out", str(tmp_path / "e.csv"),
+               "--grid", "0.1,0.2"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: CascadeIncompatible: incident P-mode")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_import_configures_no_logging():
+    # REFLECTJET_LOG is read by the CLI's main, not on import
+    code = ("import logging, reflectjet, reflectjet.cli; "
+            "print(len(logging.getLogger().handlers))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ,
+                                          "REFLECTJET_LOG": "debug"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_bad_log_level_exit2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REFLECTJET_LOG", "loud")
+    model = _write_model(tmp_path, ACOUSTIC_MODEL)
+    rc = main(["forward", "--model", model, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "REFLECTJET_LOG" in capsys.readouterr().err

@@ -2,23 +2,30 @@
 SH closed form, block structure, and the acoustic engine as the oracle
 for the decoupled SH channel."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from reflectjet import elastic
 from reflectjet.acoustic import forward_symbols
 from reflectjet.elastic import (
     ELASTIC_DEPTH_CAP,
+    forward_series_elastic,
     forward_symbols_elastic,
     polarization_basis,
     principal_rt_matrices,
     sh_reflection,
 )
-from reflectjet.errors import DepthExceeded, EvanescentError
+from reflectjet.errors import CascadeIncompatible, DepthExceeded, EvanescentError
 from reflectjet.jets import Jet
 from reflectjet.medium import (
+    GLANCING_TOL,
     AcousticSideJet,
     Covector,
     ElasticSideJet,
+    InterfaceGeometry,
     InterfaceModel,
     vertical_wavenumber,
 )
@@ -219,3 +226,83 @@ def test_mode_converted_evanescent_rejected():
     # S hyperbolic everywhere but P evanescent on the plus side
     with pytest.raises(EvanescentError):
         principal_rt_matrices(Covector(1.0, (0.4, 0.0)), model)
+
+
+def _copy_side(side):
+    """Equal jets in new objects: a cold start for the minus-side cache."""
+    return ElasticSideJet(Jet(list(side.rho)), Jet(list(side.cs)),
+                          Jet(list(side.cp)))
+
+
+def _as_lists(series):
+    return [(r.tolist(), t.tolist()) for r, t in series]
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_minus_side_cache_changes_nothing(rng, curved):
+    # the cached incident/reflected half, reused after other plus sides,
+    # gives exactly what a cold run gives
+    for depth in (0, 1, 2):
+        model = _pair(rng, depth=2)
+        others = [_pair(rng, depth=2).plus for _ in range(2)]
+        speeds = model.speeds() + tuple(s for p in others for s in p.speeds)
+        b = 0.7 / max(speeds)
+        cov = Covector(1.1, (0.6 * b * 1.1, 0.5 * b * 1.1))
+        geometry = InterfaceGeometry(0.7, -0.4) if curved else None
+        elastic._minus_side.cache_clear()
+        cold = forward_series_elastic(
+            Covector(cov.tau, cov.xi), _copy_side(model.minus), model.plus,
+            InterfaceGeometry(0.7, -0.4) if curved else None, depth)
+        for plus in others:
+            forward_series_elastic(cov, model.minus, plus, geometry, depth)
+        hot = forward_series_elastic(cov, model.minus, model.plus, geometry,
+                                     depth)
+        assert elastic._minus_side(cov, model.minus, geometry, depth,
+                                   GLANCING_TOL) \
+            is elastic._minus_side(cov, model.minus, geometry, depth,
+                                   GLANCING_TOL)
+        assert _as_lists(hot) == _as_lists(cold)
+
+
+def test_incident_incompatibility_raises_cold_and_cached(rng, monkeypatch):
+    model = _pair(rng, depth=1)
+    cov = Covector(1.0, (0.4 * model.critical_slowness(), 0.0))
+
+    def run():
+        return forward_series_elastic(cov, model.minus, model.plus, None, 1)
+
+    elastic._minus_side.cache_clear()
+    with monkeypatch.context() as patch:
+        # a negative relative tolerance: no right-hand side is compatible
+        patch.setattr(elastic, "_COMPAT_RTOL", -1.0)
+        with pytest.raises(CascadeIncompatible, match="incident P-mode"):
+            run()  # cold: the incident cascade is computed here
+        with pytest.raises(CascadeIncompatible, match="incident P-mode"):
+            run()  # cached incident cascade, checks evaluated again
+    run()  # the checks pass at the real tolerance
+    monkeypatch.setattr(elastic, "_COMPAT_RTOL", -1.0)
+    with pytest.raises(CascadeIncompatible, match="incident P-mode"):
+        run()  # a cache hit after a passing run still checks
+
+
+def test_incompatibility_raises_under_optimization():
+    # the checks are package errors, not asserts, so `python -O` keeps them
+    code = (
+        "import numpy as np\n"
+        "from reflectjet import elastic\n"
+        "from reflectjet.errors import CascadeIncompatible\n"
+        "from reflectjet.medium import Covector\n"
+        "from reflectjet.sampling import random_elastic_model\n"
+        "model = random_elastic_model(np.random.default_rng(3), 1)\n"
+        "cov = Covector(1.0, (0.4 * model.critical_slowness(), 0.0))\n"
+        "elastic._COMPAT_RTOL = -1.0\n"
+        "try:\n"
+        "    elastic.forward_series_elastic(cov, model.minus, model.plus,\n"
+        "                                   None, 1)\n"
+        "except CascadeIncompatible:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
