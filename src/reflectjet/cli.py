@@ -67,6 +67,11 @@ def _parse_tols(pairs):
             tols[name] = float(value)
         except ValueError:
             raise ParseError(f"--tol {pair}: value is not a number") from None
+        # a zero glancing band is meaningful; a zero bound elsewhere is not
+        in_range = tols[name] >= 0.0 if name == "glancing" else tols[name] > 0.0
+        if not (math.isfinite(tols[name]) and in_range):
+            raise ParseError(f"--tol {pair}: value must be finite and "
+                             f"{'>= 0' if name == 'glancing' else '> 0'}")
     return tols
 
 
@@ -77,6 +82,8 @@ def _parse_grid(spec_text):
         raise ParseError(f"--grid {spec_text!r}: values must be numbers") from None
     if not values:
         raise ParseError("--grid needs at least one slowness value")
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError(f"--grid {spec_text!r}: values must be finite")
     return values
 
 
@@ -85,6 +92,8 @@ def _parse_direction(text):
         dx, dy = (float(v) for v in text.split(","))
     except ValueError:
         raise ParseError("--direction expects 'dx,dy'") from None
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        raise ParseError("--direction components must be finite")
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         raise ParseError("--direction must be nonzero")
@@ -321,6 +330,18 @@ def cmd_curvature_check(args):
     return 0
 
 
+def _check_numbers(args):
+    """Reject the numeric options of `args` that no command can use,
+    before any work."""
+    depth = getattr(args, "depth", None)
+    if depth is not None and depth < 0:
+        raise ParseError(f"--depth {depth}: must be >= 0")
+    for name in ("tau", "step"):
+        value = getattr(args, name, 1.0)
+        if not math.isfinite(value) or value == 0.0:
+            raise ParseError(f"--{name} {value}: must be finite and nonzero")
+
+
 def _write_json(path, doc):
     text = json.dumps(doc, indent=2, sort_keys=True)
     if path == "-":
@@ -416,6 +437,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _configure_logging()
+        _check_numbers(args)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

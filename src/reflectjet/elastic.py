@@ -34,6 +34,25 @@ bit-identical.  Every compatibility check of every branch still runs
 on every call, cached or not, because its bound depends on the plus
 side through the run's amplitude and operator scales.
 
+The cascade leaves out what is zero by construction.  In the rotated
+frame the P kernel and the SV kernel have no middle component and the
+SH kernel has only that one; the transport operators map components 1
+and 3 to components 1 and 3 and the middle one to itself, and the
+pseudo-inverse's solutions have no middle component.  So the P and SV
+incident columns live in the P-SV channel (components 1 and 3, the P
+and SV kernels) and the SH column in the SH channel (component 2, the
+S-mode SH kernel alone, with no P amplitude at all), and each column
+runs only its own channel.  An operator factor that vanishes for the
+input, such as kt' on a flat interface or kt at normal incidence, is
+left out the same way.  A left-out jet is carried as None, and a left
+out product is one whose every coefficient would be exactly zero, so
+dropping it changes at most the sign of a zero: every nonzero output is
+bit-identical to the full computation.  The compatibility checks of a
+zero channel still run, with gap 0 and scale 0.  The 6x6 interface
+solve stays whole: it is a small share of the time, and splitting it
+into the P-SV and SH blocks could change LAPACK's rounding, while the
+whole solve keeps every coupling entry of R_J and T_J an exact +0.0.
+
 The forward depth is capped at two orders below principal
 (ELASTIC_DEPTH_CAP): the machinery iterates further, but only orders
 0..-2 are validated by the round-trip suite, so deeper requests are
@@ -157,6 +176,55 @@ def sh_reflection(cov: Covector, minus: ElasticSideJet, plus: ElasticSideJet,
 # Amplitudes are 3-vectors of jets; Xi = (kt(x3), 0, zeta(x3)) with zeta
 # the signed vertical-wavenumber jet of the branch/mode and kt the
 # (stretched) tangential wavenumber jet.
+#
+# A jet that is zero by construction is absent: it is carried as None and
+# takes part in no product or sum (see the module docstring).
+
+# the kernel slots of each channel
+_PSV, _SH = (P, SV), (SH,)
+
+_ABSENT = (None, None, None)
+
+
+def _channel(q: int):
+    return _SH if q == SH else _PSV
+
+
+def _nz(j: Jet):
+    """`j`, or None when every coefficient of `j` is exactly zero."""
+    for c in j.coeffs:
+        if c != 0:
+            return j
+    return None
+
+
+def _mul(a, b):
+    if a is None or b is None:
+        return None
+    return jet_mul(a, b)
+
+
+def _sum(*terms):
+    """The present terms added left to right, as `a + b + ...` adds them."""
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
+
+
+def _sub(a, b):
+    if b is None:
+        return a
+    return jet_scale(b, -1.0) if a is None else a - b
+
+
+def _scale(a, s):
+    return None if a is None else jet_scale(a, s)
+
+
+def _max_abs(j) -> float:
+    return 0.0 if j is None else max(abs(c) for c in j.coeffs)
 
 
 class _ModeCtx:
@@ -168,6 +236,8 @@ class _ModeCtx:
     to tau^2/c^2 exactly at every depth.  The operator jets `_l1` and
     `_pinv` use at a depth depend on the material and the phase alone;
     `ops(d)` computes them once and every later cascade shares them.
+    `kernels` maps each kernel slot of the mode to its vector, with the
+    vector's zero entries absent.
     """
 
     __slots__ = ("kt", "zeta", "rho", "lam", "mu", "lam_mu", "h", "mode",
@@ -187,16 +257,15 @@ class _ModeCtx:
         depth = zeta.depth
         self.xi_sq = _xi_norm_sq(kt, zeta)
         inv_norm = jet_inv(jet_sqrt(self.xi_sq))
-        kz = jet_mul(kt, inv_norm)
+        kz = _nz(jet_mul(kt, inv_norm))  # absent at normal incidence
         zn = jet_mul(zeta, inv_norm)
-        zero = constant_jet(0.0, depth)
         p33 = lam + jet_scale(mu, 2.0)
         if mode == "P":
-            self.kernels = ((kz, zero, zn),)
+            self.kernels = {P: (kz, None, zn)}
             c2 = p33
         else:
-            one = constant_jet(1.0, depth)
-            self.kernels = ((zn, zero, jet_scale(kz, -1.0)), (zero, one, zero))
+            self.kernels = {SV: (zn, None, _scale(kz, -1.0)),
+                            SH: (None, constant_jet(1.0, depth), None)}
             c2 = mu
         # q = -2i (rho c^2) zeta is the kernel-transport divisor; only its
         # value coefficient divides, the rest rides in the projected jets.
@@ -218,34 +287,37 @@ class _ModeCtx:
 class _DepthOps:
     """The material-and-phase jets of one context at depth d: the factors
     of `_l1` that do not involve the amplitude, and the inverses `_pinv`
-    divides by."""
+    divides by.  A factor that vanishes for the input is absent: `kt'`
+    and `mu kt'` on a flat interface, `kt` at normal incidence, and the
+    derivative factors of a side whose material is constant."""
 
     __slots__ = ("kt", "zeta", "lam", "lm", "mu_p", "lam_p", "kt_p",
                  "zeta_p", "d_mu_zeta", "mu_zeta", "two_mu_zeta", "mu_kt_p",
-                 "mu_zeta_p", "mu_p_zeta", "h", "hmu", "zero", "inv_xi_sq",
+                 "mu_zeta_p", "mu_p_zeta", "h", "hmu", "inv_xi_sq",
                  "inv_m", "inv_lm_xi4")
 
     def __init__(self, ctx: _ModeCtx, d: int):
-        self.kt = kt = _fit(ctx.kt, d)
+        self.kt = _nz(_fit(ctx.kt, d))
         self.zeta = zeta = _fit(ctx.zeta, d)
         self.lam = _fit(ctx.lam, d)
         self.lm = lm = _fit(ctx.lam_mu, d)
         mu = _fit(ctx.mu, d)
-        self.mu_p = mu_p = _fit(jet_derivative(ctx.mu), d)
-        self.lam_p = _fit(jet_derivative(ctx.lam), d)
-        self.kt_p = kt_p = _fit(jet_derivative(ctx.kt), d)
-        self.zeta_p = zeta_p = _fit(jet_derivative(ctx.zeta), d)
-        self.d_mu_zeta = _fit(jet_derivative(jet_mul(ctx.mu, ctx.zeta)), d)
+        mu_p = _fit(jet_derivative(ctx.mu), d)
+        kt_p = _fit(jet_derivative(ctx.kt), d)
+        zeta_p = _fit(jet_derivative(ctx.zeta), d)
+        self.mu_p, self.kt_p, self.zeta_p = _nz(mu_p), _nz(kt_p), _nz(zeta_p)
+        self.lam_p = _nz(_fit(jet_derivative(ctx.lam), d))
+        self.d_mu_zeta = _nz(_fit(jet_derivative(jet_mul(ctx.mu, ctx.zeta)),
+                                  d))
         self.mu_zeta = jet_mul(mu, zeta)
         self.two_mu_zeta = jet_scale(self.mu_zeta, 2.0)
-        self.mu_kt_p = jet_mul(mu, kt_p)
-        self.mu_zeta_p = jet_mul(mu, zeta_p)
-        self.mu_p_zeta = jet_mul(mu_p, zeta)
+        self.mu_kt_p = _nz(jet_mul(mu, kt_p))
+        self.mu_zeta_p = _nz(jet_mul(mu, zeta_p))
+        self.mu_p_zeta = _nz(jet_mul(mu_p, zeta))
         self.h = self.hmu = None
         if ctx.h is not None:
             self.h = h = _fit(ctx.h, d)
             self.hmu = jet_mul(h, mu)
-        self.zero = constant_jet(0.0, d)
         xi_sq = _fit(ctx.xi_sq, d)
         self.inv_xi_sq = jet_inv(xi_sq)
         self.inv_m = self.inv_lm_xi4 = None
@@ -268,31 +340,24 @@ def _fit(j: Jet, d: int) -> Jet:
 
 
 def _jv_fit(v, d):
-    return tuple(_fit(c, d) for c in v)
-
-
-def _jv_zero(d):
-    z = constant_jet(0.0, d)
-    return (z, z, z)
+    return tuple(None if c is None else _fit(c, d) for c in v)
 
 
 def _jv_add(*vs):
-    out = vs[0]
-    for v in vs[1:]:
-        out = tuple(a + b for a, b in zip(out, v))
-    return out
+    return tuple(_sum(*cs) for cs in zip(*vs))
 
 
 def _jv_deriv(v):
-    return tuple(jet_derivative(c) for c in v)
+    return tuple(None if c is None else jet_derivative(c) for c in v)
 
 
 def _jv_scale_jet(v, s: Jet):
-    return tuple(jet_mul(c, s) for c in v)
+    return tuple(_mul(c, s) for c in v)
 
 
-def _jv_values(v):
-    return np.array([complex(c[0]) for c in v])
+def _jv_values(v, k: int = 0):
+    """Coefficient k of each component, an absent one as 0."""
+    return np.array([0j if c is None else complex(c[k]) for c in v])
 
 
 def _l1(ctx: _ModeCtx, a, d: int):
@@ -300,47 +365,52 @@ def _l1(ctx: _ModeCtx, a, d: int):
 
     Needs `a` to depth d+1 and returns depth d.  Includes the
     mean-curvature divergence correction (ctx.h) and the normal
-    variation Xi' = (kt', 0, zeta') of the phase gradient.
+    variation Xi' = (kt', 0, zeta') of the phase gradient.  Components
+    1 and 3 map to components 1 and 3, and component 2 to component 2.
     """
     op = ctx.ops(d)
     kt, zeta, lm, two_mu_zeta = op.kt, op.zeta, op.lm, op.two_mu_zeta
     d_mu_zeta = op.d_mu_zeta
-    da = _jv_fit(_jv_deriv(a), d)
+    da1, da2, da3 = _jv_fit(_jv_deriv(a), d)
     a1, a2, a3 = _jv_fit(a, d)
-    xi_da = jet_mul(kt, da[0]) + jet_mul(zeta, da[2])
-    xi_a = jet_mul(kt, a1) + jet_mul(zeta, a3)
-    xi_p_a = jet_mul(op.kt_p, a1) + jet_mul(op.zeta_p, a3)
+    xi_da = _sum(_mul(kt, da1), _mul(zeta, da3))
+    xi_a = _sum(_mul(kt, a1), _mul(zeta, a3))
+    xi_p_a = _sum(_mul(op.kt_p, a1), _mul(op.zeta_p, a3))
 
-    o1 = jet_mul(kt, jet_mul(lm, da[2])) + jet_mul(two_mu_zeta, da[0]) \
-        + jet_mul(kt, jet_mul(op.mu_p, a3)) + jet_mul(op.mu_kt_p, a3) \
-        + jet_mul(d_mu_zeta, a1)
-    o2 = jet_mul(two_mu_zeta, da[1]) + jet_mul(d_mu_zeta, a2)
-    o3 = jet_mul(lm, jet_mul(zeta, da[2]) + xi_da) + jet_mul(op.lam, xi_p_a) \
-        + jet_mul(op.mu_zeta_p, a3) \
-        + jet_mul(two_mu_zeta, da[2]) + jet_mul(op.lam_p, xi_a) \
-        + jet_mul(op.mu_p_zeta, a3) + jet_mul(d_mu_zeta, a3)
+    o1 = _sum(_mul(kt, _mul(lm, da3)), _mul(two_mu_zeta, da1),
+              _mul(kt, _mul(op.mu_p, a3)), _mul(op.mu_kt_p, a3),
+              _mul(d_mu_zeta, a1))
+    o2 = _sum(_mul(two_mu_zeta, da2), _mul(d_mu_zeta, a2))
+    o3 = _sum(_mul(lm, _sum(_mul(zeta, da3), xi_da)), _mul(op.lam, xi_p_a),
+              _mul(op.mu_zeta_p, a3), _mul(two_mu_zeta, da3),
+              _mul(op.lam_p, xi_a), _mul(op.mu_p_zeta, a3),
+              _mul(d_mu_zeta, a3))
     if op.h is not None:
         hmu = op.hmu
-        o1 = o1 + jet_mul(hmu, jet_mul(kt, a3) + jet_mul(zeta, a1))
-        o2 = o2 + jet_mul(hmu, jet_mul(zeta, a2))
-        o3 = o3 + jet_mul(op.h, jet_mul(op.lam, xi_a)
-                          + jet_scale(jet_mul(op.mu_zeta, a3), 2.0))
-    return tuple(jet_scale(o, -1j) for o in (o1, o2, o3))
+        o1 = _sum(o1, _mul(hmu, _sum(_mul(kt, a3), _mul(zeta, a1))))
+        o2 = _sum(o2, _mul(hmu, _mul(zeta, a2)))
+        o3 = _sum(o3, _mul(op.h, _sum(_mul(op.lam, xi_a),
+                                      _scale(_mul(op.mu_zeta, a3), 2.0))))
+    return _scale(o1, -1j), _scale(o2, -1j), _scale(o3, -1j)
 
 
 def _l0(ctx: _ModeCtx, a, d: int):
     """Degree-0 part: -(P a')' - H P a'; needs `a` to depth d+2."""
-    da = _jv_fit(_jv_deriv(a), d + 1)
-    p_da = tuple(jet_mul(_fit(pc, d + 1), dc) for pc, dc in zip(ctx.p_diag, da))
-    out = tuple(jet_scale(jet_derivative(c), -1.0) for c in p_da)
-    if ctx.h is not None:
-        h = _fit(ctx.h, d)
-        out = tuple(o - jet_mul(h, _fit(c, d)) for o, c in zip(out, p_da))
-    return out
+    out = []
+    for pc, dc in zip(ctx.p_diag, _jv_deriv(a)):
+        if dc is None:
+            out.append(None)
+            continue
+        p_da = jet_mul(_fit(pc, d + 1), _fit(dc, d + 1))
+        o = jet_scale(jet_derivative(p_da), -1.0)
+        if ctx.h is not None:
+            o = o - jet_mul(_fit(ctx.h, d), _fit(p_da, d))
+        out.append(o)
+    return tuple(out)
 
 
 def _rhs_scale(rhs):
-    return max(max(abs(c) for c in comp.coeffs) for comp in rhs)
+    return max(_max_abs(c) for c in rhs)
 
 
 # relative tolerance of the cascade compatibility checks
@@ -356,29 +426,31 @@ def _pinv(ctx: _ModeCtx, rhs, d: int):
     `rhs`, for `_check_compatible`: its gaps, each the largest
     coefficient of a part of `rhs` that must vanish, their bound's factor
     and the scale of `rhs`.  The check is kept apart from the solve
-    because its bound depends on every branch of the run.
+    because its bound depends on every branch of the run.  The middle
+    component of every solution is absent: an S solution lies along Xi,
+    and no P amplitude has a middle component for `_l1` and `_l0` to
+    carry into a P right-hand side.
     """
     op = ctx.ops(d)
-    kt, zeta, zero = op.kt, op.zeta, op.zero
+    kt, zeta = op.kt, op.zeta
     rhs = _jv_fit(rhs, d)
-    xi_rhs = jet_mul(kt, rhs[0]) + jet_mul(zeta, rhs[2])
+    xi_rhs = _sum(_mul(kt, rhs[0]), _mul(zeta, rhs[2]))
     scale = _rhs_scale(rhs)
-    coef_dir = jet_mul(xi_rhs, op.inv_xi_sq)
+    coef_dir = _mul(xi_rhs, op.inv_xi_sq)
     if ctx.mode == "P":
         # p = -m I + (lam+mu) Xi (x) Xi with m = rho tau^2 - mu |Xi|^2 > 0;
         # range = kernel-orthogonal complement, so Xi . rhs must vanish.
-        check = ((max(abs(c) for c in xi_rhs.coeffs),),
-                 1.0 + abs(zeta[0]), scale)
-        proj = (jet_mul(coef_dir, kt), zero, jet_mul(coef_dir, zeta))
-        return tuple(jet_mul(jet_scale(r - p, -1.0), op.inv_m)
-                     for r, p in zip(rhs, proj)), check
+        check = ((_max_abs(xi_rhs),), 1.0 + abs(zeta[0]), scale)
+        return tuple(_mul(_scale(_sub(r, _mul(coef_dir, xi_c)), -1.0),
+                          op.inv_m)
+                     for r, xi_c in zip(rhs, (kt, None, zeta))), check
     # S: p = (lam+mu) Xi (x) Xi; range = span(Xi), so the part of rhs
     # orthogonal to Xi must vanish.  The factor 1.0 leaves the bound
     # exact.
-    gaps = tuple(max(abs(c) for c in (r - jet_mul(coef_dir, xi_c)).coeffs)
-                 for r, xi_c in zip(rhs, (kt, zero, zeta)))
-    coef = jet_mul(xi_rhs, op.inv_lm_xi4)
-    return (jet_mul(coef, kt), zero, jet_mul(coef, zeta)), (gaps, 1.0, scale)
+    gaps = tuple(_max_abs(_sub(r, _mul(coef_dir, xi_c)))
+                 for r, xi_c in zip(rhs, (kt, None, zeta)))
+    coef = _mul(xi_rhs, op.inv_lm_xi4)
+    return (_mul(coef, kt), None, _mul(coef, zeta)), (gaps, 1.0, scale)
 
 
 _BRANCH_NAMES = {"I": "incident", "R": "reflected", "T": "transmitted"}
@@ -406,30 +478,33 @@ def _check_compatible(key, check, noise_floor: float):
             )
 
 
-def _kernel_fill(ctx: _ModeCtx, w, alpha0, a_next, d: int):
-    """Amplitude jet w + sum_d alpha_d e_d with kernel transports enforced.
+def _kernel_fill(ctx: _ModeCtx, w, kernels, a_next, d: int):
+    """Amplitude jet w + sum_k alpha_k e_k with kernel transports enforced.
 
-    alpha0: value coefficients per kernel direction.  a_next: order J+1
-    amplitude (depth d+1) or None.  Returns a depth-d jet-vector.
+    kernels: (value coefficient of alpha_k, kernel vector e_k) per kernel
+    direction of the column's channel.  a_next: order J+1 amplitude
+    (depth d+1) or None.  Returns a depth-d jet-vector.
     """
-    kernels = [_jv_fit(kv, d) for kv in ctx.kernels]
-    alphas = [[complex(a)] for a in alpha0]
-    source = _l0(ctx, a_next, d - 1) if a_next is not None and d >= 1 \
-        else None
+    out = _jv_fit(w, d)
+    if not kernels:
+        return out
+    kvs = [_jv_fit(kv, d) for _, kv in kernels]
+    alphas = [[complex(a)] for a, _ in kernels]
+    if d >= 1:
+        projs = [_jv_fit(kv, d - 1) for kv in kvs]
+        source = _l0(ctx, a_next, d - 1) if a_next is not None else None
     for m in range(d):
-        partial = _jv_fit(w, d)
-        for al, kv in zip(alphas, kernels):
+        partial = out
+        for al, kv in zip(alphas, kvs):
             pad = Jet(tuple(al) + (0.0,) * (d + 1 - len(al)))
             partial = _jv_add(partial, _jv_scale_jet(kv, pad))
         rhs = _l1(ctx, partial, d - 1)
         if source is not None:
             rhs = _jv_add(rhs, source)
-        for al, kv in zip(alphas, kernels):
-            terms = [jet_mul(_fit(kc, d - 1), rc) for kc, rc in zip(kv, rhs)]
-            g = terms[0] + terms[1] + terms[2]
-            al.append(-g[m] / ctx.q0)
-    out = _jv_fit(w, d)
-    for al, kv in zip(alphas, kernels):
+        for al, kv in zip(alphas, projs):
+            g = _sum(*map(_mul, kv, rhs))
+            al.append(0j if g is None else -g[m] / ctx.q0)
+    for al, kv in zip(alphas, kvs):
         out = _jv_add(out, _jv_scale_jet(kv, Jet(al)))
     return out
 
@@ -453,7 +528,9 @@ def _traction_phase(ctx: _ModeCtx, v):
 # A branch is its (P, S) mode contexts and, per mode, its amplitude
 # jet-vectors keyed by order.  The incident branch and the reflected and
 # transmitted ones run through the same three steps; only the solve that
-# fixes each order's kernel values differs.
+# fixes each order's kernel values differs.  A column's amplitudes have
+# components in its channel only, so in the SH column the P amplitudes
+# are absent altogether.
 
 
 def _branch_particular(ctxs, amps, J: int, d: int):
@@ -462,10 +539,10 @@ def _branch_particular(ctxs, amps, J: int, d: int):
     pending compatibility checks, both in (P, S) order."""
     ws, scales, checks = [], [], []
     for ctx, amp in zip(ctxs, amps):
-        rhs = tuple(jet_scale(c, -1.0) for c in _l1(ctx, amp[J + 1], d))
+        rhs = tuple(_scale(c, -1.0) for c in _l1(ctx, amp[J + 1], d))
         nxt = amp.get(J + 2)
         if nxt is not None:
-            rhs = tuple(r - c for r, c in zip(rhs, _l0(ctx, nxt, d)))
+            rhs = tuple(map(_sub, rhs, _l0(ctx, nxt, d)))
         w, check = _pinv(ctx, rhs, d)
         ws.append(w)
         scales.append(_rhs_scale(amp[J + 1]))
@@ -473,12 +550,14 @@ def _branch_particular(ctxs, amps, J: int, d: int):
     return ws, scales, checks
 
 
-def _branch_fill(ctxs, ws, vals, amps, J: int, d: int):
+def _branch_fill(ctxs, ws, vals, channel, amps, J: int, d: int):
     """Order-J amplitude jets of one branch, from its particular solutions
-    and the kernel values `vals` in (P, SV, SH) slots."""
+    and the kernel values `vals` in (P, SV, SH) slots; only the slots of
+    `channel` are filled, the others being zero."""
     for ctx, w, amp in zip(ctxs, ws, amps):
-        alpha0 = (vals[P],) if ctx.mode == "P" else (vals[SV], vals[SH])
-        amp[J] = _kernel_fill(ctx, w, alpha0, amp.get(J + 1), d)
+        kernels = [(vals[slot], ctx.kernels[slot])
+                   for slot in channel if slot in ctx.kernels]
+        amp[J] = _kernel_fill(ctx, w, kernels, amp.get(J + 1), d)
 
 
 def _branch_traction(ctxs, ws, amps, J: int):
@@ -486,19 +565,16 @@ def _branch_traction(ctxs, ws, amps, J: int):
     total = np.zeros(3, dtype=complex)
     for ctx, w, amp in zip(ctxs, ws, amps):
         total += _traction_phase(ctx, _jv_values(w))
-        dvals = np.array([complex(c[1]) for c in amp[J + 1]])
         pd = np.array([complex(ctx.p_diag[i][0]) for i in range(3)])
-        total += pd * dvals
+        total += pd * _jv_values(amp[J + 1], 1)
     return total
 
 
 def _columns(ctx_p: _ModeCtx, ctx_s: _ModeCtx):
     """Displacement and traction columns (P, SV, SH) of one branch."""
     cols, tracs = [], []
-    for ctx, kernel in ((ctx_p, ctx_p.kernels[0]),
-                        (ctx_s, ctx_s.kernels[0]),
-                        (ctx_s, ctx_s.kernels[1])):
-        v = _jv_values(kernel)
+    for ctx, slot in ((ctx_p, P), (ctx_s, SV), (ctx_s, SH)):
+        v = _jv_values(ctx.kernels[slot])
         cols.append(v)
         tracs.append(_traction_phase(ctx, v))
     return np.array(cols).T, np.array(tracs).T
@@ -563,13 +639,14 @@ class _MinusSide:
 
     def _incident_cascade(self, q: int):
         K = self.depth
+        channel = _channel(q)
         ctxs = (self.ctx["I", "P"], self.ctx["I", "S"])
         amps = ({}, {})
         steps = []
         for step in range(K + 1):
             J, d = -step, K - step
             if step == 0:
-                ws = (_jv_zero(d), _jv_zero(d))
+                ws = (_ABSENT, _ABSENT)
                 # the trace of the incident field vanishes below the
                 # principal order
                 alpha = np.zeros(3, dtype=complex)
@@ -586,7 +663,7 @@ class _MinusSide:
                 trac += self.T["I"] @ alpha
                 steps.append((scales, checks, disp, trac))
             if step < K:
-                _branch_fill(ctxs, ws, alpha, amps, J, d)
+                _branch_fill(ctxs, ws, alpha, channel, amps, J, d)
         return steps
 
 
@@ -654,6 +731,7 @@ class _ElasticRun:
     def _column(self, q: int, r0, t0, s_inv):
         """Symbol columns [(R_J[:, q], T_J[:, q]) for J = 0..-depth]."""
         K = self.depth
+        channel = _channel(q)
         incident = self.minus.incident(q)
         ctx_r = (self.ctx["R", "P"], self.ctx["R", "S"])
         ctx_t = (self.ctx["T", "P"], self.ctx["T", "S"])
@@ -662,7 +740,7 @@ class _ElasticRun:
         for step in range(K + 1):
             J, d = -step, K - step
             if step == 0:
-                w_r = w_t = (_jv_zero(d), _jv_zero(d))
+                w_r = w_t = (_ABSENT, _ABSENT)
                 x_r, x_t = r0[:, q].copy(), t0[:, q].copy()
             else:
                 scales_i, checks_i, disp_i, trac_i = incident[step]
@@ -686,8 +764,8 @@ class _ElasticRun:
                 sol = np.linalg.solve(self.m6, rhs6)
                 x_r, x_t = sol[:3], sol[3:]
             if step < K:
-                _branch_fill(ctx_r, w_r, x_r, amp_r, J, d)
-                _branch_fill(ctx_t, w_t, x_t, amp_t, J, d)
+                _branch_fill(ctx_r, w_r, x_r, channel, amp_r, J, d)
+                _branch_fill(ctx_t, w_t, x_t, channel, amp_t, J, d)
             out.append((x_r + s_inv["R"] @ val_r, x_t + s_inv["T"] @ val_t))
         return out
 

@@ -289,11 +289,22 @@ def _scan_roots(func, lo, hi, root_tol):
 # --- linearized per-order solves ---------------------------------------------
 
 
-def _lstsq_real(design_cols, y_complex, order, cond_limit, residual_tol):
+# the least-squares residual that is round-off of the forward runs, in
+# machine epsilons of the norm of the measured data
+_ROUNDOFF_FLOOR = 1e3
+
+
+def _lstsq_real(design_cols, y_complex, order, cond_limit, residual_tol,
+                measured_norm):
     """Real least squares over stacked (Re, Im) rows of a complex system.
 
     Columns are normalized before solving so the reported condition
-    number measures identifiability rather than unit choices.
+    number measures identifiability rather than unit choices.  The
+    right-hand side is `measured - base`; at deep orders it is a small
+    difference of two much larger symbols, so the residual may reach
+    the round-off of those symbols, _ROUNDOFF_FLOOR * eps * the norm of
+    the measured data, beyond `residual_tol` times its own norm.  The
+    reported residual stays relative to the right-hand side.
     """
     a = np.column_stack([np.concatenate([c.real, c.imag]) for c in design_cols])
     y = np.concatenate([y_complex.real, y_complex.imag])
@@ -313,7 +324,8 @@ def _lstsq_real(design_cols, y_complex, order, cond_limit, residual_tol):
         )
     resid = float(np.linalg.norm(a @ sol - y))
     scale = max(float(np.linalg.norm(y)), 1e-300)
-    if resid > residual_tol * scale:
+    floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * measured_norm
+    if resid > residual_tol * scale + floor:
         raise InconsistentData(
             f"samples at order {order} disagree "
             f"(relative residual {resid/scale:.3e})"
@@ -391,7 +403,8 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
             cols.append(run(zeros, InterfaceGeometry(1.0, 0.0)) - base)
             cols.append(run(zeros, InterfaceGeometry(0.0, 1.0)) - base)
         sol, res, cond = _lstsq_real(cols, measured - base, -k,
-                                     cond_limit, residual_tol)
+                                     cond_limit, residual_tol,
+                                     float(np.linalg.norm(measured)))
         for c, value in zip(coeffs, sol):
             c.append(float(value))
         if recover_here:

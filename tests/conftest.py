@@ -1,7 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from reflectjet.medium import Covector
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env(**extra):
+    """Environment for a child interpreter that imports this checkout's
+    package, however the test run itself found it."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def max_rel_err(recovered_jet, true_jet):

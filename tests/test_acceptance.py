@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import max_rel_err, two_direction_grid
+from conftest import child_env, max_rel_err, two_direction_grid
 
 from reflectjet.acoustic import flux_residual, forward_symbols
 from reflectjet.elastic import (
@@ -360,7 +360,7 @@ def test_criterion_9_invariant_suite(tmp_path):
             [sys.executable, "-m", "reflectjet.cli", "forward",
              "--model", str(model_path), "--out", str(out),
              "--grid", "0,0.1,0.2,0.3,0.4", "--jobs", jobs],
-            capture_output=True)
+            capture_output=True, env=child_env())
         assert proc.returncode == 0
         dumps.append(out.read_bytes())
     assert dumps[0] == dumps[1] == dumps[2]

@@ -1,12 +1,12 @@
 """Command-line interface: formats, determinism, exit codes, schemas."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+from conftest import child_env
 from reflectjet import elastic, schemas
 from reflectjet.cli import main
 from reflectjet.modelio import (
@@ -245,7 +245,7 @@ def test_curvature_check_focal_point_flagged(tmp_path):
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "reflectjet.cli", "--help"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     for command in ("forward", "invert", "roundtrip", "curvature-check"):
         assert command in proc.stdout
@@ -281,8 +281,7 @@ def test_import_configures_no_logging():
     code = ("import logging, reflectjet, reflectjet.cli; "
             "print(len(logging.getLogger().handlers))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ,
-                                          "REFLECTJET_LOG": "debug"})
+                          text=True, env=child_env(REFLECTJET_LOG="debug"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
 
@@ -293,3 +292,29 @@ def test_bad_log_level_exit2(tmp_path, monkeypatch, capsys):
     rc = main(["forward", "--model", model, "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "REFLECTJET_LOG" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "--depth", "-1"],
+    ["forward", "--tau", "0"],
+    ["forward", "--tau", "nan"],
+    ["forward", "--grid", "nan"],
+    ["forward", "--grid", "0,inf"],
+    ["forward", "--direction", "nan,1"],
+    ["forward", "--tol", "glancing=-1"],
+    ["forward", "--tol", "glancing=nan"],
+    ["forward", "--tol", "root=0"],
+    ["roundtrip", "--depth", "-1"],
+    ["curvature-check", "--spectra", "1,1", "--step", "0"],
+])
+def test_bad_numeric_options_exit2(tmp_path, capsys, argv):
+    # each is rejected with one message line, not a traceback and not a
+    # silently skipped grid point
+    if argv[0] == "forward":
+        argv = argv[:1] + ["--model", _write_model(tmp_path, ACOUSTIC_MODEL),
+                           "--out", str(tmp_path / "x.csv")] + argv[1:]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()

@@ -2,12 +2,14 @@
 SH closed form, block structure, and the acoustic engine as the oracle
 for the decoupled SH channel."""
 
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from reflectjet import elastic
 from reflectjet.acoustic import forward_symbols
 from reflectjet.elastic import (
@@ -114,15 +116,44 @@ def test_sh_flux(rng):
 
 
 def test_block_decoupling_all_orders(rng):
-    # with xi' along e1 the SH channel (slot 3) decouples from P-SV
-    for _ in range(10):
-        model = _pair(rng, depth=1)
-        b = rng.uniform(0.05, 0.8) * model.critical_slowness()
-        series = forward_symbols_elastic(Covector(1.0, (b, 0.0)), model, 1)
-        for _, r, t in series.orders:
-            for m in (r, t):
-                assert np.abs(m[2, :2]).max() <= 1e-13
-                assert np.abs(m[:2, 2]).max() <= 1e-13
+    # the SH channel (slot 3) decouples from P-SV at every order, and the
+    # coupling entries are exactly +0.0, which the CSV output shows
+    for curved in (False, True) * 5:
+        model = random_elastic_model(rng, 2, curved=curved)
+        b_crit = model.critical_slowness()
+        for b in (0.0, rng.uniform(0.05, 0.8) * b_crit, 0.999 * b_crit):
+            for angle in (0.0, rng.uniform(0.0, 2.0 * np.pi)):
+                cov = Covector(1.0, (b * np.cos(angle), b * np.sin(angle)))
+                series = forward_symbols_elastic(cov, model, 2)
+                for _, r, t in series.orders:
+                    for m in (r, t):
+                        for i, j in ((2, 0), (2, 1), (0, 2), (1, 2)):
+                            z = complex(m[i, j])
+                            assert z == 0.0
+                            assert math.copysign(1.0, z.real) == 1.0
+                            assert math.copysign(1.0, z.imag) == 1.0
+
+
+def test_every_check_runs_in_every_channel(rng, monkeypatch):
+    # each column runs only its own channel, yet every step of every
+    # column still checks all six (branch, mode) cascades, in order, on
+    # a cold run and on a cached one
+    model = _pair(rng, depth=2)
+    cov = Covector(1.0, (0.4 * model.critical_slowness(), 0.1))
+    keys = []
+    check = elastic._check_compatible
+
+    def record(key, *args):
+        keys.append(key)
+        return check(key, *args)
+
+    monkeypatch.setattr(elastic, "_check_compatible", record)
+    elastic._minus_side.cache_clear()
+    for _ in range(2):
+        keys.clear()
+        forward_series_elastic(cov, model.minus, model.plus, None, 2)
+        # 3 columns (P, SV, SH) times steps 1 and 2
+        assert keys == list(elastic._CHECK_KEYS) * 3 * 2
 
 
 def test_sh_channel_equals_acoustic_engine(rng):
@@ -303,6 +334,6 @@ def test_incompatibility_raises_under_optimization():
         "    print('raised')\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised"

@@ -38,6 +38,7 @@ from reflectjet.medium import (
     InterfaceModel,
 )
 from reflectjet.sampling import (
+    cross_grid,
     hyperbolic_grid,
     random_acoustic_model,
     random_elastic_model,
@@ -175,6 +176,44 @@ def test_missing_order():
     with pytest.raises(MissingOrder):
         acoustic_recover_jets(samples, CONTRAST.minus, 1,
                               geometry=InterfaceGeometry())
+
+
+def _curved_depth4_samples(seed):
+    model = random_acoustic_model(np.random.default_rng(seed), 4, curved=True)
+    covs = hyperbolic_grid(model, 8) + cross_grid(model, 8)
+    return model, _acoustic_samples(model, covs, 4)
+
+
+@pytest.mark.parametrize("seed", [2, 12, 42, 57])
+def test_noise_free_curved_depth4_recovers(seed):
+    # the order -4 right-hand side (measured - base) is about 1e-7 of the
+    # symbols it is the difference of, so its least-squares residual is
+    # their round-off, not an inconsistency of the data
+    model, samples = _curved_depth4_samples(seed)
+    report = acoustic_recover_jets(samples, model.minus, 4)
+    worst = {}
+    for name in ("rho", "cs"):
+        rec, tru = getattr(report.plus, name), getattr(model.plus, name)
+        for k, (r, t) in enumerate(zip(rec.coeffs, tru.coeffs)):
+            worst[k] = max(worst.get(k, 0.0), abs(r - t) / abs(t))
+    assert worst[0] <= 1e-8 and worst[1] <= 1e-8
+    assert worst[2] <= 1e-6 and worst[3] <= 1e-6
+    # the recovered curvatures and the lower coefficients each carry their
+    # round-off into the top one: up to 5.8e-6 on these seeds
+    assert worst[4] <= 1e-5
+    rec = sorted(report.kappas)
+    true = sorted((model.geometry.kappa1, model.geometry.kappa2))
+    assert max(abs(a - b) for a, b in zip(rec, true)) <= 1e-6
+
+
+def test_perturbed_curved_depth4_raises():
+    # a 1e-9 relative change of one order -4 value is far above round-off
+    model, samples = _curved_depth4_samples(2)
+    items = list(samples.samples)
+    i = next(i for i, s in enumerate(items) if s.order == -4)
+    items[i] = SymbolSample(items[i].covector, -4, items[i].value * (1 + 1e-9))
+    with pytest.raises(InconsistentData, match="order -4"):
+        acoustic_recover_jets(items, model.minus, 4)
 
 
 def test_order_independence(rng):
