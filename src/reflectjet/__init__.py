@@ -30,25 +30,17 @@ from .acoustic import (
     forward_symbols,
     principal_rt,
 )
-from .elastic import (
-    ElasticSymbolSeries,
-    PolarizationBasis,
-    forward_symbols_elastic,
-    polarization_basis,
-    principal_rt_matrices,
-    sh_reflection,
-)
-from .inversion import (
-    RecoveryReport,
-    SymbolSample,
-    SymbolSamples,
-    acoustic_recover_jets,
-    acoustic_recover_order0,
-    acoustic_recover_relative,
-    elastic_recover_jets,
-    elastic_recover_order0,
-    shape_operator_from_mean_jet,
-)
+
+
+def __getattr__(name):
+    """The elastic and inversion names, loaded on first access: they need
+    numpy, which importing the package does not load."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import elastic, inversion
+
+    return getattr(elastic if hasattr(elastic, name) else inversion, name)
+
 
 __version__ = "0.1.0"
 

@@ -9,7 +9,8 @@ of parallelism, except for the wall-clock "timings" member of recovery
 reports.
 
 Verbosity is controlled by the REFLECTJET_LOG environment variable
-(DEBUG/INFO/WARNING).
+(DEBUG/INFO/WARNING).  Each command imports only what it runs: numpy,
+the elastic engine and the inversion load in the branches that use them.
 """
 
 from __future__ import annotations
@@ -20,12 +21,9 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-import numpy as np
-
-from . import acoustic, elastic, inversion, modelio, sampling, schemas
+from . import acoustic, medium, modelio, schemas
 from .errors import (
     EvanescentError,
     GlancingError,
@@ -39,7 +37,6 @@ from .geometry import (
     rational_curvature_profile,
     richardson_derivative,
 )
-from .medium import GLANCING_TOL, Covector
 
 log = logging.getLogger("reflectjet.cli")
 
@@ -48,10 +45,10 @@ TOLERANCE_NAMES = ("glancing", "residual", "condition", "root")
 
 def _default_tols():
     return {
-        "glancing": GLANCING_TOL,
-        "residual": inversion.RESIDUAL_TOL,
-        "condition": inversion.CONDITION_LIMIT,
-        "root": inversion.ROOT_TOL,
+        "glancing": medium.GLANCING_TOL,
+        "residual": medium.RESIDUAL_TOL,
+        "condition": medium.CONDITION_LIMIT,
+        "root": medium.ROOT_TOL,
     }
 
 
@@ -104,20 +101,22 @@ def _grid_covectors(args, model):
     if args.grid is not None:
         b_values = _parse_grid(args.grid)
     else:
+        import numpy as np
+
         b_crit = model.critical_slowness()
         b_values = list(np.linspace(0.0, 0.8 * b_crit, 8))
     direction = _parse_direction(args.direction)
-    return [Covector(args.tau, (b * args.tau * direction[0],
-                                b * args.tau * direction[1]))
+    return [medium.Covector(args.tau, (b * args.tau * direction[0],
+                                       b * args.tau * direction[1]))
             for b in sorted(b_values)]
 
 
 def _forward_one(payload):
-    model_dict, tau, xi, depth, tol, kind = payload
-    model = modelio.model_from_dict(model_dict)
-    cov = Covector(tau, tuple(xi))
+    model, cov, depth, tol = payload
     try:
-        if kind == "elastic":
+        if model.is_elastic:
+            from . import elastic
+
             series = elastic.forward_symbols_elastic(cov, model, depth, tol)
             # in-run cross-check: the SH entry of the 6x6 solve against
             # its independent closed form
@@ -141,10 +140,10 @@ def cmd_forward(args):
     model = modelio.load_model(args.model)
     depth = model.depth if args.depth is None else args.depth
     covs = _grid_covectors(args, model)
-    kind = "elastic" if model.is_elastic else "acoustic"
-    payloads = [(modelio.model_to_dict(model), cov.tau, cov.xi, depth,
-                 tols["glancing"], kind) for cov in covs]
+    payloads = [(model, cov, depth, tols["glancing"]) for cov in covs]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_forward_one, payloads))
     else:
@@ -156,7 +155,7 @@ def cmd_forward(args):
         else:
             entries.append((cov, result, None))
     with open(args.out, "w") as fh:
-        if kind == "elastic":
+        if model.is_elastic:
             modelio.write_elastic_rows(fh, entries)
         else:
             modelio.write_acoustic_rows(fh, entries)
@@ -165,6 +164,8 @@ def cmd_forward(args):
 
 
 def _recover(kind, samples, minus, depth, geometry, tols):
+    from . import inversion
+
     recover = (inversion.elastic_recover_jets if kind == "elastic"
                else inversion.acoustic_recover_jets)
     return recover(samples, minus, depth, geometry=geometry,
@@ -202,6 +203,10 @@ def _relative_jet_errors(recovered, truth):
 
 
 def _roundtrip_one(model, depth, covs, tols, recover_geometry):
+    import numpy as np
+
+    from . import elastic, inversion
+
     kind = "elastic" if model.is_elastic else "acoustic"
     forward = (elastic.forward_symbols_elastic if kind == "elastic"
                else acoustic.forward_symbols)
@@ -228,6 +233,10 @@ def _roundtrip_one(model, depth, covs, tols, recover_geometry):
 
 
 def cmd_roundtrip(args):
+    import numpy as np
+
+    from . import sampling
+
     tols = _parse_tols(args.tol)
     rng = np.random.default_rng(args.seed)
     per_model = []
@@ -333,9 +342,12 @@ def cmd_curvature_check(args):
 def _check_numbers(args):
     """Reject the numeric options of `args` that no command can use,
     before any work."""
-    depth = getattr(args, "depth", None)
-    if depth is not None and depth < 0:
-        raise ParseError(f"--depth {depth}: must be >= 0")
+    for name, least in (("depth", 0), ("max_order", 0), ("jobs", 1),
+                        ("count", 1), ("grid_count", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ParseError(f"--{name.replace('_', '-')} {value}: "
+                             f"must be >= {least}")
     for name in ("tau", "step"):
         value = getattr(args, name, 1.0)
         if not math.isfinite(value) or value == 0.0:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import acoustic, elastic
+from . import acoustic
 from .errors import (
     AmbiguousRoot,
     ComplexCurvatures,
@@ -44,8 +44,11 @@ from .errors import (
     NoRoot,
 )
 from .jets import Jet
-from .medium import (
+from .medium import (  # the tolerances are re-exported
+    CONDITION_LIMIT,
     GLANCING_TOL,
+    RESIDUAL_TOL,
+    ROOT_TOL,
     AcousticSideJet,
     Covector,
     ElasticSideJet,
@@ -55,9 +58,6 @@ from .medium import (
 
 log = logging.getLogger("reflectjet.inversion")
 
-RESIDUAL_TOL = 1e-8
-CONDITION_LIMIT = 1e8
-ROOT_TOL = 1e-12
 DISCRIMINANT_SNAP = 1e-10
 
 _ROOT_SCAN_POINTS = 96
@@ -386,22 +386,27 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
         recover_here = geometry is None and k == 1
         minus_k = minus.truncate(k)
 
-        def run(tops, gm):
-            plus = side_type(**{name: Jet(c + [top])
+        def plus_side(tops):
+            return side_type(**{name: Jet(c + [top])
                                 for name, c, top in zip(fields, coeffs, tops)})
-            return np.concatenate([
-                np.asarray(engine(cov, minus_k, plus, gm, k,
-                                  glancing_tol)[k][0]).ravel()
-                for cov in covs
-            ])
 
+        # (plus side, geometry) of the base run, then of each design
+        # column.  They run back to back at each covector, so all but the
+        # first call per covector and geometry find the minus side in
+        # the engine's cache, whatever the size of the group.
+        base_plus = plus_side(zeros)
         base_geom = geom if geom is not None else InterfaceGeometry()
-        base = run(zeros, base_geom)
-        cols = [run(tuple(float(i == j) for j in range(n)), base_geom) - base
-                for i in range(n)]
+        runs = [(base_plus, base_geom)] + [
+            (plus_side(tuple(float(i == j) for j in range(n))), base_geom)
+            for i in range(n)]
         if recover_here:
-            cols.append(run(zeros, InterfaceGeometry(1.0, 0.0)) - base)
-            cols.append(run(zeros, InterfaceGeometry(0.0, 1.0)) - base)
+            runs += [(base_plus, InterfaceGeometry(1.0, 0.0)),
+                     (base_plus, InterfaceGeometry(0.0, 1.0))]
+        per_cov = [[np.asarray(engine(cov, minus_k, plus, gm, k,
+                                      glancing_tol)[k][0]).ravel()
+                    for plus, gm in runs] for cov in covs]
+        base, *others = (np.concatenate(run) for run in zip(*per_cov))
+        cols = [other - base for other in others]
         sol, res, cond = _lstsq_real(cols, measured - base, -k,
                                      cond_limit, residual_tol,
                                      float(np.linalg.norm(measured)))
@@ -573,6 +578,10 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
     `residual` is the misfit of all nine entries relative to the summed
     norms of the measured matrices; `condition` is that of the r33 fit.
     """
+    # imported here, so that acoustic recovery does not load the elastic
+    # engine
+    from . import elastic
+
     samples = _as_samples(samples)
     group = samples.at_order(0)
     b_values = [s.slowness for s in group]
@@ -643,6 +652,8 @@ def elastic_recover_jets(samples, minus: ElasticSideJet, depth: int,
     solve as two extra unknowns (two tangential sample directions
     required, as in the acoustic case).
     """
+    from . import elastic
+
     if depth > elastic.ELASTIC_DEPTH_CAP:
         raise ValueError(
             f"elastic recovery depth is capped at {elastic.ELASTIC_DEPTH_CAP}"

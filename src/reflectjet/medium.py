@@ -24,6 +24,10 @@ from .geometry import CurvatureSpectrum, mean_curvature_jet, tangential_stretch_
 from .jets import Jet, constant_jet, jet_add, jet_mul, jet_scale
 
 GLANCING_TOL = 1e-9
+# default bounds of the inversion's solves (reflectjet.inversion)
+RESIDUAL_TOL = 1e-8
+CONDITION_LIMIT = 1e8
+ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)

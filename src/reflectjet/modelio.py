@@ -12,10 +12,7 @@ import csv
 import json
 import math
 
-import numpy as np
-
 from .errors import ParseError
-from .inversion import SymbolSample, SymbolSamples
 from .jets import Jet
 from .medium import (
     AcousticSideJet,
@@ -175,6 +172,11 @@ def read_symbol_csv(paths, log=None):
     detected from the header and must agree across files.  Returns
     (samples, kind).
     """
+    # numpy and the inversion load only with the commands that read symbols
+    import numpy as np
+
+    from .inversion import SymbolSample, SymbolSamples
+
     if isinstance(paths, (str, bytes)) or hasattr(paths, "__fspath__"):
         paths = [paths]
     kind = None

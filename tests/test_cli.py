@@ -251,6 +251,30 @@ def test_console_entry_point():
         assert command in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["forward", "--model", "model.json", "--out", "x.csv",
+     "--grid", "0,0.1,0.2", "--depth", "1"],
+])
+def test_commands_load_only_what_they_run(tmp_path, argv):
+    # numpy, the elastic engine and the inversion load in the commands
+    # that use them, not with the CLI
+    _write_model(tmp_path, ACOUSTIC_MODEL)
+    code = ("import sys, reflectjet.cli\n"
+            "try:\n"
+            "    code = reflectjet.cli.main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, sorted(name for name in sys.modules if name in\n"
+            "    ('numpy', 'reflectjet.elastic', 'reflectjet.inversion')))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    if argv[0] == "forward":
+        assert (tmp_path / "x.csv").read_text().count("\n") == 7
+
+
 def test_tolerance_override_parsing(tmp_path):
     model = _write_model(tmp_path, ACOUSTIC_MODEL)
     rc = main(["forward", "--model", model, "--out", str(tmp_path / "x.csv"),
@@ -306,6 +330,10 @@ def test_bad_log_level_exit2(tmp_path, monkeypatch, capsys):
     ["forward", "--tol", "root=0"],
     ["roundtrip", "--depth", "-1"],
     ["curvature-check", "--spectra", "1,1", "--step", "0"],
+    ["roundtrip", "--grid-count", "0"],
+    ["forward", "--jobs", "0"],
+    ["curvature-check", "--spectra", "1,1", "--max-order", "-1"],
+    ["roundtrip", "--count", "0"],
 ])
 def test_bad_numeric_options_exit2(tmp_path, capsys, argv):
     # each is rejected with one message line, not a traceback and not a

@@ -158,10 +158,11 @@ def test_every_check_runs_in_every_channel(rng, monkeypatch):
 
 def test_sh_channel_equals_acoustic_engine(rng):
     # the decoupled SH sub-problem must reproduce the acoustic symbols
-    # with the (rho, cs) identification, including curvature
+    # with the (rho, cs) identification, including curvature, at every
+    # order the elastic engine computes
     for curved in (False, True):
         for _ in range(5):
-            model = random_elastic_model(rng, 1, curved=curved)
+            model = random_elastic_model(rng, 2, curved=curved)
             acoustic_model = InterfaceModel(
                 AcousticSideJet(model.minus.rho, model.minus.cs),
                 AcousticSideJet(model.plus.rho, model.plus.cs),
@@ -169,8 +170,9 @@ def test_sh_channel_equals_acoustic_engine(rng):
             )
             b = rng.uniform(0.05, 0.8) * model.critical_slowness()
             cov = Covector(1.0, (b, 0.3 * b))
-            es = forward_symbols_elastic(cov, model, 1)
-            as_ = forward_symbols(cov, acoustic_model, 1)
+            es = forward_symbols_elastic(cov, model, 2)
+            as_ = forward_symbols(cov, acoustic_model, 2)
+            assert len(es.orders) == len(as_.orders) == 3
             for (j, r, t), (_, a_r, a_t) in zip(es.orders, as_.orders):
                 assert r[2, 2] == pytest.approx(a_r, rel=1e-11, abs=1e-13)
                 assert t[2, 2] == pytest.approx(a_t, rel=1e-11, abs=1e-13)

@@ -1,11 +1,14 @@
 """Reconstruction: closed-form order 0, linearized jet recovery, relative
 amplitudes, elastic recovery, and the curvature factorization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import max_rel_err, two_direction_grid
 
+from reflectjet import acoustic
 from reflectjet.acoustic import forward_symbols
 from reflectjet.elastic import (
     forward_symbols_elastic,
@@ -167,6 +170,27 @@ def test_known_curved_geometry(rng):
     assert max_rel_err(report.plus.rho, model.plus.rho) <= 1e-7
     assert max_rel_err(report.plus.cs, model.plus.cs) <= 1e-7
     assert report.kappas is None
+
+
+def test_minus_side_built_once_per_covector_and_order(rng, monkeypatch):
+    # the recovery runs every design column of a covector back to back,
+    # so the engine's minus-side cache serves a group of any size, also
+    # one larger than the cache holds
+    model = random_acoustic_model(rng, 2, curved=True)
+    covs = hyperbolic_grid(model, 140)
+    samples = _acoustic_samples(model, covs, 2)
+    builds = Counter()
+    real = acoustic.curvature_jets
+
+    def counted(cov, geometry, depth):
+        builds[cov, depth] += 1
+        return real(cov, geometry, depth)
+
+    monkeypatch.setattr(acoustic, "curvature_jets", counted)
+    report = acoustic_recover_jets(samples, model.minus, 2,
+                                   geometry=model.geometry)
+    assert builds == {(cov, depth): 1 for cov in covs for depth in (1, 2)}
+    assert max_rel_err(report.plus.rho, model.plus.rho) <= 1e-7
 
 
 def test_missing_order():
