@@ -54,7 +54,6 @@ from .medium import (
     AcousticSideJet,
     Covector,
     InterfaceModel,
-    cached_by_identity,
     curvature_jets,
     vertical_wavenumber,
 )
@@ -166,12 +165,12 @@ def _zeta_jet(side: AcousticSideJet, tau: float, stretch: Jet, depth: int,
     return jet_sqrt(radicand)
 
 
-@cached_by_identity(3)
 def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
                 tol: float):
-    """Curvature jets, incident and reflected branch states and the
-    incident amplitude jets of every order: all that does not depend on
-    the plus side."""
+    """The covector, depth and tolerance with the curvature jets, the
+    incident and reflected branch states and the incident amplitude jets
+    of every order: all that does not depend on the plus side.  `_series`
+    runs any number of plus sides on it."""
     h, stretch = curvature_jets(cov, geometry, depth)
     z_minus = _zeta_jet(minus, cov.tau, stretch, depth, tol)
     br_i = _branch_state(minus, z_minus, h, depth)
@@ -182,7 +181,8 @@ def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
         d = depth - k
         s_i = _wave_operator_source(br_i, amp_i[-1], h_coeffs, d)
         amp_i.append(_fill(0.0j, br_i, s_i, d))
-    return h, stretch, br_i, br_r, tuple(tuple(a) for a in amp_i)
+    return (cov, depth, tol, h, stretch, br_i, br_r,
+            tuple(tuple(a) for a in amp_i))
 
 
 def forward_series(
@@ -195,8 +195,9 @@ def forward_series(
 ) -> list:
     """Symbol orders [(aR_J, aT_J) for J = 0..-depth] at one covector.
 
-    `geometry` is an InterfaceGeometry or None (flat).  This is the
-    entry point the inversion linearizes against.
+    `geometry` is an InterfaceGeometry or None (flat).  The inversion
+    linearizes against the same two halves, `_minus_side` and
+    `_series`, and reuses each minus side it builds.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -204,8 +205,12 @@ def forward_series(
         raise DepthExceeded(
             f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
         )
-    h, stretch, br_i, br_r, amp_i = _minus_side(cov, minus, geometry,
-                                                depth, tol)
+    return _series(_minus_side(cov, minus, geometry, depth, tol), plus)
+
+
+def _series(minus_side, plus: AcousticSideJet) -> list:
+    """`forward_series` for `plus` on a minus side from `_minus_side`."""
+    cov, depth, tol, h, stretch, br_i, br_r, amp_i = minus_side
     z_plus = _zeta_jet(plus, cov.tau, stretch, depth, tol)
     br_t = _branch_state(plus, z_plus, h, depth)
 

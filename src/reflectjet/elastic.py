@@ -21,17 +21,19 @@ derivatives of the order J+1 amplitudes.  All remainder contributions
 ride along exactly in the jet coefficients.
 
 The plus side enters only through the transmitted branch and the 6x6
-system, so everything else is computed once per covector, minus side,
-geometry, depth and tolerance and reused (`_minus_side`): the curvature
+system, so a run has two halves.  `_MinusSide` holds what the
+covector, minus side, geometry, depth and tolerance fix: the curvature
 jets, the incident and reflected mode contexts, their interface
 columns, and for each incident column the incident cascade together
-with what its compatibility checks need.  The inversion evaluates the
-engine four times per covector and order with only the plus side
-changed, and the order-0 cp scan about a hundred times per sample.  The
-reuse is exact: a cached value comes from the same operations, in the
-same order, that a fresh run performs, so every output is
-bit-identical.  Every compatibility check of every branch still runs
-on every call, cached or not, because its bound depends on the plus
+with what its compatibility checks need.  `_ElasticRun` runs one plus
+side on it.  `forward_series_elastic` builds both halves; the
+inversion, which evaluates the engine four times per covector and
+order with only the plus side changed, and the order-0 cp scan, which
+evaluates it about a hundred times per sample, build each minus side
+once and run every plus side on it.  A run on a reused minus side
+performs the same operations, in the same order, as a fresh one, so
+every output is bit-identical.  Every compatibility check of every
+branch still runs in every run, because its bound depends on the plus
 side through the run's amplitude and operator scales.
 
 The cascade leaves out what is zero by construction.  In the rotated
@@ -85,7 +87,6 @@ from .medium import (
     Covector,
     ElasticSideJet,
     InterfaceModel,
-    cached_by_identity,
     curvature_jets,
     derive_lame_jets,
     vertical_wavenumber,
@@ -235,14 +236,14 @@ class _ModeCtx:
     stretch profile otherwise, which keeps |Xi|^2 = kt^2 + zeta^2 equal
     to tau^2/c^2 exactly at every depth.  The operator jets `_l1` and
     `_pinv` use at a depth depend on the material and the phase alone;
-    `ops(d)` computes them once and every later cascade shares them.
+    `ops[d]` holds them for every depth d a cascade uses, 0..depth-1.
     `kernels` maps each kernel slot of the mode to its vector, with the
     vector's zero entries absent.
     """
 
     __slots__ = ("kt", "zeta", "rho", "lam", "mu", "lam_mu", "h", "mode",
                  "tau", "xi_sq", "kernels", "q0", "p_diag", "op_scale",
-                 "_ops")
+                 "ops")
 
     def __init__(self, kt, zeta, rho, lam, mu, h, mode, tau):
         self.kt = kt
@@ -275,13 +276,7 @@ class _ModeCtx:
         # compatibility checks
         self.op_scale = abs(self.q0) + max(abs(c) for c in p33.coeffs) \
             * (1.0 + abs(zeta[0]))
-        self._ops = {}
-
-    def ops(self, d: int) -> "_DepthOps":
-        ops = self._ops.get(d)
-        if ops is None:
-            ops = self._ops[d] = _DepthOps(self, d)
-        return ops
+        self.ops = [_DepthOps(self, d) for d in range(depth)]
 
 
 class _DepthOps:
@@ -368,7 +363,7 @@ def _l1(ctx: _ModeCtx, a, d: int):
     variation Xi' = (kt', 0, zeta') of the phase gradient.  Components
     1 and 3 map to components 1 and 3, and component 2 to component 2.
     """
-    op = ctx.ops(d)
+    op = ctx.ops[d]
     kt, zeta, lm, two_mu_zeta = op.kt, op.zeta, op.lm, op.two_mu_zeta
     d_mu_zeta = op.d_mu_zeta
     da1, da2, da3 = _jv_fit(_jv_deriv(a), d)
@@ -431,7 +426,7 @@ def _pinv(ctx: _ModeCtx, rhs, d: int):
     and no P amplitude has a middle component for `_l1` and `_l0` to
     carry into a P right-hand side.
     """
-    op = ctx.ops(d)
+    op = ctx.ops[d]
     kt, zeta = op.kt, op.zeta
     rhs = _jv_fit(rhs, d)
     xi_rhs = _sum(_mul(kt, rhs[0]), _mul(zeta, rhs[2]))
@@ -607,11 +602,12 @@ def _side_ctxs(cov: Covector, side: ElasticSideJet, kt, stretch, h,
 class _MinusSide:
     """The part of one covector's run that the plus side does not touch:
     curvature jets, the incident and reflected contexts and columns, and
-    per incident column the incident branch's cascade."""
+    per incident column the incident branch's cascade.  `_ElasticRun`
+    runs any number of plus sides on it."""
 
     def __init__(self, cov: Covector, minus: ElasticSideJet, geometry,
                  depth: int, tol: float):
-        self.depth = depth
+        self.cov, self.depth, self.tol = cov, depth, tol
         self.h, self.stretch = curvature_jets(cov, geometry, depth)
         if self.stretch[0] > 0.0:
             self.kt = jet_sqrt(self.stretch)
@@ -624,20 +620,13 @@ class _MinusSide:
             self.S[branch], self.T[branch] = _columns(self.ctx[branch, "P"],
                                                       self.ctx[branch, "S"])
         self.order0_rhs = np.vstack([self.S["I"], self.T["I"]]).astype(complex)
-        self._incident = {}
+        self.incident = [self._incident_cascade(q) for q in (P, SV, SH)]
 
-    def incident(self, q: int):
+    def _incident_cascade(self, q: int):
         """Per order J = 0..-depth, what the cascade of incident column q
         gives the interface solve: None at order 0, then the amplitude
         scales and pending checks of the incident modes, the incident
         displacement and its traction at the interface."""
-        # computed on first use: order-0 runs never need it
-        steps = self._incident.get(q)
-        if steps is None:
-            steps = self._incident[q] = self._incident_cascade(q)
-        return steps
-
-    def _incident_cascade(self, q: int):
         K = self.depth
         channel = _channel(q)
         ctxs = (self.ctx["I", "P"], self.ctx["I", "S"])
@@ -667,28 +656,20 @@ class _MinusSide:
         return steps
 
 
-@cached_by_identity(3)
-def _minus_side(cov: Covector, minus: ElasticSideJet, geometry, depth: int,
-                tol: float) -> _MinusSide:
-    return _MinusSide(cov, minus, geometry, depth, tol)
-
-
 _CHECK_KEYS = (("I", "P"), ("I", "S"), ("R", "P"), ("R", "S"),
                ("T", "P"), ("T", "S"))
 
 
 class _ElasticRun:
-    """One covector, one model: the transmitted contexts, the interface
-    matrices and the reflected/transmitted cascades, on top of the cached
-    minus side."""
+    """One plus side on a minus side: the transmitted contexts, the
+    interface matrices and the reflected/transmitted cascades."""
 
-    def __init__(self, cov: Covector, minus: ElasticSideJet,
-                 plus: ElasticSideJet, geometry, depth: int, tol: float):
-        self.depth = depth
-        ms = self.minus = _minus_side(cov, minus, geometry, depth, tol)
+    def __init__(self, ms: _MinusSide, plus: ElasticSideJet):
+        self.minus = ms
+        self.depth = ms.depth
         self.ctx = dict(ms.ctx)
-        self.ctx.update(_side_ctxs(cov, plus, ms.kt, ms.stretch, ms.h,
-                                   depth, tol, ("T",)))
+        self.ctx.update(_side_ctxs(ms.cov, plus, ms.kt, ms.stretch, ms.h,
+                                   ms.depth, ms.tol, ("T",)))
         # round-off yardstick for the cascade compatibility checks
         self.op_scale = max(ctx.op_scale for ctx in self.ctx.values())
         self._assemble_interface()
@@ -732,7 +713,7 @@ class _ElasticRun:
         """Symbol columns [(R_J[:, q], T_J[:, q]) for J = 0..-depth]."""
         K = self.depth
         channel = _channel(q)
-        incident = self.minus.incident(q)
+        incident = self.minus.incident[q]
         ctx_r = (self.ctx["R", "P"], self.ctx["R", "S"])
         ctx_t = (self.ctx["T", "P"], self.ctx["T", "S"])
         amp_r, amp_t = ({}, {}), ({}, {})
@@ -780,8 +761,9 @@ def forward_series_elastic(
 ) -> list:
     """[(R_J, T_J) for J = 0..-depth] at one covector.
 
-    `geometry` is an InterfaceGeometry or None (flat); this is the entry
-    point the inversion linearizes against.
+    `geometry` is an InterfaceGeometry or None (flat).  The inversion
+    linearizes against the same two halves, `_MinusSide` and
+    `_ElasticRun`, and reuses each minus side it builds.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -793,7 +775,8 @@ def forward_series_elastic(
         raise DepthExceeded(
             f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
         )
-    return _ElasticRun(cov, minus, plus, geometry, depth, tol).series()
+    return _ElasticRun(_MinusSide(cov, minus, geometry, depth, tol),
+                       plus).series()
 
 
 def forward_symbols_elastic(cov: Covector, model: InterfaceModel, depth: int,
@@ -814,6 +797,5 @@ def principal_rt_matrices(cov: Covector, model: InterfaceModel,
     """Order-0 reflection/transmission matrices from the 6x6 solve."""
     if not model.is_elastic:
         raise TypeError("elastic engine requires an elastic model")
-    run = _ElasticRun(cov, model.minus.truncate(0), model.plus.truncate(0),
-                      None, 0, tol)
-    return run.order0_matrices()
+    ms = _MinusSide(cov, model.minus.truncate(0), None, 0, tol)
+    return _ElasticRun(ms, model.plus.truncate(0)).order0_matrices()

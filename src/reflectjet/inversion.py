@@ -235,7 +235,7 @@ def _order0_fit(b_values, reflections, mu_minus, cs_minus, residual_tol):
         raise InconsistentData(
             "order-0 fit produced a non-physical impedance"
         )
-    if resid > residual_tol * scale:
+    if not resid <= residual_tol * scale:
         raise InconsistentData(
             f"order-0 samples disagree (relative residual {resid/scale:.3e})"
         )
@@ -325,7 +325,7 @@ def _lstsq_real(design_cols, y_complex, order, cond_limit, residual_tol,
     resid = float(np.linalg.norm(a @ sol - y))
     scale = max(float(np.linalg.norm(y)), 1e-300)
     floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * measured_norm
-    if resid > residual_tol * scale + floor:
+    if not resid <= residual_tol * scale + floor:
         raise InconsistentData(
             f"samples at order {order} disagree "
             f"(relative residual {resid/scale:.3e})"
@@ -334,23 +334,28 @@ def _lstsq_real(design_cols, y_complex, order, cond_limit, residual_tol,
 
 
 def _recover_jets(samples, minus, depth, geometry, side_type, fields,
-                  order0, engine, residual_tol, cond_limit,
+                  order0, minus_side, series, residual_tol, cond_limit,
                   glancing_tol) -> RecoveryReport:
     """The per-order recovery shared by acoustic and elastic data.
 
     `fields` names the unknown side-jet fields in design-column order;
     `order0(samples)` returns their interface values in that order with
-    the order-0 residual and condition; `engine` is the forward series
-    each lower order is linearized against.  Order -k solves for the
-    k-th derivative of every field, and with `geometry=None` order -1
-    also solves for the principal curvatures.
+    the order-0 residual and condition.  Each lower order is linearized
+    against the forward series of `minus_side(cov, minus, geometry,
+    depth, tol)` and `series(ms, plus)`, the engine's two halves.  Order
+    -k solves for the k-th derivative of every field, and with
+    `geometry=None` order -1 also solves for the principal curvatures.
     """
     samples = _as_samples(samples)
     samples.require_orders(depth)
     if minus.depth < depth:
         raise ValueError("minus-side jets shallower than requested depth")
     n = len(fields)
-    # a degenerate sample set is rejected before any engine work
+    # a non-finite or degenerate sample set is rejected before any engine
+    # work
+    for k in range(depth + 1):
+        if not all(np.isfinite(s.value).all() for s in samples.at_order(-k)):
+            raise InconsistentData(f"a sample at order {-k} is not finite")
     for k in range(1, depth + 1):
         group = samples.at_order(-k)
         recover_here = geometry is None and k == 1
@@ -390,21 +395,24 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
             return side_type(**{name: Jet(c + [top])
                                 for name, c, top in zip(fields, coeffs, tops)})
 
-        # (plus side, geometry) of the base run, then of each design
-        # column.  They run back to back at each covector, so all but the
-        # first call per covector and geometry find the minus side in
-        # the engine's cache, whatever the size of the group.
-        base_plus = plus_side(zeros)
-        base_geom = geom if geom is not None else InterfaceGeometry()
-        runs = [(base_plus, base_geom)] + [
-            (plus_side(tuple(float(i == j) for j in range(n))), base_geom)
+        # (geometry, plus sides) of the base run and of each design
+        # column: a unit top coefficient per field, then the curvatures.
+        # Each covector builds one minus side per geometry.
+        pluses = [plus_side(zeros)] + [
+            plus_side(tuple(float(i == j) for j in range(n)))
             for i in range(n)]
+        runs = [(geom if geom is not None else InterfaceGeometry(), pluses)]
         if recover_here:
-            runs += [(base_plus, InterfaceGeometry(1.0, 0.0)),
-                     (base_plus, InterfaceGeometry(0.0, 1.0))]
-        per_cov = [[np.asarray(engine(cov, minus_k, plus, gm, k,
-                                      glancing_tol)[k][0]).ravel()
-                    for plus, gm in runs] for cov in covs]
+            runs += [(InterfaceGeometry(1.0, 0.0), pluses[:1]),
+                     (InterfaceGeometry(0.0, 1.0), pluses[:1])]
+        per_cov = []
+        for cov in covs:
+            row = []
+            for gm, sides in runs:
+                ms = minus_side(cov, minus_k, gm, k, glancing_tol)
+                row += [np.asarray(series(ms, plus)[k][0]).ravel()
+                        for plus in sides]
+            per_cov.append(row)
         base, *others = (np.concatenate(run) for run in zip(*per_cov))
         cols = [other - base for other in others]
         sol, res, cond = _lstsq_real(cols, measured - base, -k,
@@ -448,7 +456,7 @@ def acoustic_recover_jets(samples, minus: AcousticSideJet, depth: int,
     return _recover_jets(samples, minus, depth, geometry, AcousticSideJet,
                          ("cs", "rho"),
                          lambda s: _acoustic_order0(s, minus, residual_tol),
-                         acoustic.forward_series,
+                         acoustic._minus_side, acoustic._series,
                          residual_tol, cond_limit, glancing_tol)
 
 
@@ -600,18 +608,19 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
             "is post-critical for every convex cp"
         )
 
-    probe = group[0]  # smallest |b|: P-P entry is monotone in impedance there
-    meas = np.asarray(probe.value, dtype=complex)
-
-    # one truncated minus side for every evaluation, so that the engine's
-    # minus-side cache serves the whole scan
+    # one minus side per sample serves every cp that the scan and the
+    # misfit try
     minus0 = minus.truncate(0)
+    minus_sides = [elastic._MinusSide(s.covector, minus0, None, 0,
+                                      glancing_tol) for s in group]
 
-    def forward_r(cp, sample):
+    def forward_r(cp, ms):
         plus = ElasticSideJet(Jet([rho_plus]), Jet([cs_plus]), Jet([cp]))
-        run = elastic._ElasticRun(sample.covector, minus0, plus,
-                                  None, 0, glancing_tol)
-        return run.order0_matrices()[0]
+        return elastic._ElasticRun(ms, plus).order0_matrices()[0]
+
+    # smallest |b|: P-P entry is monotone in impedance there
+    probe = minus_sides[0]
+    meas = np.asarray(group[0].value, dtype=complex)
 
     def gap(cp):
         return float((forward_r(cp, probe) - meas)[0, 0].real)
@@ -622,14 +631,14 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
 
     def total_misfit(cp):
         err = 0.0
-        for s in group:
+        for s, ms in zip(group, minus_sides):
             err += float(np.linalg.norm(
-                forward_r(cp, s) - np.asarray(s.value, dtype=complex)))
+                forward_r(cp, ms) - np.asarray(s.value, dtype=complex)))
         return err
 
     best = min(roots, key=total_misfit)
     misfit = total_misfit(best)
-    if misfit > max(residual_tol, 1e3 * root_tol) * max(1.0, len(group)):
+    if not misfit <= max(residual_tol, 1e3 * root_tol) * max(1.0, len(group)):
         raise InconsistentData(
             f"order-0 elastic matrices disagree with the recovered parameters "
             f"(misfit {misfit:.3e})"
@@ -666,6 +675,6 @@ def elastic_recover_jets(samples, minus: ElasticSideJet, depth: int,
         return (cs0, cp0, rho0), res0, cond0
 
     return _recover_jets(samples, minus, depth, geometry, ElasticSideJet,
-                         ("cs", "cp", "rho"), order0,
-                         elastic.forward_series_elastic,
+                         ("cs", "cp", "rho"), order0, elastic._MinusSide,
+                         lambda ms, p: elastic._ElasticRun(ms, p).series(),
                          residual_tol, cond_limit, glancing_tol)

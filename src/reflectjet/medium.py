@@ -15,7 +15,6 @@ Conventions fixed here and used consistently everywhere downstream:
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -225,40 +224,6 @@ def derive_lame_jets(side: ElasticSideJet):
             f"3*lambda+2*mu={3.0*lam[0] + 2.0*mu[0]:.6g}"
         )
     return lam, mu
-
-
-_IDENTITY_CACHE_SIZE = 128
-
-
-def cached_by_identity(n_frozen: int):
-    """Keep the results of recent calls, keyed by the identities of the
-    first `n_frozen` arguments (frozen model objects) and the values of
-    the rest.
-
-    The engines use it for their minus-side work: the inversion calls an
-    engine several times per covector with only the plus side changed.
-    An entry holds its frozen arguments, so the ids in its key cannot be
-    reused while it is cached; the cache is emptied when full.
-    """
-    def wrap(build):
-        entries = {}
-
-        @functools.wraps(build)
-        def cached(*args):
-            key = tuple(map(id, args[:n_frozen])) + args[n_frozen:]
-            hit = entries.get(key)
-            if hit is not None:
-                return hit[1]
-            value = build(*args)
-            if len(entries) >= _IDENTITY_CACHE_SIZE:
-                entries.clear()
-            entries[key] = (args[:n_frozen], value)
-            return value
-
-        cached.cache_clear = entries.clear
-        return cached
-
-    return wrap
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,14 @@ def _jet_from(obj, field, where):
     if not isinstance(coeffs, list) or not coeffs:
         raise ParseError(f"model field '{where}.{field}' must be a non-empty array")
     try:
-        return Jet(float(c) for c in coeffs)
+        coeffs = [float(c) for c in coeffs]
     except (TypeError, ValueError):
+        coeffs = [math.nan]
+    if not all(map(math.isfinite, coeffs)):
         raise ParseError(
-            f"model field '{where}.{field}' must contain numbers"
-        ) from None
+            f"model field '{where}.{field}' must contain finite numbers"
+        )
+    return Jet(coeffs)
 
 
 def side_from_dict(obj, where):
@@ -158,10 +161,23 @@ def write_elastic_rows(fh, entries):
 
 def _parse_float(field, value, path, line_no):
     try:
-        return float(value)
+        x = float(value)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ParseError(
+            f"{path}:{line_no}: field '{field}' is not a finite number: "
+            f"{value!r}"
+        )
+    return x
+
+
+def _parse_int(field, value, path, line_no):
+    try:
+        return int(value)
     except ValueError:
         raise ParseError(
-            f"{path}:{line_no}: field '{field}' is not a number: {value!r}"
+            f"{path}:{line_no}: field '{field}' is not an integer: {value!r}"
         ) from None
 
 
@@ -210,14 +226,12 @@ def read_symbol_csv(paths, log=None):
                     )
                 vals = {h: v for h, v in zip(header, row)}
                 tau = _parse_float("tau", vals["tau"], path, line_no)
+                if tau == 0.0:
+                    raise ParseError(f"{path}:{line_no}: field 'tau' must be "
+                                     "nonzero")
                 xi1 = _parse_float("xi1", vals["xi1"], path, line_no)
                 xi2 = _parse_float("xi2", vals["xi2"], path, line_no)
-                try:
-                    order = int(vals["order"])
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{line_no}: field 'order' is not an integer"
-                    ) from None
+                order = _parse_int("order", vals["order"], path, line_no)
                 if order > 0:
                     raise ParseError(
                         f"{path}:{line_no}: symbol order must be <= 0"
@@ -232,8 +246,8 @@ def read_symbol_csv(paths, log=None):
                         continue
                     scalar[key] = value
                 else:
-                    row_i = int(vals["row"]) - 1
-                    col_i = int(vals["col"]) - 1
+                    row_i = _parse_int("row", vals["row"], path, line_no) - 1
+                    col_i = _parse_int("col", vals["col"], path, line_no) - 1
                     if not (0 <= row_i < 3 and 0 <= col_i < 3):
                         raise ParseError(
                             f"{path}:{line_no}: row/col must be in 1..3"

@@ -58,6 +58,18 @@ def test_model_json_errors(tmp_path):
     path.write_text("{ not json")
     assert main(["forward", "--model", str(path), "--out",
                  str(tmp_path / "x.csv")]) == 2
+    # json.load accepts these tokens; a jet coefficient may not be one
+    for token in ("NaN", "Infinity", "-Infinity"):
+        bad = dict(ACOUSTIC_MODEL,
+                   plus={"rho_jet": [1.0, -0.5], "cs_jet": [2.0, token]})
+        path.write_text(json.dumps(bad).replace(f'"{token}"', token))
+        with pytest.raises(ParseError, match="plus.cs_jet"):
+            load_model(str(path))
+        for argv in (["forward", "--out", str(tmp_path / "x.csv")],
+                     ["roundtrip", "--out", str(tmp_path / "x.json")]):
+            assert main(argv[:1] + ["--model", str(path)] + argv[1:]) == 2
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_forward_values_and_order(tmp_path):
@@ -173,6 +185,39 @@ def test_invert_merges_multiple_symbol_files(tmp_path):
                  "--symbols", str(s2), "--out", str(rec)]) == 0
     out = json.loads(rec.read_text())
     assert sorted(out["kappas"]) == pytest.approx([-0.3, 0.4], abs=1e-8)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("elastic", "row", "x"),
+    ("elastic", "col", "1.5"),
+    ("acoustic", "tau", "0"),
+    ("acoustic", "tau", "nan"),
+    ("acoustic", "xi1", "inf"),
+    ("acoustic", "re_aR", "nan"),
+    ("acoustic", "im_aR", "-inf"),
+    ("elastic", "re_R", "nan"),
+])
+def test_bad_symbol_csv_exit2(tmp_path, capsys, kind, field, value):
+    # each names the file and line in one message line, and writes no
+    # report
+    doc = ELASTIC_MODEL if kind == "elastic" else ACOUSTIC_MODEL
+    model = _write_model(tmp_path, doc)
+    sym = tmp_path / "sym.csv"
+    assert main(["forward", "--model", model, "--out", str(sym),
+                 "--grid", "0,0.15,0.3"]) == 0
+    lines = sym.read_text().splitlines()
+    row = lines[2].split(",")
+    row[lines[0].split(",").index(field)] = value
+    lines[2] = ",".join(row)
+    sym.write_text("\n".join(lines) + "\n")
+    rec = tmp_path / "rec.json"
+    rc = main(["invert", "--model", model, "--symbols", str(sym),
+               "--out", str(rec), "--known-geometry"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {sym}:3: field '{field}' ")
+    assert len(err.strip().splitlines()) == 1
+    assert not rec.exists()
 
 
 def test_elastic_cli_round_trip(tmp_path):

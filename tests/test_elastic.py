@@ -2,16 +2,18 @@
 SH closed form, block structure, and the acoustic engine as the oracle
 for the decoupled SH channel."""
 
+import gc
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import child_env
 from reflectjet import elastic
-from reflectjet.acoustic import forward_symbols
+from reflectjet.acoustic import forward_series, forward_symbols
 from reflectjet.elastic import (
     ELASTIC_DEPTH_CAP,
     forward_series_elastic,
@@ -31,7 +33,7 @@ from reflectjet.medium import (
     InterfaceModel,
     vertical_wavenumber,
 )
-from reflectjet.sampling import random_elastic_model
+from reflectjet.sampling import random_acoustic_model, random_elastic_model
 
 
 def _pair(rng, depth=0, contrast=2.0):
@@ -137,7 +139,7 @@ def test_block_decoupling_all_orders(rng):
 def test_every_check_runs_in_every_channel(rng, monkeypatch):
     # each column runs only its own channel, yet every step of every
     # column still checks all six (branch, mode) cascades, in order, on
-    # a cold run and on a cached one
+    # a fresh minus side and on a reused one
     model = _pair(rng, depth=2)
     cov = Covector(1.0, (0.4 * model.critical_slowness(), 0.1))
     keys = []
@@ -148,10 +150,10 @@ def test_every_check_runs_in_every_channel(rng, monkeypatch):
         return check(key, *args)
 
     monkeypatch.setattr(elastic, "_check_compatible", record)
-    elastic._minus_side.cache_clear()
+    ms = elastic._MinusSide(cov, model.minus, None, 2, GLANCING_TOL)
     for _ in range(2):
         keys.clear()
-        forward_series_elastic(cov, model.minus, model.plus, None, 2)
+        elastic._ElasticRun(ms, model.plus).series()
         # 3 columns (P, SV, SH) times steps 1 and 2
         assert keys == list(elastic._CHECK_KEYS) * 3 * 2
 
@@ -261,20 +263,14 @@ def test_mode_converted_evanescent_rejected():
         principal_rt_matrices(Covector(1.0, (0.4, 0.0)), model)
 
 
-def _copy_side(side):
-    """Equal jets in new objects: a cold start for the minus-side cache."""
-    return ElasticSideJet(Jet(list(side.rho)), Jet(list(side.cs)),
-                          Jet(list(side.cp)))
-
-
 def _as_lists(series):
     return [(r.tolist(), t.tolist()) for r, t in series]
 
 
 @pytest.mark.parametrize("curved", [False, True])
-def test_minus_side_cache_changes_nothing(rng, curved):
-    # the cached incident/reflected half, reused after other plus sides,
-    # gives exactly what a cold run gives
+def test_reused_minus_side_changes_nothing(rng, curved):
+    # a minus side reused after other plus sides gives exactly what a
+    # fresh run gives
     for depth in (0, 1, 2):
         model = _pair(rng, depth=2)
         others = [_pair(rng, depth=2).plus for _ in range(2)]
@@ -282,40 +278,54 @@ def test_minus_side_cache_changes_nothing(rng, curved):
         b = 0.7 / max(speeds)
         cov = Covector(1.1, (0.6 * b * 1.1, 0.5 * b * 1.1))
         geometry = InterfaceGeometry(0.7, -0.4) if curved else None
-        elastic._minus_side.cache_clear()
-        cold = forward_series_elastic(
-            Covector(cov.tau, cov.xi), _copy_side(model.minus), model.plus,
-            InterfaceGeometry(0.7, -0.4) if curved else None, depth)
+        fresh = forward_series_elastic(cov, model.minus, model.plus,
+                                       geometry, depth)
+        ms = elastic._MinusSide(cov, model.minus, geometry, depth,
+                                GLANCING_TOL)
         for plus in others:
-            forward_series_elastic(cov, model.minus, plus, geometry, depth)
-        hot = forward_series_elastic(cov, model.minus, model.plus, geometry,
-                                     depth)
-        assert elastic._minus_side(cov, model.minus, geometry, depth,
-                                   GLANCING_TOL) \
-            is elastic._minus_side(cov, model.minus, geometry, depth,
-                                   GLANCING_TOL)
-        assert _as_lists(hot) == _as_lists(cold)
+            elastic._ElasticRun(ms, plus).series()
+        reused = elastic._ElasticRun(ms, model.plus).series()
+        assert _as_lists(reused) == _as_lists(fresh)
 
 
-def test_incident_incompatibility_raises_cold_and_cached(rng, monkeypatch):
+def test_incident_incompatibility_raises_fresh_and_reused(rng, monkeypatch):
     model = _pair(rng, depth=1)
     cov = Covector(1.0, (0.4 * model.critical_slowness(), 0.0))
+    ms = elastic._MinusSide(cov, model.minus, None, 1, GLANCING_TOL)
 
-    def run():
+    def fresh():
         return forward_series_elastic(cov, model.minus, model.plus, None, 1)
 
-    elastic._minus_side.cache_clear()
+    def reused():
+        return elastic._ElasticRun(ms, model.plus).series()
+
     with monkeypatch.context() as patch:
         # a negative relative tolerance: no right-hand side is compatible
         patch.setattr(elastic, "_COMPAT_RTOL", -1.0)
-        with pytest.raises(CascadeIncompatible, match="incident P-mode"):
-            run()  # cold: the incident cascade is computed here
-        with pytest.raises(CascadeIncompatible, match="incident P-mode"):
-            run()  # cached incident cascade, checks evaluated again
-    run()  # the checks pass at the real tolerance
+        for run in (fresh, reused, reused):
+            with pytest.raises(CascadeIncompatible, match="incident P-mode"):
+                run()
+    reused()  # the checks pass at the real tolerance
     monkeypatch.setattr(elastic, "_COMPAT_RTOL", -1.0)
     with pytest.raises(CascadeIncompatible, match="incident P-mode"):
-        run()  # a cache hit after a passing run still checks
+        fresh()
+    with pytest.raises(CascadeIncompatible, match="incident P-mode"):
+        reused()  # a reused minus side after a passing run still checks
+
+
+def test_engine_calls_retain_nothing(rng):
+    # the engines keep nothing between calls: a call's covector is freed
+    # once its caller drops it
+    acoustic_model = random_acoustic_model(rng, 2, curved=True)
+    elastic_model = random_elastic_model(rng, 2, curved=True)
+    for model, forward in ((acoustic_model, forward_series),
+                           (elastic_model, forward_series_elastic)):
+        cov = Covector(1.0, (0.3 * model.critical_slowness(), 0.1))
+        ref = weakref.ref(cov)
+        forward(cov, model.minus, model.plus, model.geometry, 2)
+        del cov
+        gc.collect()
+        assert ref() is None
 
 
 def test_incompatibility_raises_under_optimization():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import max_rel_err, two_direction_grid
 
-from reflectjet import acoustic
+from reflectjet import acoustic, elastic
 from reflectjet.acoustic import forward_symbols
 from reflectjet.elastic import (
     forward_symbols_elastic,
@@ -173,9 +173,8 @@ def test_known_curved_geometry(rng):
 
 
 def test_minus_side_built_once_per_covector_and_order(rng, monkeypatch):
-    # the recovery runs every design column of a covector back to back,
-    # so the engine's minus-side cache serves a group of any size, also
-    # one larger than the cache holds
+    # the recovery builds one minus side per covector and order and runs
+    # the base and every design column on it, whatever the group's size
     model = random_acoustic_model(rng, 2, curved=True)
     covs = hyperbolic_grid(model, 140)
     samples = _acoustic_samples(model, covs, 2)
@@ -191,6 +190,39 @@ def test_minus_side_built_once_per_covector_and_order(rng, monkeypatch):
                                    geometry=model.geometry)
     assert builds == {(cov, depth): 1 for cov in covs for depth in (1, 2)}
     assert max_rel_err(report.plus.rho, model.plus.rho) <= 1e-7
+
+
+def test_non_finite_sample_rejected_before_engine_work(rng, monkeypatch):
+    # a NaN or infinite value passes no residual test, so it is rejected
+    # up front, at every order
+    def no_engine(*args):
+        raise AssertionError("engine work on a non-finite sample set")
+
+    model = random_acoustic_model(rng, 2)
+    items = list(_acoustic_samples(model, hyperbolic_grid(model, 6),
+                                   2).samples)
+    e_model = random_elastic_model(rng, 1)
+    e_items = list(_elastic_samples(e_model, hyperbolic_grid(e_model, 6),
+                                    1).samples)
+    monkeypatch.setattr(acoustic, "curvature_jets", no_engine)
+    monkeypatch.setattr(elastic, "curvature_jets", no_engine)
+    for order in (0, -1, -2):
+        for bad in (complex(np.nan, 0.0), complex(0.1, np.inf)):
+            i = next(i for i, s in enumerate(items) if s.order == order)
+            broken = list(items)
+            broken[i] = SymbolSample(items[i].covector, order, bad)
+            with pytest.raises(InconsistentData, match="not finite"):
+                acoustic_recover_jets(broken, model.minus, 2,
+                                      geometry=InterfaceGeometry())
+    for order in (0, -1):
+        i = next(i for i, s in enumerate(e_items) if s.order == order)
+        value = e_items[i].value.copy()
+        value[0, 1] = np.nan
+        broken = list(e_items)
+        broken[i] = SymbolSample(e_items[i].covector, order, value)
+        with pytest.raises(InconsistentData, match="not finite"):
+            elastic_recover_jets(broken, e_model.minus, 1,
+                                 geometry=InterfaceGeometry())
 
 
 def test_missing_order():
@@ -430,6 +462,34 @@ def test_elastic_curved_round_trip(rng):
     rec = sorted(report.kappas)
     true = sorted((model.geometry.kappa1, model.geometry.kappa2))
     assert max(abs(a - b) for a, b in zip(rec, true)) <= 1e-7
+
+
+def test_elastic_minus_side_built_once_per_covector_and_order(rng,
+                                                              monkeypatch):
+    # as in the acoustic recovery: one minus side per covector and order,
+    # two more per covector at order -1 for the curvature columns, and
+    # one per order-0 sample for the cp scan and the misfit
+    model = random_elastic_model(rng, 2, curved=True)
+    covs = two_direction_grid(model, 4)
+    samples = _elastic_samples(model, covs, 2)
+    builds = Counter()
+    real = elastic.curvature_jets
+
+    def counted(cov, geometry, depth):
+        builds[cov, geometry, depth] += 1
+        return real(cov, geometry, depth)
+
+    monkeypatch.setattr(elastic, "curvature_jets", counted)
+    report = elastic_recover_jets(samples, model.minus, 2, geometry=None)
+    expected = {}
+    for cov in covs:
+        expected[cov, None, 0] = 1
+        for gm in (InterfaceGeometry(), InterfaceGeometry(1.0, 0.0),
+                   InterfaceGeometry(0.0, 1.0)):
+            expected[cov, gm, 1] = 1
+        expected[cov, InterfaceGeometry(*report.kappas), 2] = 1
+    assert builds == expected
+    assert max_rel_err(report.plus.rho, model.plus.rho) <= 1e-6
 
 
 def test_elastic_degenerate_set_rejected_before_order0(rng, monkeypatch):
