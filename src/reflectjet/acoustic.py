@@ -32,11 +32,20 @@ vertical wavenumber is the positive root, the reflected branch carries
 i.e. the plus sign on the dlog(c) term, re-derived once from the
 transport equations and pinned by the independently written order -1
 closed form in the test suite.
+
+The engine runs in two halves: `_minus_side` (all that the plus side
+does not touch) and `_group`, which runs plus sides on it.  A jet's
+coefficient m comes from coefficients <= m by the same operations at any
+length, so a minus side built deeper serves every lower depth with the
+same bits.  A group's plus sides must agree below their top coefficients
+(else ValueError); then their orders 0..-(depth-1) agree, and they share
+the reflected amplitude jets and, per distinct cs jet, cs^2 and zeta.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import DepthExceeded
@@ -74,16 +83,10 @@ class AcousticSymbolSeries:
         return self.orders[-order][2]
 
 
-class _BranchState:
-    """Per-branch transport data: G jet plus material jets for sources."""
-
-    __slots__ = ("g", "inv_rcz", "mu", "zeta0")
-
-    def __init__(self, g, inv_rcz, mu, zeta0):
-        self.g = g            # tuple, depth K-1: d(a)/dnu = g*a + s
-        self.inv_rcz = inv_rcz  # tuple, 1/(rho c^2 zeta), depth K-1
-        self.mu = mu          # tuple, depth K
-        self.zeta0 = zeta0    # signed vertical wavenumber value
+# Per-branch transport data, as coefficient tuples: g (d(a)/dnu = g*a + s)
+# and 1/(rho c^2 zeta) at depth K-1, mu at depth K; and the signed value
+# of the vertical wavenumber.
+_BranchState = namedtuple("_BranchState", "g inv_rcz mu zeta0")
 
 
 def _convolve_coeff(m, a, b):
@@ -130,11 +133,10 @@ def _wave_operator_source(branch: _BranchState, amp, h_coeffs, depth):
     return [(-0.5j) * _convolve_coeff(m, inv, out) for m in range(depth)]
 
 
-def _branch_state(side: AcousticSideJet, zeta: Jet, h: Jet | None, depth: int):
-    """Transport data for one branch (side jets + signed zeta jet)."""
-    rho = side.rho.truncate(depth)
-    cs = side.cs.truncate(depth)
-    mu = jet_mul(rho, jet_mul(cs, cs))
+def _branch_state(rho: Jet, cs2: Jet, zeta: Jet, h: Jet | None, depth: int):
+    """Transport data for one branch from its side's rho and cs^2 jets and
+    its signed zeta jet, all at `depth`."""
+    mu = jet_mul(rho, cs2)
     if depth == 0:
         return _BranchState((), (), mu.coeffs, zeta[0])
     d = depth - 1
@@ -142,15 +144,16 @@ def _branch_state(side: AcousticSideJet, zeta: Jet, h: Jet | None, depth: int):
     p_phi = jet_scale(jet_derivative(mu_zeta), -1.0)
     if h is not None:
         p_phi = p_phi - jet_mul(h.truncate(d), mu_zeta.truncate(d))
-    rcz = jet_mul(rho.truncate(d), jet_mul(jet_mul(cs, cs).truncate(d), zeta.truncate(d)))
+    rcz = jet_mul(rho.truncate(d), jet_mul(cs2.truncate(d), zeta.truncate(d)))
     inv_rcz = jet_inv(rcz)
     g = jet_mul(p_phi, jet_scale(inv_rcz, 0.5))
     return _BranchState(g.coeffs, inv_rcz.coeffs, mu.coeffs, zeta[0])
 
 
-def _zeta_jet(side: AcousticSideJet, tau: float, stretch: Jet, depth: int,
+def _zeta_jet(speed: float, cs2: Jet, tau: float, stretch: Jet,
               tol: float) -> Jet:
-    """Jet of the (positive) vertical wavenumber along the normal.
+    """Jet of the (positive) vertical wavenumber along the normal, at the
+    depth of the cs^2 jet; `speed` is the side's cs value.
 
     `stretch` is the jet of the squared tangential wavenumber along the
     normal line (constant |xi'|^2 for a flat interface, the shape-
@@ -158,30 +161,31 @@ def _zeta_jet(side: AcousticSideJet, tau: float, stretch: Jet, depth: int,
     """
     # Regime check on the interface value before the jet square root.
     vertical_wavenumber(Covector(tau, (math.sqrt(stretch[0]), 0.0)),
-                        side.cs[0], tol)
-    cs = side.cs.truncate(depth)
-    inv_c2 = jet_inv(jet_mul(cs, cs))
-    radicand = jet_scale(inv_c2, tau * tau) - stretch.truncate(depth)
+                        speed, tol)
+    radicand = (jet_scale(jet_inv(cs2), tau * tau)
+                - stretch.truncate(cs2.depth))
     return jet_sqrt(radicand)
 
 
 def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
                 tol: float):
-    """The covector, depth and tolerance with the curvature jets, the
-    incident and reflected branch states and the incident amplitude jets
-    of every order: all that does not depend on the plus side.  `_series`
-    runs any number of plus sides on it."""
+    """The covector and tolerance with the curvature jets, the incident
+    and reflected branch states and the incident amplitude jets of every
+    order: all that does not depend on the plus side.  `_group` runs plus
+    sides on it at this depth or any lower one."""
     h, stretch = curvature_jets(cov, geometry, depth)
-    z_minus = _zeta_jet(minus, cov.tau, stretch, depth, tol)
-    br_i = _branch_state(minus, z_minus, h, depth)
-    br_r = _branch_state(minus, jet_scale(z_minus, -1.0), h, depth)
+    rho, cs = minus.rho.truncate(depth), minus.cs.truncate(depth)
+    cs2 = jet_mul(cs, cs)
+    z_minus = _zeta_jet(cs[0], cs2, cov.tau, stretch, tol)
+    br_i = _branch_state(rho, cs2, z_minus, h, depth)
+    br_r = _branch_state(rho, cs2, jet_scale(z_minus, -1.0), h, depth)
     amp_i = [_fill(1.0 + 0.0j, br_i, None, depth)]
     h_coeffs = h.coeffs if h is not None else None
     for k in range(1, depth + 1):
         d = depth - k
         s_i = _wave_operator_source(br_i, amp_i[-1], h_coeffs, d)
         amp_i.append(_fill(0.0j, br_i, s_i, d))
-    return (cov, depth, tol, h, stretch, br_i, br_r,
+    return (cov, tol, h, stretch, br_i, br_r,
             tuple(tuple(a) for a in amp_i))
 
 
@@ -196,8 +200,8 @@ def forward_series(
     """Symbol orders [(aR_J, aT_J) for J = 0..-depth] at one covector.
 
     `geometry` is an InterfaceGeometry or None (flat).  The inversion
-    linearizes against the same two halves, `_minus_side` and
-    `_series`, and reuses each minus side it builds.
+    runs groups of plus sides through the same two halves, `_minus_side`
+    and `_group`, and reuses each minus side it builds.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -205,33 +209,45 @@ def forward_series(
         raise DepthExceeded(
             f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
         )
-    return _series(_minus_side(cov, minus, geometry, depth, tol), plus)
+    return _group(_minus_side(cov, minus, geometry, depth, tol), depth,
+                  [plus])[0]
 
 
-def _series(minus_side, plus: AcousticSideJet) -> list:
-    """`forward_series` for `plus` on a minus side from `_minus_side`."""
-    cov, depth, tol, h, stretch, br_i, br_r, amp_i = minus_side
-    z_plus = _zeta_jet(plus, cov.tau, stretch, depth, tol)
-    br_t = _branch_state(plus, z_plus, h, depth)
-
-    mu_m, mu_p = br_i.mu[0], br_t.mu[0]
-    denom = mu_m * br_i.zeta0 + mu_p * br_t.zeta0
-    r0 = (mu_m * br_i.zeta0 - mu_p * br_t.zeta0) / denom
-
-    amp_r = [_fill(complex(r0), br_r, None, depth)]
-    amp_t = [_fill(complex(1.0 + r0), br_t, None, depth)]
-    out = [(complex(r0), complex(1.0 + r0))]
-
+def _group(minus_side, depth: int, pluses) -> list:
+    """`forward_series` at `depth` for each of `pluses`, on a minus side
+    built at `depth` or deeper (see the module note)."""
+    cov, tol, h, stretch, br_i, br_r, amp_i = minus_side
+    if len({(p.rho.coeffs[:depth], p.cs.coeffs[:depth]) for p in pluses}) > 1:
+        raise ValueError("a group's plus sides differ below the top coefficient")
     h_coeffs = h.coeffs if h is not None else None
-    for k in range(1, depth + 1):
-        d = depth - k
-        s_r = _wave_operator_source(br_r, amp_r[-1], h_coeffs, d)
-        s_t = _wave_operator_source(br_t, amp_t[-1], h_coeffs, d)
-        jump = mu_m * (amp_i[k - 1][1] + amp_r[-1][1]) - mu_p * amp_t[-1][1]
-        val = -1j * jump / denom
-        amp_r.append(_fill(val, br_r, s_r, d))
-        amp_t.append(_fill(val, br_t, s_t, d))
-        out.append((val, val))
+    mu_m = br_i.mu[0]
+    zetas = {}   # cs coefficients -> (cs^2, zeta)
+    amp_r = []   # reflected amplitude jets, filled on the first run
+    out = []
+    for plus in pluses:
+        cs = plus.cs.truncate(depth)
+        if cs.coeffs not in zetas:
+            cs2 = jet_mul(cs, cs)
+            zetas[cs.coeffs] = cs2, _zeta_jet(cs[0], cs2, cov.tau, stretch, tol)
+        br_t = _branch_state(plus.rho.truncate(depth), *zetas[cs.coeffs], h,
+                             depth)
+        mu_p = br_t.mu[0]
+        denom = mu_m * br_i.zeta0 + mu_p * br_t.zeta0
+        r0 = (mu_m * br_i.zeta0 - mu_p * br_t.zeta0) / denom
+        amp_r = amp_r or [_fill(complex(r0), br_r, None, depth)]
+        amp_t = _fill(complex(1.0 + r0), br_t, None, depth)
+        series = [(complex(r0), complex(1.0 + r0))]
+        for k in range(1, depth + 1):
+            d = depth - k
+            s_t = _wave_operator_source(br_t, amp_t, h_coeffs, d)
+            jump = mu_m * (amp_i[k - 1][1] + amp_r[k - 1][1]) - mu_p * amp_t[1]
+            val = -1j * jump / denom
+            if len(amp_r) == k:
+                s_r = _wave_operator_source(br_r, amp_r[-1], h_coeffs, d)
+                amp_r.append(_fill(val, br_r, s_r, d))
+            amp_t = _fill(val, br_t, s_t, d)
+            series.append((val, val))
+        out.append(series)
     return out
 
 

@@ -334,17 +334,20 @@ def _lstsq_real(design_cols, y_complex, order, cond_limit, residual_tol,
 
 
 def _recover_jets(samples, minus, depth, geometry, side_type, fields,
-                  order0, minus_side, series, residual_tol, cond_limit,
-                  glancing_tol) -> RecoveryReport:
+                  order0, run, residual_tol, cond_limit) -> RecoveryReport:
     """The per-order recovery shared by acoustic and elastic data.
 
     `fields` names the unknown side-jet fields in design-column order;
     `order0(samples)` returns their interface values in that order with
-    the order-0 residual and condition.  Each lower order is linearized
-    against the forward series of `minus_side(cov, minus, geometry,
-    depth, tol)` and `series(ms, plus)`, the engine's two halves.  Order
-    -k solves for the k-th derivative of every field, and with
-    `geometry=None` order -1 also solves for the principal curvatures.
+    the order-0 residual and condition.  Order -k solves for the k-th
+    derivative of every field, and with `geometry=None` order -1 also
+    solves for the principal curvatures, against `run(cov, geometry, k,
+    deepest, pluses)`: the depth-k series at one covector of the base
+    run and the unit perturbations of the design columns.  `deepest` is
+    the deepest order `geometry` serves.  The acoustic engine builds one
+    minus side per (covector, geometry) at that depth; the elastic engine
+    one per covector and order, as its check scales read every
+    coefficient.
     """
     samples = _as_samples(samples)
     samples.require_orders(depth)
@@ -389,7 +392,7 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
         measured = np.concatenate(
             [np.asarray(s.value, dtype=complex).ravel() for s in group])
         recover_here = geometry is None and k == 1
-        minus_k = minus.truncate(k)
+        deepest = 1 if recover_here else depth
 
         def plus_side(tops):
             return side_type(**{name: Jet(c + [top])
@@ -397,7 +400,6 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
 
         # (geometry, plus sides) of the base run and of each design
         # column: a unit top coefficient per field, then the curvatures.
-        # Each covector builds one minus side per geometry.
         pluses = [plus_side(zeros)] + [
             plus_side(tuple(float(i == j) for j in range(n)))
             for i in range(n)]
@@ -409,11 +411,10 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
         for cov in covs:
             row = []
             for gm, sides in runs:
-                ms = minus_side(cov, minus_k, gm, k, glancing_tol)
-                row += [np.asarray(series(ms, plus)[k][0]).ravel()
-                        for plus in sides]
+                row += [np.asarray(series[k][0]).ravel()
+                        for series in run(cov, gm, k, deepest, sides)]
             per_cov.append(row)
-        base, *others = (np.concatenate(run) for run in zip(*per_cov))
+        base, *others = (np.concatenate(col) for col in zip(*per_cov))
         cols = [other - base for other in others]
         sol, res, cond = _lstsq_real(cols, measured - base, -k,
                                      cond_limit, residual_tol,
@@ -453,11 +454,19 @@ def acoustic_recover_jets(samples, minus: AcousticSideJet, depth: int,
     two extra unknowns, which needs samples in at least two tangential
     directions (see the module note on identifiability).
     """
+    minus_sides = {}  # (covector, geometry, deepest) -> minus side
+
+    def run(cov, gm, k, deepest, pluses):
+        ms = (minus_sides.pop((cov, gm, deepest), None)
+              or acoustic._minus_side(cov, minus, gm, deepest, glancing_tol))
+        if k < deepest:  # kept only while a later order needs it
+            minus_sides[cov, gm, deepest] = ms
+        return acoustic._group(ms, k, pluses)
+
     return _recover_jets(samples, minus, depth, geometry, AcousticSideJet,
                          ("cs", "rho"),
                          lambda s: _acoustic_order0(s, minus, residual_tol),
-                         acoustic._minus_side, acoustic._series,
-                         residual_tol, cond_limit, glancing_tol)
+                         run, residual_tol, cond_limit)
 
 
 # --- relative-amplitude mode -------------------------------------------------
@@ -674,7 +683,10 @@ def elastic_recover_jets(samples, minus: ElasticSideJet, depth: int,
             glancing_tol=glancing_tol)
         return (cs0, cp0, rho0), res0, cond0
 
+    def run(cov, gm, k, deepest, pluses):
+        ms = elastic._MinusSide(cov, minus.truncate(k), gm, k, glancing_tol)
+        return [elastic._ElasticRun(ms, p).series() for p in pluses]
+
     return _recover_jets(samples, minus, depth, geometry, ElasticSideJet,
-                         ("cs", "cp", "rho"), order0, elastic._MinusSide,
-                         lambda ms, p: elastic._ElasticRun(ms, p).series(),
-                         residual_tol, cond_limit, glancing_tol)
+                         ("cs", "cp", "rho"), order0, run,
+                         residual_tol, cond_limit)

@@ -236,6 +236,8 @@ def read_symbol_csv(paths, log=None):
                     raise ParseError(
                         f"{path}:{line_no}: symbol order must be <= 0"
                     )
+                for field in header[-2:]:  # the transmission: checked, unused
+                    _parse_float(field, vals[field], path, line_no)
                 key = (tau, xi1, xi2, order)
                 if this_kind == "acoustic":
                     value = complex(

@@ -6,20 +6,28 @@ import math
 import pytest
 
 from reflectjet.acoustic import (
+    _group,
+    _minus_side,
     flux_residual,
+    forward_series,
     forward_symbols,
     principal_rt,
 )
 from reflectjet.errors import DepthExceeded, EvanescentError
 from reflectjet.jets import Jet
 from reflectjet.medium import (
+    GLANCING_TOL,
     AcousticSideJet,
     Covector,
     InterfaceGeometry,
     InterfaceModel,
     vertical_wavenumber,
 )
-from reflectjet.sampling import random_acoustic_model
+from reflectjet.sampling import (
+    cross_grid,
+    hyperbolic_grid,
+    random_acoustic_model,
+)
 
 
 def _model(rho_m, cs_m, rho_p, cs_p, kappas=(0.0, 0.0)):
@@ -192,3 +200,42 @@ def test_symbol_series_accessors():
     series = forward_symbols(Covector(1.0, (0.2, 0.0)), model, 1)
     assert series.reflection(0) == series.orders[0][1]
     assert series.transmission(-1) == series.orders[1][2]
+
+
+def _with_top(side, depth, rho_top, cs_top):
+    """`side` at `depth` with its top coefficients replaced."""
+    return AcousticSideJet(Jet(side.rho.coeffs[:depth] + (rho_top,)),
+                           Jet(side.cs.coeffs[:depth] + (cs_top,)))
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_group_equals_separate_runs(rng, curved):
+    # a group shares its reflected cascade and its cs^2 and zeta jets, and
+    # a minus side built deeper serves a lower depth: each plus side's
+    # series is still the one it gets alone, bit for bit
+    model = random_acoustic_model(rng, 4, curved=curved)
+    covs = hyperbolic_grid(model, 3) + cross_grid(model, 3)
+    for depth in range(1, 5):
+        pluses = [_with_top(model.plus, depth, r, c)
+                  for r, c in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0))]
+        pluses.append(model.plus.truncate(depth))
+        for cov in covs:
+            alone = [forward_series(cov, model.minus, p, model.geometry,
+                                    depth) for p in pluses]
+            for built in range(depth, 5):
+                ms = _minus_side(cov, model.minus, model.geometry, built,
+                                 GLANCING_TOL)
+                assert repr(_group(ms, depth, pluses)) == repr(alone)
+
+
+def test_group_checks_its_contract(rng):
+    model = random_acoustic_model(rng, 2)
+    cov = Covector(1.0, (0.2, 0.1))
+    ms = _minus_side(cov, model.minus, None, 2, GLANCING_TOL)
+    plus = model.plus
+    cs1 = plus.cs[1]
+    below = AcousticSideJet(plus.rho,
+                            Jet((plus.cs[0], math.nextafter(cs1, 2 * cs1),
+                                 plus.cs[2])))
+    with pytest.raises(ValueError, match="below the top"):
+        _group(ms, 2, [plus, below])

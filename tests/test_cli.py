@@ -196,6 +196,10 @@ def test_invert_merges_multiple_symbol_files(tmp_path):
     ("acoustic", "re_aR", "nan"),
     ("acoustic", "im_aR", "-inf"),
     ("elastic", "re_R", "nan"),
+    ("acoustic", "re_aT", "garbage"),
+    ("acoustic", "im_aT", ""),
+    ("elastic", "re_T", "inf"),
+    ("elastic", "im_T", "nan"),
 ])
 def test_bad_symbol_csv_exit2(tmp_path, capsys, kind, field, value):
     # each names the file and line in one message line, and writes no

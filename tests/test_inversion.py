@@ -173,22 +173,36 @@ def test_known_curved_geometry(rng):
 
 
 def test_minus_side_built_once_per_covector_and_order(rng, monkeypatch):
-    # the recovery builds one minus side per covector and order and runs
-    # the base and every design column on it, whatever the group's size
+    # the recovery builds one minus side per covector and geometry, at
+    # the deepest order the geometry serves, and runs the base and every
+    # design column of every order on it
     model = random_acoustic_model(rng, 2, curved=True)
-    covs = hyperbolic_grid(model, 140)
+    covs = two_direction_grid(model, 70)
     samples = _acoustic_samples(model, covs, 2)
     builds = Counter()
     real = acoustic.curvature_jets
 
     def counted(cov, geometry, depth):
-        builds[cov, depth] += 1
+        builds[cov, geometry, depth] += 1
         return real(cov, geometry, depth)
 
     monkeypatch.setattr(acoustic, "curvature_jets", counted)
     report = acoustic_recover_jets(samples, model.minus, 2,
                                    geometry=model.geometry)
-    assert builds == {(cov, depth): 1 for cov in covs for depth in (1, 2)}
+    assert builds == {(cov, model.geometry, 2): 1 for cov in covs}
+    assert max_rel_err(report.plus.rho, model.plus.rho) <= 1e-7
+
+    # a recovered geometry: three geometries serve order -1 alone, and
+    # the recovered one serves order -2
+    builds.clear()
+    report = acoustic_recover_jets(samples, model.minus, 2, geometry=None)
+    expected = {}
+    for cov in covs:
+        for gm in (InterfaceGeometry(), InterfaceGeometry(1.0, 0.0),
+                   InterfaceGeometry(0.0, 1.0)):
+            expected[cov, gm, 1] = 1
+        expected[cov, InterfaceGeometry(*report.kappas), 2] = 1
+    assert builds == expected
     assert max_rel_err(report.plus.rho, model.plus.rho) <= 1e-7
 
 

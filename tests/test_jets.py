@@ -5,17 +5,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectjet.errors import DepthMismatch, DivisionByZeroJet, NonPositiveBase
 from reflectjet.geometry import richardson_derivative
 from reflectjet.jets import (
     Jet,
     identity_jet,
+    jet_add,
     jet_derivative,
     jet_exp,
     jet_inv,
     jet_log,
     jet_mul,
+    jet_scale,
     jet_sqrt,
 )
 
@@ -183,3 +187,72 @@ def test_truncate_pads_and_cuts():
     j = Jet([1.0, 2.0, 3.0])
     assert j.truncate(1) == Jet([1.0, 2.0])
     assert j.truncate(4) == Jet([1.0, 2.0, 3.0, 0.0, 0.0])
+
+
+# --- truncation commutes with every jet function, bit for bit ----------------
+#
+# Coefficient m of a result comes from coefficients <= m by the same
+# operations at any jet length.  The engines rely on it to serve a lower
+# depth from jets built deeper, so it is checked by `repr`, which tells
+# signed zeros apart.
+
+# edge cases (signed zeros, bounds) from `floats`, and values with a full
+# 53-bit mantissa in 1/64..1024, whose products and sums round
+_REAL = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.builds(math.ldexp, st.integers(2**52, 2**53 - 1),
+              st.integers(-58, -43)),
+    st.builds(math.ldexp, st.integers(-2**53 + 1, -2**52),
+              st.integers(-58, -43)))
+_COEFF = st.one_of(_REAL, st.builds(complex, _REAL, _REAL))
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+_EXPONENT = st.floats(min_value=-50.0, max_value=50.0)
+_UNARY = {
+    jet_inv: _COEFF.filter(lambda x: x != 0),
+    jet_log: _POSITIVE,
+    jet_sqrt: _POSITIVE,
+    jet_exp: st.one_of(_EXPONENT, st.builds(complex, _EXPONENT, _REAL)),
+}
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                     database=None)
+
+
+@st.composite
+def _jets(draw, count, value=_COEFF, min_depth=0):
+    """(d, jets): `count` jets of one depth in min_depth..5, d <= depth."""
+    depth = draw(st.sampled_from(range(min_depth, 6)))
+    jets = [Jet([draw(value)] + draw(st.lists(_COEFF, min_size=depth,
+                                              max_size=depth)))
+            for _ in range(count)]
+    return draw(st.sampled_from(range(min_depth, depth + 1))), jets
+
+
+@pytest.mark.parametrize("op", [jet_mul, jet_add])
+@_PROPERTY
+@given(case=_jets(2))
+def test_binary_ops_commute_with_truncation(op, case):
+    d, (a, b) = case
+    assert repr(op(a, b).truncate(d)) == repr(op(a.truncate(d), b.truncate(d)))
+
+
+@_PROPERTY
+@given(case=_jets(1), s=_COEFF)
+def test_scale_commutes_with_truncation(case, s):
+    d, (a,) = case
+    assert repr(jet_scale(a, s).truncate(d)) == repr(jet_scale(a.truncate(d), s))
+
+
+@pytest.mark.parametrize("op", list(_UNARY), ids=lambda f: f.__name__)
+@_PROPERTY
+@given(data=st.data())
+def test_unary_ops_commute_with_truncation(op, data):
+    d, (a,) = data.draw(_jets(1, value=_UNARY[op]))
+    assert repr(op(a).truncate(d)) == repr(op(a.truncate(d)))
+
+
+@_PROPERTY
+@given(case=_jets(1, min_depth=1))
+def test_derivative_commutes_with_truncation(case):
+    d, (a,) = case
+    assert (repr(jet_derivative(a).truncate(d - 1))
+            == repr(jet_derivative(a.truncate(d))))
