@@ -25,16 +25,18 @@ system, so a run has two halves.  `_MinusSide` holds what the
 covector, minus side, geometry, depth and tolerance fix: the curvature
 jets, the incident and reflected mode contexts, their interface
 columns, and for each incident column the incident cascade together
-with what its compatibility checks need.  `_ElasticRun` runs one plus
-side on it.  `forward_series_elastic` builds both halves; the
-inversion, which evaluates the engine four times per covector and
-order with only the plus side changed, and the order-0 cp scan, which
-evaluates it about a hundred times per sample, build each minus side
-once and run every plus side on it.  A run on a reused minus side
-performs the same operations, in the same order, as a fresh one, so
-every output is bit-identical.  Every compatibility check of every
-branch still runs in every run, because its bound depends on the plus
-side through the run's amplitude and operator scales.
+with what its compatibility checks need.  `_group` runs plus sides on
+it, sharing each distinct speed jet's zeta jet; `_order0` gives a
+depth-0 group's order-0 matrices alone, from one stacked condition
+check and solve.  A jet's coefficient m comes from coefficients <= m
+by the same operations at any length, so plus sides that agree below
+their top coefficients (else ValueError) agree in every value that
+does not reach the top: at depth >= 1 a group's runs share the
+interface (the 6x6 matrix, its check and solve, the inverse columns)
+and the reflected cascade, which the first run records.  Every output
+keeps the bits of a separate run, and every compatibility check of
+every branch still runs in every run, because its bound depends on
+the plus side through the run's amplitude and operator scales.
 
 The cascade leaves out what is zero by construction.  In the rotated
 frame the P kernel and the SV kernel have no middle component and the
@@ -576,22 +578,26 @@ def _columns(ctx_p: _ModeCtx, ctx_s: _ModeCtx):
 
 
 def _side_ctxs(cov: Covector, side: ElasticSideJet, kt, stretch, h,
-               depth: int, tol: float, branches):
+               depth: int, tol: float, branches, zetas: dict):
     """Mode contexts of the named branches ("I", "R", "T") on one side;
-    the reflected branch carries the negated vertical wavenumber."""
+    the reflected branch carries the negated vertical wavenumber, and
+    `zetas` caches the zeta jet of each speed jet across calls."""
     tau = cov.tau
     rho = side.rho.truncate(depth)
     lam, mu = derive_lame_jets(side.truncate(depth))
-    zetas = []
+    modes = []
     for mode, speed in (("P", side.cp), ("S", side.cs)):
-        vertical_wavenumber(cov, speed[0], tol)
         c = speed.truncate(depth)
-        inv_c2 = jet_inv(jet_mul(c, c))
-        radicand = jet_scale(inv_c2, tau * tau) - stretch.truncate(depth)
-        zetas.append((mode, jet_sqrt(radicand)))
+        zeta = zetas.get(c.coeffs)
+        if zeta is None:
+            vertical_wavenumber(cov, speed[0], tol)
+            inv_c2 = jet_inv(jet_mul(c, c))
+            radicand = jet_scale(inv_c2, tau * tau) - stretch.truncate(depth)
+            zeta = zetas[c.coeffs] = jet_sqrt(radicand)
+        modes.append((mode, zeta))
     ctx = {}
     for branch in branches:
-        for mode, zeta in zetas:
+        for mode, zeta in modes:
             if branch == "R":
                 zeta = jet_scale(zeta, -1.0)
             ctx[branch, mode] = _ModeCtx(kt, zeta, rho, lam, mu, h, mode,
@@ -602,8 +608,8 @@ def _side_ctxs(cov: Covector, side: ElasticSideJet, kt, stretch, h,
 class _MinusSide:
     """The part of one covector's run that the plus side does not touch:
     curvature jets, the incident and reflected contexts and columns, and
-    per incident column the incident branch's cascade.  `_ElasticRun`
-    runs any number of plus sides on it."""
+    per incident column the incident branch's cascade.  `_group` runs
+    any number of plus sides on it."""
 
     def __init__(self, cov: Covector, minus: ElasticSideJet, geometry,
                  depth: int, tol: float):
@@ -614,7 +620,7 @@ class _MinusSide:
         else:
             self.kt = constant_jet(0.0, depth)  # normal incidence: q vanishes
         self.ctx = _side_ctxs(cov, minus, self.kt, self.stretch, self.h,
-                              depth, tol, ("I", "R"))
+                              depth, tol, ("I", "R"), {})
         self.S, self.T = {}, {}
         for branch in ("I", "R"):
             self.S[branch], self.T[branch] = _columns(self.ctx[branch, "P"],
@@ -661,94 +667,122 @@ _CHECK_KEYS = (("I", "P"), ("I", "S"), ("R", "P"), ("R", "S"),
 
 
 class _ElasticRun:
-    """One plus side on a minus side: the transmitted contexts, the
-    interface matrices and the reflected/transmitted cascades."""
+    """One plus side on a minus side: its transmitted contexts, with the
+    round-off yardstick of its cascade checks."""
 
-    def __init__(self, ms: _MinusSide, plus: ElasticSideJet):
-        self.minus = ms
-        self.depth = ms.depth
+    def __init__(self, ms: _MinusSide, plus: ElasticSideJet, zetas: dict):
         self.ctx = dict(ms.ctx)
         self.ctx.update(_side_ctxs(ms.cov, plus, ms.kt, ms.stretch, ms.h,
-                                   ms.depth, ms.tol, ("T",)))
-        # round-off yardstick for the cascade compatibility checks
+                                   ms.depth, ms.tol, ("T",), zetas))
         self.op_scale = max(ctx.op_scale for ctx in self.ctx.values())
-        self._assemble_interface()
 
-    def _assemble_interface(self):
-        ms = self.minus
-        self.S = {"R": ms.S["R"]}
-        self.T = {"R": ms.T["R"]}
-        self.S["T"], self.T["T"] = _columns(self.ctx["T", "P"],
-                                            self.ctx["T", "S"])
-        m6 = np.zeros((6, 6), dtype=complex)
-        m6[:3, :3] = -self.S["R"]
-        m6[:3, 3:] = self.S["T"]
-        m6[3:, :3] = -self.T["R"]
-        m6[3:, 3:] = self.T["T"]
-        cond = np.linalg.cond(m6)
+
+def _interface(ms: _MinusSide, runs):
+    """The 6x6 interface matrices of `runs` and their order-0 solutions,
+    as stacks.  One condition check and one solve serve the stack: numpy
+    runs LAPACK on each matrix alone, so each result has the bits of a
+    call on that matrix alone.  The first singular matrix raises."""
+    m6 = np.zeros((len(runs), 6, 6), dtype=complex)
+    m6[:, :3, :3] = -ms.S["R"]
+    m6[:, 3:, :3] = -ms.T["R"]
+    for m, run in zip(m6, runs):
+        m[:3, 3:], m[3:, 3:] = _columns(run.ctx["T", "P"], run.ctx["T", "S"])
+    for cond in np.linalg.cond(m6):
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularInterfaceSystem(
                 f"elastic interface system is singular (cond={cond:.3e})",
                 condition=cond,
             )
-        self.m6 = m6
+    rhs = np.broadcast_to(ms.order0_rhs, (len(runs), 6, 3))
+    return m6, np.linalg.solve(m6, rhs)
 
-    def order0_matrices(self):
-        sol = np.linalg.solve(self.m6, self.minus.order0_rhs)
-        return sol[:3, :], sol[3:, :]
 
-    def series(self):
-        """[(R_J, T_J) for J = 0..-depth]."""
-        r0, t0 = self.order0_matrices()
-        s_inv = {b: np.linalg.inv(self.S[b]) for b in ("R", "T")}
-        cols = [self._column(q, r0, t0, s_inv) for q in (P, SV, SH)]
-        out = []
-        for k in range(self.depth + 1):
-            r = np.column_stack([cols[q][k][0] for q in (P, SV, SH)])
-            t = np.column_stack([cols[q][k][1] for q in (P, SV, SH)])
-            out.append((r, t))
-        return out
+def _order0(ms: _MinusSide, pluses) -> list:
+    """Order-0 (R0, T0) of each of `pluses` on a depth-0 minus side:
+    the stacked order-0 solutions of a depth-0 `_group`, without its
+    symbol columns."""
+    zetas = {}
+    _, sol = _interface(ms, [_ElasticRun(ms, p, zetas) for p in pluses])
+    return [(x[:3], x[3:]) for x in sol]
 
-    def _column(self, q: int, r0, t0, s_inv):
-        """Symbol columns [(R_J[:, q], T_J[:, q]) for J = 0..-depth]."""
-        K = self.depth
-        channel = _channel(q)
-        incident = self.minus.incident[q]
-        ctx_r = (self.ctx["R", "P"], self.ctx["R", "S"])
-        ctx_t = (self.ctx["T", "P"], self.ctx["T", "S"])
-        amp_r, amp_t = ({}, {}), ({}, {})
-        out = []
-        for step in range(K + 1):
-            J, d = -step, K - step
-            if step == 0:
-                w_r = w_t = (_ABSENT, _ABSENT)
-                x_r, x_t = r0[:, q].copy(), t0[:, q].copy()
-            else:
-                scales_i, checks_i, disp_i, trac_i = incident[step]
-                w_r, scales_r, checks_r = _branch_particular(ctx_r, amp_r, J, d)
-                w_t, scales_t, checks_t = _branch_particular(ctx_t, amp_t, J, d)
-                amp_scale = 0.0
-                for s in scales_i + scales_r + scales_t:
-                    amp_scale = max(amp_scale, s)
-                floor = 1e-12 * amp_scale * self.op_scale
-                for key, check in zip(_CHECK_KEYS,
-                                      checks_i + checks_r + checks_t):
-                    _check_compatible(key, check, floor)
-            val_r = _jv_values(w_r[0]) + _jv_values(w_r[1])
-            val_t = _jv_values(w_t[0]) + _jv_values(w_t[1])
-            if step > 0:
-                rhs6 = np.zeros(6, dtype=complex)
-                rhs6[:3] = disp_i + val_r - val_t
-                f_r = _branch_traction(ctx_r, w_r, amp_r, J)
-                f_t = _branch_traction(ctx_t, w_t, amp_t, J)
-                rhs6[3:] = trac_i + f_r - f_t
-                sol = np.linalg.solve(self.m6, rhs6)
-                x_r, x_t = sol[:3], sol[3:]
-            if step < K:
+
+def _group(ms: _MinusSide, pluses) -> list:
+    """`forward_series_elastic` for each of `pluses` on the minus side
+    `ms` (see the module note on groups)."""
+    K = ms.depth
+    if len({(p.rho.coeffs[:K], p.cs.coeffs[:K], p.cp.coeffs[:K])
+            for p in pluses}) > 1:
+        raise ValueError("a group's plus sides differ below the top coefficient")
+    zetas = {}
+    runs = [_ElasticRun(ms, p, zetas) for p in pluses]
+    # below depth 0 the plus sides share coefficient 0, so one interface
+    # serves the group
+    m6, sol = _interface(ms, runs if K == 0 else runs[:1])
+    s_inv_r = np.linalg.inv(ms.S["R"])
+    s_inv_t = np.linalg.inv(m6[:, :3, 3:])
+    reflected = ([], [], [])  # per column, filled by the first run
+    out = []
+    for i, run in enumerate(runs):
+        j = i if K == 0 else 0
+        cols = [_column(ms, run, q, m6[j], sol[j], (s_inv_r, s_inv_t[j]),
+                        reflected[q]) for q in (P, SV, SH)]
+        out.append([(np.column_stack([c[k][0] for c in cols]),
+                     np.column_stack([c[k][1] for c in cols]))
+                    for k in range(K + 1)])
+    return out
+
+
+def _column(ms: _MinusSide, run: _ElasticRun, q: int, m6, sol0, s_inv,
+            reflected):
+    """Symbol columns [(R_J[:, q], T_J[:, q]) for J = 0..-depth] of one
+    run.  The first run of a group records in `reflected` what the
+    reflected branch gives each step; the others read it, because the
+    group's reflected values agree at every order that fills it."""
+    K = ms.depth
+    channel = _channel(q)
+    incident = ms.incident[q]
+    ctx_r = (ms.ctx["R", "P"], ms.ctx["R", "S"])
+    ctx_t = (run.ctx["T", "P"], run.ctx["T", "S"])
+    first = not reflected
+    amp_r, amp_t = ({}, {}), ({}, {})
+    out = []
+    for step in range(K + 1):
+        J, d = -step, K - step
+        if step == 0:
+            w_r = w_t = (_ABSENT, _ABSENT)
+            x_r, x_t = sol0[:3, q].copy(), sol0[3:, q].copy()
+            val_r = np.zeros(3, dtype=complex)
+        else:
+            scales_i, checks_i, disp_i, trac_i = incident[step]
+            if first:
+                w_r, scales_r, checks_r = _branch_particular(ctx_r, amp_r, J,
+                                                             d)
+                reflected.append((scales_r, checks_r,
+                                  _jv_values(w_r[0]) + _jv_values(w_r[1]),
+                                  _branch_traction(ctx_r, w_r, amp_r, J)))
+            scales_r, checks_r, val_r, f_r = reflected[step - 1]
+            w_t, scales_t, checks_t = _branch_particular(ctx_t, amp_t, J, d)
+            amp_scale = 0.0
+            for s in scales_i + scales_r + scales_t:
+                amp_scale = max(amp_scale, s)
+            floor = 1e-12 * amp_scale * run.op_scale
+            for key, check in zip(_CHECK_KEYS,
+                                  checks_i + checks_r + checks_t):
+                _check_compatible(key, check, floor)
+        val_t = _jv_values(w_t[0]) + _jv_values(w_t[1])
+        if step > 0:
+            rhs6 = np.zeros(6, dtype=complex)
+            rhs6[:3] = disp_i + val_r - val_t
+            f_t = _branch_traction(ctx_t, w_t, amp_t, J)
+            rhs6[3:] = trac_i + f_r - f_t
+            sol = np.linalg.solve(m6, rhs6)
+            x_r, x_t = sol[:3], sol[3:]
+        if step < K:
+            if first:
                 _branch_fill(ctx_r, w_r, x_r, channel, amp_r, J, d)
-                _branch_fill(ctx_t, w_t, x_t, channel, amp_t, J, d)
-            out.append((x_r + s_inv["R"] @ val_r, x_t + s_inv["T"] @ val_t))
-        return out
+            _branch_fill(ctx_t, w_t, x_t, channel, amp_t, J, d)
+        out.append((x_r + s_inv[0] @ val_r, x_t + s_inv[1] @ val_t))
+    return out
 
 
 def forward_series_elastic(
@@ -761,9 +795,8 @@ def forward_series_elastic(
 ) -> list:
     """[(R_J, T_J) for J = 0..-depth] at one covector.
 
-    `geometry` is an InterfaceGeometry or None (flat).  The inversion
-    linearizes against the same two halves, `_MinusSide` and
-    `_ElasticRun`, and reuses each minus side it builds.
+    `geometry` is an InterfaceGeometry or None (flat): a group of one
+    plus side (see the module note).
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -775,8 +808,7 @@ def forward_series_elastic(
         raise DepthExceeded(
             f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
         )
-    return _ElasticRun(_MinusSide(cov, minus, geometry, depth, tol),
-                       plus).series()
+    return _group(_MinusSide(cov, minus, geometry, depth, tol), [plus])[0]
 
 
 def forward_symbols_elastic(cov: Covector, model: InterfaceModel, depth: int,
@@ -798,4 +830,4 @@ def principal_rt_matrices(cov: Covector, model: InterfaceModel,
     if not model.is_elastic:
         raise TypeError("elastic engine requires an elastic model")
     ms = _MinusSide(cov, model.minus.truncate(0), None, 0, tol)
-    return _ElasticRun(ms, model.plus.truncate(0)).order0_matrices()
+    return _order0(ms, [model.plus.truncate(0)])[0]

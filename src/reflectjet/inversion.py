@@ -38,6 +38,7 @@ from .errors import (
     AmbiguousRoot,
     ComplexCurvatures,
     DegenerateAngles,
+    DepthExceeded,
     IllConditioned,
     InconsistentData,
     MissingOrder,
@@ -270,13 +271,14 @@ def acoustic_recover_order0(samples, minus: AcousticSideJet,
     return values
 
 
-def _scan_roots(func, lo, hi, root_tol):
+def _scan_roots(func, lo, hi, root_tol, scan=None):
     """Roots of `func` on [lo, hi]: sign changes over a uniform grid,
-    refined by bracketed root finding; exact zeros on the grid count."""
+    refined by bracketed root finding; exact zeros on the grid count.
+    `scan(grid)`, if given, evaluates `func` on the whole grid at once."""
     from scipy.optimize import brentq
 
     grid = np.linspace(lo, hi, _ROOT_SCAN_POINTS)
-    values = [func(x) for x in grid]
+    values = scan(grid) if scan is not None else [func(x) for x in grid]
     roots = []
     for i in range(len(grid) - 1):
         if values[i] == 0.0:
@@ -344,15 +346,16 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
     solves for the principal curvatures, against `run(cov, geometry, k,
     deepest, pluses)`: the depth-k series at one covector of the base
     run and the unit perturbations of the design columns.  `deepest` is
-    the deepest order `geometry` serves.  The acoustic engine builds one
-    minus side per (covector, geometry) at that depth; the elastic engine
-    one per covector and order, as its check scales read every
-    coefficient.
+    the deepest order `geometry` serves.  Both engines run `pluses` as
+    one group on one minus side; the acoustic engine builds it once per
+    (covector, geometry) at that depth, the elastic engine once per
+    covector and order, as its check scales read every coefficient.
     """
     samples = _as_samples(samples)
     samples.require_orders(depth)
     if minus.depth < depth:
-        raise ValueError("minus-side jets shallower than requested depth")
+        raise DepthExceeded(
+            f"recovery depth {depth} exceeds minus-side depth {minus.depth}")
     n = len(fields)
     # a non-finite or degenerate sample set is rejected before any engine
     # work
@@ -618,35 +621,39 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
         )
 
     # one minus side per sample serves every cp that the scan and the
-    # misfit try
+    # misfit try, each as one depth-0 group
     minus0 = minus.truncate(0)
     minus_sides = [elastic._MinusSide(s.covector, minus0, None, 0,
                                       glancing_tol) for s in group]
 
-    def forward_r(cp, ms):
-        plus = ElasticSideJet(Jet([rho_plus]), Jet([cs_plus]), Jet([cp]))
-        return elastic._ElasticRun(ms, plus).order0_matrices()[0]
+    def forward_r(cps, ms):
+        pluses = [ElasticSideJet(Jet([rho_plus]), Jet([cs_plus]), Jet([cp]))
+                  for cp in cps]
+        return [r for r, _ in elastic._order0(ms, pluses)]
 
     # smallest |b|: P-P entry is monotone in impedance there
     probe = minus_sides[0]
     meas = np.asarray(group[0].value, dtype=complex)
 
-    def gap(cp):
-        return float((forward_r(cp, probe) - meas)[0, 0].real)
+    def gaps(cps):
+        return [float((r - meas)[0, 0].real) for r in forward_r(cps, probe)]
 
-    roots = _scan_roots(gap, cp_lo, cp_hi, root_tol)
+    # the grid as Python floats, whose arithmetic is faster than numpy's
+    # scalars and gives the same bits
+    roots = _scan_roots(lambda cp: gaps([cp])[0], cp_lo, cp_hi, root_tol,
+                        scan=lambda grid: gaps(grid.tolist()))
     if not roots:
         raise NoRoot("no compressional speed matches the P-P reflection")
 
-    def total_misfit(cp):
-        err = 0.0
-        for s, ms in zip(group, minus_sides):
-            err += float(np.linalg.norm(
-                forward_r(cp, ms) - np.asarray(s.value, dtype=complex)))
-        return err
-
-    best = min(roots, key=total_misfit)
-    misfit = total_misfit(best)
+    # the misfit of every root over all samples, accumulated sample by
+    # sample in sample order
+    misfits = [0.0] * len(roots)
+    for s, ms in zip(group, minus_sides):
+        value = np.asarray(s.value, dtype=complex)
+        for i, r in enumerate(forward_r(roots, ms)):
+            misfits[i] += float(np.linalg.norm(r - value))
+    i_best = min(range(len(roots)), key=misfits.__getitem__)
+    best, misfit = roots[i_best], misfits[i_best]
     if not misfit <= max(residual_tol, 1e3 * root_tol) * max(1.0, len(group)):
         raise InconsistentData(
             f"order-0 elastic matrices disagree with the recovered parameters "
@@ -673,7 +680,7 @@ def elastic_recover_jets(samples, minus: ElasticSideJet, depth: int,
     from . import elastic
 
     if depth > elastic.ELASTIC_DEPTH_CAP:
-        raise ValueError(
+        raise DepthExceeded(
             f"elastic recovery depth is capped at {elastic.ELASTIC_DEPTH_CAP}"
         )
 
@@ -685,7 +692,7 @@ def elastic_recover_jets(samples, minus: ElasticSideJet, depth: int,
 
     def run(cov, gm, k, deepest, pluses):
         ms = elastic._MinusSide(cov, minus.truncate(k), gm, k, glancing_tol)
-        return [elastic._ElasticRun(ms, p).series() for p in pluses]
+        return elastic._group(ms, pluses)
 
     return _recover_jets(samples, minus, depth, geometry, ElasticSideJet,
                          ("cs", "cp", "rho"), order0, run,

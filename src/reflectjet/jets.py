@@ -46,11 +46,32 @@ def _leibniz_terms(n: int):
     return terms
 
 
-# The recurrences below accumulate in explicit loops rather than with
-# sum() over a generator: the jets are short, so the generator's set-up
-# cost dominated.  Each loop starts from the integer 0 and adds the terms
-# in index order, the same operations as sum() performs up to Python 3.11
-# (3.12 compensates float sums).
+# Products, sums and scalings run straight-line kernels, one per jet
+# length, made on that length's first use.  Each spells out the loop's
+# expression `0 + C*a[i]*b[j] + ...` in index order, so every rounding
+# and signed zero is the loop's.  The recurrences of `jet_inv`, `jet_log`
+# and `jet_exp` accumulate in explicit loops of the same form: the
+# operations sum() performs up to Python 3.11 (3.12 compensates float
+# sums), without a generator's set-up cost, which dominated on short jets.
+
+
+class _Kernels(dict):
+    """Kernels keyed by jet length, each made on its first use;
+    `coeff(n, k)` is coefficient k's expression in the arguments a, b."""
+
+    def __init__(self, coeff):
+        self.coeff = coeff
+
+    def __missing__(self, n):
+        body = ", ".join(self.coeff(n, k) for k in range(n))
+        kernel = self[n] = eval(f"lambda a, b: ({body},)")
+        return kernel
+
+
+_MUL = _Kernels(lambda n, k: " + ".join(
+    ["0"] + [f"{c}*a[{i}]*b[{j}]" for c, i, j in _leibniz_terms(n)[k]]))
+_ADD = _Kernels(lambda n, k: f"a[{k}] + b[{k}]")
+_SCALE = _Kernels(lambda n, k: f"b * a[{k}]")  # b is the scalar
 
 
 class Jet:
@@ -146,23 +167,18 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     ac, bc = a.coeffs, b.coeffs
     if len(ac) != len(bc):
         _check_depths(a, b)  # raises
-    out = []
-    for terms in _leibniz_terms(len(ac)):
-        acc = 0
-        for c, i, j in terms:
-            acc += c * ac[i] * bc[j]
-        out.append(acc)
-    return _jet(tuple(out))
+    return _jet(_MUL[len(ac)](ac, bc))
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
-    if len(a.coeffs) != len(b.coeffs):
+    ac, bc = a.coeffs, b.coeffs
+    if len(ac) != len(bc):
         _check_depths(a, b)  # raises
-    return _jet(tuple([x + y for x, y in zip(a.coeffs, b.coeffs)]))
+    return _jet(_ADD[len(ac)](ac, bc))
 
 
 def jet_scale(a: Jet, s) -> Jet:
-    return _jet(tuple([s * x for x in a.coeffs]))
+    return _jet(_SCALE[len(a.coeffs)](a.coeffs, s))
 
 
 def jet_inv(a: Jet) -> Jet:

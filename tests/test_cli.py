@@ -150,6 +150,32 @@ def test_invert_missing_order_exit3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("case", ["elastic_over_cap", "shallow_minus"])
+def test_invert_depth_beyond_jets_exit3(tmp_path, capsys, case):
+    # a recovery deeper than the elastic cap, or than the minus-side jets,
+    # is a DepthExceeded with one message line, not a traceback
+    if case == "elastic_over_cap":
+        model = symbols_model = _write_model(tmp_path, ELASTIC_MODEL)
+        extra = ["--depth", "3"]
+    else:
+        symbols_model = _write_model(tmp_path, ACOUSTIC_MODEL)
+        model = _write_model(tmp_path, {
+            "minus": {"rho_jet": [1.0], "cs_jet": [1.0]},
+            "plus": {"rho_jet": [1.0], "cs_jet": [2.0]}}, "shallow.json")
+        extra = []
+    sym = tmp_path / "sym.csv"
+    assert main(["forward", "--model", symbols_model, "--out", str(sym),
+                 "--grid", "0,0.15,0.3"]) == 0
+    rc = main(["invert", "--model", model, "--symbols", str(sym),
+               "--out", str(tmp_path / "rec.json"), "--known-geometry"]
+              + extra)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: DepthExceeded: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_invert_deduplicates_rows(tmp_path):
     model = _write_model(tmp_path, ACOUSTIC_MODEL)
     sym = tmp_path / "sym.csv"

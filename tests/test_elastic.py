@@ -153,9 +153,13 @@ def test_every_check_runs_in_every_channel(rng, monkeypatch):
     ms = elastic._MinusSide(cov, model.minus, None, 2, GLANCING_TOL)
     for _ in range(2):
         keys.clear()
-        elastic._ElasticRun(ms, model.plus).series()
+        elastic._group(ms, [model.plus])[0]
         # 3 columns (P, SV, SH) times steps 1 and 2
         assert keys == list(elastic._CHECK_KEYS) * 3 * 2
+    # so does every member of a group that shares the reflected cascade
+    keys.clear()
+    elastic._group(ms, _unit_group(model.plus, 2))
+    assert keys == list(elastic._CHECK_KEYS) * 3 * 2 * 4
 
 
 def test_sh_channel_equals_acoustic_engine(rng):
@@ -267,6 +271,61 @@ def _as_lists(series):
     return [(r.tolist(), t.tolist()) for r, t in series]
 
 
+def _unit_group(plus, depth, tops=(0.0, 1.0)):
+    """The plus sides of a recovery order: `plus` below coefficient
+    `depth`, with the top coefficients zero (the base side) and in turn
+    each field's top set to each nonzero value of `tops`."""
+    fields = ("rho", "cs", "cp")
+
+    def side(top):
+        return ElasticSideJet(*(Jet(getattr(plus, f).coeffs[:depth] + (t,))
+                                for f, t in zip(fields, top)))
+
+    return [side((0.0, 0.0, 0.0))] + [
+        side(tuple(t if f == g else 0.0 for g in fields))
+        for f in fields for t in tops if t != 0.0]
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_group_equals_separate_runs(rng, curved):
+    # a group shares the interface, the reflected cascade and the zeta
+    # jets between its plus sides; every output keeps the bits of a
+    # separate run, signed zeros included (compared by repr)
+    geometry = InterfaceGeometry(0.7, -0.4) if curved else None
+    for depth in (0, 1, 2):
+        model = _pair(rng, depth=2)
+        if depth == 0:
+            pluses = [model.plus] + [_pair(rng, depth=2).plus
+                                     for _ in range(3)]
+        else:
+            pluses = _unit_group(model.plus, depth, (0.0, 1.0, -0.3))
+        b_crit = 1.0 / max(model.speeds() + tuple(
+            s for p in pluses for s in p.speeds))
+        for frac in (0.0, 0.5, 0.999):
+            cov = Covector(1.0, (0.8 * frac * b_crit, 0.6 * frac * b_crit))
+            ms = elastic._MinusSide(cov, model.minus, geometry, depth,
+                                    GLANCING_TOL)
+            group = elastic._group(ms, pluses)
+            separate = [elastic._group(ms, [p])[0] for p in pluses]
+            fresh = [forward_series_elastic(cov, model.minus, p, geometry,
+                                            depth) for p in pluses]
+            assert (repr([_as_lists(s) for s in group])
+                    == repr([_as_lists(s) for s in separate])
+                    == repr([_as_lists(s) for s in fresh]))
+
+
+def test_group_rejects_plus_sides_differing_below_top(rng):
+    model = _pair(rng, depth=2)
+    cov = Covector(1.0, (0.4 * model.critical_slowness(), 0.1))
+    ms = elastic._MinusSide(cov, model.minus, None, 2, GLANCING_TOL)
+    pluses = _unit_group(model.plus, 2)
+    cp = list(pluses[1].cp.coeffs)
+    cp[1] = math.nextafter(cp[1], math.inf)  # one ulp off below the top
+    pluses[1] = ElasticSideJet(pluses[1].rho, pluses[1].cs, Jet(cp))
+    with pytest.raises(ValueError, match="below the top"):
+        elastic._group(ms, pluses)
+
+
 @pytest.mark.parametrize("curved", [False, True])
 def test_reused_minus_side_changes_nothing(rng, curved):
     # a minus side reused after other plus sides gives exactly what a
@@ -283,8 +342,8 @@ def test_reused_minus_side_changes_nothing(rng, curved):
         ms = elastic._MinusSide(cov, model.minus, geometry, depth,
                                 GLANCING_TOL)
         for plus in others:
-            elastic._ElasticRun(ms, plus).series()
-        reused = elastic._ElasticRun(ms, model.plus).series()
+            elastic._group(ms, [plus])[0]
+        reused = elastic._group(ms, [model.plus])[0]
         assert _as_lists(reused) == _as_lists(fresh)
 
 
@@ -297,7 +356,7 @@ def test_incident_incompatibility_raises_fresh_and_reused(rng, monkeypatch):
         return forward_series_elastic(cov, model.minus, model.plus, None, 1)
 
     def reused():
-        return elastic._ElasticRun(ms, model.plus).series()
+        return elastic._group(ms, [model.plus])[0]
 
     with monkeypatch.context() as patch:
         # a negative relative tolerance: no right-hand side is compatible

@@ -21,6 +21,7 @@ from reflectjet.errors import (
     DegenerateAngles,
     InconsistentData,
     MissingOrder,
+    SingularInterfaceSystem,
 )
 from reflectjet.inversion import (
     SymbolSample,
@@ -445,6 +446,62 @@ def test_r33_alone_determines_rho_cs(rng):
         mu_minus, model.minus.cs[0], 1e-8)
     assert cs_plus == pytest.approx(model.plus.cs[0], rel=1e-9)
     assert rho_plus == pytest.approx(model.plus.rho[0], rel=1e-9)
+
+
+def _scan_pluses(monkeypatch, samples, minus):
+    """The probe minus side and the plus sides of the order-0 cp scan,
+    recorded from its one stacked call."""
+    calls = []
+    real = elastic._order0
+
+    def record(ms, pluses):
+        calls.append((ms, list(pluses)))
+        return real(ms, pluses)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(elastic, "_order0", record)
+        elastic_recover_order0(samples, minus)
+    assert len(calls[0][1]) == 96
+    return calls[0]
+
+
+def _scalar_interface(ms, plus):
+    """The 6x6 matrix of one plus side, its condition number and its
+    order-0 solution, each from a call on that matrix alone."""
+    m6 = elastic._interface(ms, [elastic._ElasticRun(ms, plus, {})])[0][0]
+    return np.linalg.cond(m6), np.linalg.solve(m6, ms.order0_rhs)
+
+
+def test_cp_scan_stacked_equals_scalar(monkeypatch):
+    model = random_elastic_model(np.random.default_rng(5), 0)
+    samples = _elastic_samples(model, hyperbolic_grid(model, 5), 0)
+    probe, pluses = _scan_pluses(monkeypatch, samples, model.minus)
+    meas = np.asarray(samples.at_order(0)[0].value, dtype=complex)
+    stacked = elastic._order0(probe, pluses)
+    for plus, (r0, t0) in zip(pluses, stacked):
+        _, sol = _scalar_interface(probe, plus)
+        assert repr(r0.tolist()) == repr(sol[:3].tolist())
+        assert repr(t0.tolist()) == repr(sol[3:].tolist())
+        gap = float((sol[:3] - meas)[0, 0].real)
+        assert repr(float((r0 - meas)[0, 0].real)) == repr(gap)
+
+
+def test_cp_scan_singular_point_raises_as_scalar(monkeypatch):
+    # the stacked check raises for the first singular point in scan
+    # order, with the condition number a call on that matrix alone gives
+    model = random_elastic_model(np.random.default_rng(5), 0)
+    samples = _elastic_samples(model, hyperbolic_grid(model, 5), 0)
+    probe, pluses = _scan_pluses(monkeypatch, samples, model.minus)
+    conds = [_scalar_interface(probe, p)[0] for p in pluses]
+    mid = len(conds) // 2
+    limit = max(conds[:mid])
+    assert conds[mid] > limit
+    monkeypatch.setattr(elastic, "_COND_LIMIT", limit)
+    with pytest.raises(SingularInterfaceSystem) as err:
+        elastic_recover_order0(samples, model.minus)
+    assert str(err.value) == ("elastic interface system is singular "
+                              f"(cond={conds[mid]:.3e})")
+    assert repr(err.value.condition) == repr(conds[mid])
 
 
 def test_elastic_jets_round_trip_depth1(rng):

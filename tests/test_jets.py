@@ -4,6 +4,7 @@ with independent differentiation oracles."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,3 +257,48 @@ def test_derivative_commutes_with_truncation(case):
     d, (a,) = case
     assert (repr(jet_derivative(a).truncate(d - 1))
             == repr(jet_derivative(a.truncate(d))))
+
+
+# --- straight-line kernels against the loops they replace --------------------
+
+
+def _loop_mul(a, b):
+    """The Leibniz loop: coefficient k is 0 + C(k,j)*a[j]*b[k-j] + ...,
+    accumulated in j order."""
+    out = []
+    for k in range(len(a)):
+        acc = 0
+        for j in range(k + 1):
+            acc += math.comb(k, j) * a[j] * b[k - j]
+        out.append(acc)
+    return tuple(out)
+
+
+# signed zeros, and infinities, which tell `1*a*b` from `a*b` for
+# complex a
+_EDGE = st.sampled_from([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0),
+                         complex(-0.0, -0.0), math.inf, -math.inf,
+                         complex(math.inf, 0.0), complex(0.0, -math.inf)])
+_KERNEL_COEFF = st.one_of(_COEFF, _EDGE, st.builds(np.float64, _REAL))
+
+
+@st.composite
+def _kernel_jets(draw):
+    """Two jets of one length in 1..8 and a scalar."""
+    n = draw(st.integers(1, 8))
+    a, b = (draw(st.lists(_KERNEL_COEFF, min_size=n, max_size=n))
+            for _ in range(2))
+    return Jet(a), Jet(b), draw(_KERNEL_COEFF)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_kernel_jets())
+def test_kernels_equal_loops(case):
+    a, b, s = case
+    ac, bc = a.coeffs, b.coeffs
+    with np.errstate(all="ignore"):  # inf * 0 in numpy scalars
+        assert repr(jet_mul(a, b).coeffs) == repr(_loop_mul(ac, bc))
+        assert repr(jet_add(a, b).coeffs) == repr(
+            tuple([x + y for x, y in zip(ac, bc)]))
+        assert repr(jet_scale(a, s).coeffs) == repr(
+            tuple([s * x for x in ac]))

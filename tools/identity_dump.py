@@ -12,6 +12,9 @@ bit for bit as they were:
   directions;
 * the `repr` of recovery reports without `timings`, with the geometry
   known and recovered;
+* the `repr` of `elastic_recover_order0` results, the order-0 `cp`
+  scan among them, for several seeds, and for data whose P-P entry no
+  `cp` matches (`NoRoot`);
 * the bytes of `reflectjet forward` CSVs and of `reflectjet invert` JSON
   without `timings`, written in a temporary directory.
 
@@ -32,9 +35,11 @@ import numpy as np
 from reflectjet import acoustic, elastic
 from reflectjet.cli import main as cli_main
 from reflectjet.inversion import (
+    SymbolSample,
     SymbolSamples,
     acoustic_recover_jets,
     elastic_recover_jets,
+    elastic_recover_order0,
 )
 from reflectjet.medium import Covector
 from reflectjet.modelio import model_to_dict
@@ -121,6 +126,21 @@ def dump_recovery(out):
                 out(f"{recover.__name__} {label} known={known}: {report}")
 
 
+def dump_order0(out):
+    for seed in range(8):
+        model = random_elastic_model(np.random.default_rng(seed), 0)
+        samples = [SymbolSample(c, 0, elastic.principal_rt_matrices(c, model)[0])
+                   for c in _grid(model, 6)]
+        result = _attempt(elastic_recover_order0, samples, model.minus)
+        out(f"elastic_recover_order0 seed={seed}: {result!r}")
+        # a P-P entry at the probe (the smallest |b|) that no cp reaches
+        value = samples[0].value.copy()
+        value[0, 0] = 0.999
+        samples[0] = SymbolSample(samples[0].covector, 0, value)
+        result = _attempt(elastic_recover_order0, samples, model.minus)
+        out(f"elastic_recover_order0 seed={seed} perturbed: {result!r}")
+
+
 def _cli(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -167,7 +187,7 @@ def dump_cli(out):
 def main():
     # every float of an array in full: the shortest repr that round-trips
     np.set_printoptions(floatmode="unique")
-    for dump in (dump_forward, dump_recovery, dump_cli):
+    for dump in (dump_forward, dump_recovery, dump_order0, dump_cli):
         dump(print)
 
 
