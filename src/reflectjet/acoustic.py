@@ -40,6 +40,13 @@ length, so a minus side built deeper serves every lower depth with the
 same bits.  A group's plus sides must agree below their top coefficients
 (else ValueError); then their orders 0..-(depth-1) agree, and they share
 the reflected amplitude jets and, per distinct cs jet, cs^2 and zeta.
+Each half replays a tape (`reflectjet.tape`) of its body's scalar
+operations.  A class key holds the depth, the depth the minus side was
+built at, flat or curved, the number of plus sides and which share a cs
+jet, and the type of every input scalar; the first call of a class
+records it.  Every comparison the body makes (`jet_inv`'s zero test,
+`jet_log`'s positivity test, the regime test) is a guard of the tape; on
+a miss the body runs and raises its own error.
 """
 
 from __future__ import annotations
@@ -159,9 +166,14 @@ def _zeta_jet(speed: float, cs2: Jet, tau: float, stretch: Jet,
     normal line (constant |xi'|^2 for a flat interface, the shape-
     operator spreading profile otherwise).
     """
-    # Regime check on the interface value before the jet square root.
-    vertical_wavenumber(Covector(tau, (math.sqrt(stretch[0]), 0.0)),
-                        speed, tol)
+    # Regime check on the interface value before the jet square root:
+    # `vertical_wavenumber`'s tests by its arithmetic (hypot(x, 0) is x),
+    # which a tape records; a covector that fails them raises there.
+    xi_norm = math.sqrt(stretch[0])
+    scale = tau ** 2 / speed ** 2 if speed > 0 else 0.0
+    zeta2 = scale - xi_norm ** 2
+    if not (zeta2 > tol * scale and zeta2 >= 0):
+        vertical_wavenumber(Covector(tau, (xi_norm, 0.0)), speed, tol)
     radicand = (jet_scale(jet_inv(cs2), tau * tau)
                 - stretch.truncate(cs2.depth))
     return jet_sqrt(radicand)
@@ -173,10 +185,19 @@ def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
     and reflected branch states and the incident amplitude jets of every
     order: all that does not depend on the plus side.  `_group` runs plus
     sides on it at this depth or any lower one."""
+    from .tape import _replay  # loaded on first use, not at import
+
     h, stretch = curvature_jets(cov, geometry, depth)
-    rho, cs = minus.rho.truncate(depth), minus.cs.truncate(depth)
+    args = (cov.tau, tol, h, stretch, minus.rho.truncate(depth),
+            minus.cs.truncate(depth))
+    return (cov, tol, h, stretch) + _replay(_minus_body, (depth,), args,
+                                            h is None)
+
+
+def _minus_body(depth, tau, tol, h, stretch, rho, cs):
+    """The branch states and incident amplitude jets of `_minus_side`."""
     cs2 = jet_mul(cs, cs)
-    z_minus = _zeta_jet(cs[0], cs2, cov.tau, stretch, tol)
+    z_minus = _zeta_jet(cs[0], cs2, tau, stretch, tol)
     br_i = _branch_state(rho, cs2, z_minus, h, depth)
     br_r = _branch_state(rho, cs2, jet_scale(z_minus, -1.0), h, depth)
     amp_i = [_fill(1.0 + 0.0j, br_i, None, depth)]
@@ -185,8 +206,7 @@ def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
         d = depth - k
         s_i = _wave_operator_source(br_i, amp_i[-1], h_coeffs, d)
         amp_i.append(_fill(0.0j, br_i, s_i, d))
-    return (cov, tol, h, stretch, br_i, br_r,
-            tuple(tuple(a) for a in amp_i))
+    return br_i, br_r, tuple(tuple(a) for a in amp_i)
 
 
 def forward_series(
@@ -216,21 +236,35 @@ def forward_series(
 def _group(minus_side, depth: int, pluses) -> list:
     """`forward_series` at `depth` for each of `pluses`, on a minus side
     built at `depth` or deeper (see the module note)."""
+    from .tape import _replay
+
     cov, tol, h, stretch, br_i, br_r, amp_i = minus_side
     if len({(p.rho.coeffs[:depth], p.cs.coeffs[:depth]) for p in pluses}) > 1:
         raise ValueError("a group's plus sides differ below the top coefficient")
+    sides = tuple((p.rho.truncate(depth), p.cs.truncate(depth))
+                  for p in pluses)
+    first = {}  # cs coefficients -> the first plus side with them
+    share = tuple(first.setdefault(cs.coeffs, i)
+                  for i, (_, cs) in enumerate(sides))
+    return _replay(_group_body, (depth, share),
+                   (cov.tau, tol, h, stretch, br_i, br_r, amp_i, sides),
+                   (len(amp_i), h is None))
+
+
+def _group_body(depth, share, tau, tol, h, stretch, br_i, br_r, amp_i,
+                sides):
+    """`_group`'s series of the plus sides' (rho, cs) jets in `sides`;
+    plus side i shares cs^2 and zeta with plus side share[i]."""
     h_coeffs = h.coeffs if h is not None else None
     mu_m = br_i.mu[0]
-    zetas = {}   # cs coefficients -> (cs^2, zeta)
+    zetas = {}   # first plus side with these cs coefficients -> (cs^2, zeta)
     amp_r = []   # reflected amplitude jets, filled on the first run
     out = []
-    for plus in pluses:
-        cs = plus.cs.truncate(depth)
-        if cs.coeffs not in zetas:
+    for (rho, cs), first in zip(sides, share):
+        if first not in zetas:
             cs2 = jet_mul(cs, cs)
-            zetas[cs.coeffs] = cs2, _zeta_jet(cs[0], cs2, cov.tau, stretch, tol)
-        br_t = _branch_state(plus.rho.truncate(depth), *zetas[cs.coeffs], h,
-                             depth)
+            zetas[first] = cs2, _zeta_jet(cs[0], cs2, tau, stretch, tol)
+        br_t = _branch_state(rho, *zetas[first], h, depth)
         mu_p = br_t.mu[0]
         denom = mu_m * br_i.zeta0 + mu_p * br_t.zeta0
         r0 = (mu_m * br_i.zeta0 - mu_p * br_t.zeta0) / denom

@@ -53,6 +53,7 @@ def _leibniz_terms(n: int):
 # and `jet_exp` accumulate in explicit loops of the same form: the
 # operations sum() performs up to Python 3.11 (3.12 compensates float
 # sums), without a generator's set-up cost, which dominated on short jets.
+# The kernels serve the elastic engine; the acoustic one replays tapes.
 
 
 class _Kernels(dict):

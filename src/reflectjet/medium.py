@@ -43,6 +43,8 @@ class AcousticSideJet:
             raise ValueError("density must be positive at the interface")
         if not self.cs[0] > 0:
             raise ValueError("wave speed must be positive at the interface")
+        if not all(map(math.isfinite, self.rho.coeffs + self.cs.coeffs)):
+            raise ValueError("rho and cs jets must be finite")
 
     @property
     def depth(self) -> int:
@@ -77,6 +79,9 @@ class ElasticSideJet:
                 f"cp^2 = {self.cp[0]**2:.6g} must exceed (4/3) cs^2 = "
                 f"{(4.0/3.0)*self.cs[0]**2:.6g}"
             )
+        coeffs = self.rho.coeffs + self.cs.coeffs + self.cp.coeffs
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError("rho, cs and cp jets must be finite")
 
     @property
     def depth(self) -> int:
@@ -140,6 +145,8 @@ class Covector:
         if self.tau == 0.0:
             raise ValueError("tau must be nonzero")
         object.__setattr__(self, "xi", (float(self.xi[0]), float(self.xi[1])))
+        if not all(map(math.isfinite, (self.tau,) + self.xi)):
+            raise ValueError("tau and xi must be finite")
 
     @property
     def xi_norm(self) -> float:

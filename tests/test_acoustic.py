@@ -1,10 +1,14 @@
 """Acoustic symbol engine: worked coefficients, an independently derived
 order -1 closed form, flux conservation, homogeneity, curvature terms."""
 
+import itertools
 import math
+import operator
 
+import numpy as np
 import pytest
 
+from reflectjet import acoustic, tape
 from reflectjet.acoustic import (
     _group,
     _minus_side,
@@ -239,3 +243,148 @@ def test_group_checks_its_contract(rng):
                                  plus.cs[2])))
     with pytest.raises(ValueError, match="below the top"):
         _group(ms, 2, [plus, below])
+
+
+# --- tapes ---------------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """`repr` of fn(*args), or the type and message of its error."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _by_source(fn, *args):
+    """`_outcome` with the engine halves running their source bodies."""
+    taped = tape._replay
+    tape._replay = lambda body, static, args, shape: body(*static, *args)
+    try:
+        return _outcome(fn, *args)
+    finally:
+        tape._replay = taped
+
+
+def _typed(side, kind):
+    """`side` with float coefficients (as the CLI reads them), np.float64
+    ones (as `sampling` makes them), or the two alternating."""
+    def jet(coeffs, odd):
+        return Jet([np.float64(c) if kind == "float64"
+                    or kind == "mixed" and (i + odd) % 2 else float(c)
+                    for i, c in enumerate(coeffs)])
+
+    return AcousticSideJet(jet(side.rho, 0), jet(side.cs, 1))
+
+
+def _replays_only(monkeypatch):
+    """Every class recorded so far has a tape, and a guard that misses in
+    it fails the test instead of running the body."""
+    def strict(run):
+        def replay(values):
+            try:
+                return run(values)
+            except tape._Miss:
+                raise AssertionError("a guard missed: the body ran") from None
+        return replay
+
+    for _, runs in tape._TAPES.values():
+        for types, run in list(runs.items()):
+            assert run is not tape._miss
+            monkeypatch.setitem(runs, types, strict(run))
+
+
+@pytest.mark.parametrize("kind", ["float", "float64", "mixed"])
+@pytest.mark.parametrize("curved", [False, True])
+def test_tape_equals_source(rng, monkeypatch, curved, kind):
+    # every class of minus side and group replays the source's own bits:
+    # depths 0-4, minus sides built deeper, groups of 1-4 plus sides with
+    # shared and distinct cs jets and -0.0 tops, b up to 0.999 b_crit;
+    # the second round runs on the tapes alone
+    model = random_acoustic_model(rng, 4, curved=curved)
+    minus, plus = _typed(model.minus, kind), _typed(model.plus, "mixed")
+    b_crit = model.critical_slowness()
+    covs = [Covector(1.0, (0.0, -0.0)), Covector(1.0, (0.6 * b_crit, 0.0)),
+            Covector(1.0, (0.999 * 0.6 * b_crit, 0.999 * 0.8 * b_crit))]
+    for replayed in (False, True):
+        if replayed:
+            _replays_only(monkeypatch)
+        for depth in range(5):
+            if depth:
+                pluses = [_with_top(plus, depth, r, c) for r, c in
+                          ((-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0))]
+            else:
+                pluses = [AcousticSideJet(Jet([2.0 * plus.rho[0]]),
+                                          plus.cs.truncate(0))]
+            pluses.append(plus.truncate(depth))
+            for cov, built in itertools.product(covs, {depth, 4}):
+                args = (cov, minus, model.geometry, built, GLANCING_TOL)
+                taped = _minus_side(*args)
+                assert repr(taped) == _by_source(_minus_side, *args)
+                for n in range(1, len(pluses) + 1):
+                    group = (taped, depth, pluses[:n])
+                    assert (_outcome(_group, *group)
+                            == _by_source(_group, *group))
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_tape_errors_are_the_sources(rng, monkeypatch, curved):
+    # glancing and evanescent covectors raise the source's error whether
+    # their class is being recorded or replayed, in the minus side and in
+    # the group (the slower side swapped), and valid covectors of the
+    # class replay afterwards
+    model = random_acoustic_model(rng, 2, curved=curved)
+    for minus, plus in ((model.minus, model.plus), (model.plus, model.minus)):
+        monkeypatch.setattr(tape, "_TAPES", {})
+        bad = [Covector(1.0, (f * 0.6 / c, f * 0.8 / c)) for f in (1.0, 1.01)
+               for c in (minus.cs[0], plus.cs[0])]
+        good = Covector(1.0, (0.3 * model.critical_slowness(), 0.0))
+        args = (minus, plus, model.geometry, 2)
+        for cov in bad + [good] + bad + [good]:
+            outcome = _outcome(forward_series, cov, *args)
+            assert outcome == _by_source(forward_series, cov, *args)
+            assert outcome.startswith(("GlancingError: ", "EvanescentError: ",
+                                       "[("))
+    ms = _minus_side(good, minus, model.geometry, 2, GLANCING_TOL)
+    below = _with_top(plus, 1, 1.0, 1.0).truncate(2)
+    outcome = _outcome(_group, ms, 2, [plus, below])
+    assert outcome == _by_source(_group, ms, 2, [plus, below])
+    assert outcome.startswith("ValueError: ")
+
+    _replays_only(monkeypatch)
+    assert (repr(forward_series(good, *args))
+            == _by_source(forward_series, good, *args))
+
+
+@pytest.mark.parametrize("value", [1.5, np.float64(-0.0), 1.5 - 0.5j])
+def test_tape_escapes_raise_at_record_time(value):
+    var = tape._Recording().var(value)
+    stand_in = tape._STAND_INS["complex"]
+    assert isinstance(var, stand_in) == isinstance(value, complex)
+    for escape in (float, bool, hash, complex, operator.index, round,
+                   lambda x: f"{x:.3g}"):
+        with pytest.raises(tape._Escape):
+            escape(var)
+
+
+def test_tape_of_escaping_body_runs_the_body(monkeypatch):
+    monkeypatch.setattr(tape, "_TAPES", {})
+    assert tape._replay(lambda x: float(x) * 2.0, (), (1.5,), ()) == 3.0
+    [(_, runs)] = tape._TAPES.values()
+    assert list(runs.values()) == [tape._miss]
+
+
+def test_long_tape_replays_across_chunks():
+    # values made early and used late pass through every chunk, and a
+    # guard that disagrees in a late chunk hands over to the source
+    def source(xs):
+        acc = xs[0]
+        for i in range(3 * tape._CHUNK):
+            acc = acc * 0.5 + xs[i % 4]
+            if i % 100 == 99 and acc > 1.0:
+                acc = acc - 1.0
+        return acc, xs[1], [xs[2] * acc]
+
+    for xs in ((0.1, 0.2, 0.3, 0.4), (0.1, 0.2, 0.3, 0.6),
+               (0.1, 0.2, 0.3, 0.4)):
+        assert repr(tape._replay(source, (), (xs,), ())) == repr(source(xs))

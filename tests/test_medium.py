@@ -111,6 +111,27 @@ def test_side_invariants():
         AcousticSideJet(Jet([1.0, 0.0]), Jet([1.0]))
 
 
+def test_non_finite_side_jets_rejected():
+    # such sides once gave NaN symbols without an error
+    ok = Jet([1.0, 0.1])
+    for rho, cs in ((Jet([1.0, math.nan]), ok), (ok, Jet([1.0, math.inf])),
+                    (Jet([math.inf, 0.1]), ok), (ok, Jet([1.0, -math.inf]))):
+        with pytest.raises(ValueError, match="must be finite"):
+            AcousticSideJet(rho, cs)
+    for cs, cp in ((ok, Jet([2.0, math.nan])), (ok, Jet([math.inf, 0.1])),
+                   (Jet([1.0, math.inf]), Jet([2.0, 0.1]))):
+        with pytest.raises(ValueError, match="must be finite"):
+            ElasticSideJet(ok, cs, cp)
+
+
+def test_non_finite_covector_rejected():
+    # a NaN once reached classify_regime and read as glancing
+    for tau, xi in ((math.nan, (0.1, 0.0)), (math.inf, (0.1, 0.0)),
+                    (1.0, (math.nan, 0.0)), (1.0, (0.0, -math.inf))):
+        with pytest.raises(ValueError, match="must be finite"):
+            Covector(tau, xi)
+
+
 def test_model_validation():
     a = AcousticSideJet(Jet([1.0]), Jet([1.0]))
     e = ElasticSideJet(Jet([1.0]), Jet([1.0]), Jet([2.0]))

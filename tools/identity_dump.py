@@ -8,8 +8,11 @@ bit for bit as they were:
 
 * the `repr` of `acoustic.forward_series` (depths 0-4) and of
   `elastic.forward_series_elastic` (depths 0-2), for flat and curved
-  random models, at slownesses from 0 to near glancing along three
-  directions;
+  random models, with `sampling`'s np.float64 coefficients and with the
+  plain floats a model JSON gives, at slownesses from 0 to near glancing,
+  at the critical slowness and past it, along three directions;
+* the `repr` of acoustic groups of 1-4 plus sides whose top coefficients
+  are -0.0 or 1.0, on minus sides built at the group's depth and deeper;
 * the `repr` of recovery reports without `timings`, with the geometry
   known and recovered;
 * the `repr` of `elastic_recover_order0` results, the order-0 `cp`
@@ -19,7 +22,7 @@ bit for bit as they were:
   without `timings`, written in a temporary directory.
 
 An exception is printed as its type and message, so it is compared too.
-A dump takes about 15 s on one core.
+A dump takes about 17 s on one core.
 """
 
 from __future__ import annotations
@@ -41,11 +44,13 @@ from reflectjet.inversion import (
     elastic_recover_jets,
     elastic_recover_order0,
 )
-from reflectjet.medium import Covector
-from reflectjet.modelio import model_to_dict
+from reflectjet.jets import Jet
+from reflectjet.medium import GLANCING_TOL, AcousticSideJet, Covector
+from reflectjet.modelio import model_from_dict, model_to_dict
 from reflectjet.sampling import random_acoustic_model, random_elastic_model
 
-FRACTIONS = (0.0, 0.3, 0.6, 0.9, 0.99, 0.999)  # of the critical slowness
+# of the critical slowness: glancing at 1.0, evanescent at 1.01
+FRACTIONS = (0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0, 1.01)
 DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8))
 SEEDS = (0, 1, 2, 3)
 
@@ -97,17 +102,50 @@ def _models(make, depths):
                 yield f"seed={seed} depth={depth} curved={curved}", model
 
 
+def _as_floats(model):
+    """`model` with the plain float coefficients the CLI reads from JSON."""
+    return model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+
+
 def dump_forward(out):
     engines = ((acoustic.forward_series, random_acoustic_model, range(5)),
                (elastic.forward_series_elastic, random_elastic_model,
                 range(3)))
     for forward, make, depths in engines:
-        for label, model in _models(make, depths):
-            depth = model.depth
-            for cov in _covectors(model):
-                series = _attempt(forward, cov, model.minus, model.plus,
-                                  model.geometry, depth)
-                out(f"{forward.__name__} {label} {cov!r}: {series!r}")
+        for label, sampled in _models(make, depths):
+            for model, kind in ((sampled, ""), (_as_floats(sampled),
+                                                " floats")):
+                depth = model.depth
+                for cov in _covectors(model):
+                    series = _attempt(forward, cov, model.minus, model.plus,
+                                      model.geometry, depth)
+                    out(f"{forward.__name__} {label}{kind} {cov!r}: "
+                        f"{series!r}")
+
+
+def _with_tops(side, depth, rho_top, cs_top):
+    return AcousticSideJet(Jet(side.rho.coeffs[:depth] + (rho_top,)),
+                           Jet(side.cs.coeffs[:depth] + (cs_top,)))
+
+
+def dump_groups(out):
+    for label, sampled in _models(random_acoustic_model, (4,)):
+        for model, kind in ((sampled, ""), (_as_floats(sampled), " floats")):
+            for depth in range(1, 5):
+                pluses = [_with_tops(model.plus, depth, r, c)
+                          for r, c in ((-0.0, -0.0), (-0.0, 1.0),
+                                       (1.0, -0.0))]
+                pluses.append(model.plus.truncate(depth))
+                for cov in _covectors(model)[::3]:
+                    for built in sorted({depth, 4}):
+                        ms = _attempt(acoustic._minus_side, cov, model.minus,
+                                      model.geometry, built, GLANCING_TOL)
+                        for n in range(1, 5):
+                            group = (ms if isinstance(ms, str) else
+                                     _attempt(acoustic._group, ms, depth,
+                                              pluses[:n]))
+                            out(f"_group {label}{kind} {cov!r} depth={depth} "
+                                f"built={built} n={n}: {group!r}")
 
 
 def dump_recovery(out):
@@ -187,7 +225,8 @@ def dump_cli(out):
 def main():
     # every float of an array in full: the shortest repr that round-trips
     np.set_printoptions(floatmode="unique")
-    for dump in (dump_forward, dump_recovery, dump_order0, dump_cli):
+    for dump in (dump_forward, dump_groups, dump_recovery, dump_order0,
+                 dump_cli):
         dump(print)
 
 
