@@ -66,8 +66,6 @@ __all__ = [
     "principal_rt",
     "flux_residual",
     "ElasticSymbolSeries",
-    "PolarizationBasis",
-    "polarization_basis",
     "principal_rt_matrices",
     "sh_reflection",
     "forward_symbols_elastic",
@@ -79,5 +77,4 @@ __all__ = [
     "acoustic_recover_relative",
     "elastic_recover_order0",
     "elastic_recover_jets",
-    "shape_operator_from_mean_jet",
 ]

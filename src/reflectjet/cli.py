@@ -16,6 +16,7 @@ the elastic engine and the inversion load in the branches that use them.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import logging
 import math
@@ -40,7 +41,7 @@ from .geometry import (
 
 log = logging.getLogger("reflectjet.cli")
 
-TOLERANCE_NAMES = ("glancing", "residual", "condition", "root")
+TOLERANCE_NAMES = ("glancing", "residual", "condition")
 
 
 def _default_tols():
@@ -48,7 +49,6 @@ def _default_tols():
         "glancing": medium.GLANCING_TOL,
         "residual": medium.RESIDUAL_TOL,
         "condition": medium.CONDITION_LIMIT,
-        "root": medium.ROOT_TOL,
     }
 
 
@@ -127,12 +127,19 @@ def _forward_one(payload):
                     f"SH reflection cross-check failed (gap {gap:.3e}) at "
                     f"b={cov.slowness:.6g}"
                 )
-            return series
-        return acoustic.forward_symbols(cov, model, depth, tol)
+        else:
+            series = acoustic.forward_symbols(cov, model, depth, tol)
     except GlancingError:
         return "glancing"
     except EvanescentError:
         return "evanescent"
+    # finite jets whose arithmetic overflows give NaN, never a row
+    for j, r, t in series.orders:
+        values = (*r.flat, *t.flat) if model.is_elastic else (r, t)
+        if not all(map(cmath.isfinite, values)):
+            raise ReflectJetError(
+                f"symbol of order {j} at b={cov.slowness:.6g} is not finite")
+    return series
 
 
 def cmd_forward(args):
@@ -460,7 +467,9 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ReflectJetError as exc:
+    except (ReflectJetError, ArithmeticError) as exc:
+        # ArithmeticError: finite input whose arithmetic overflows or
+        # divides by zero
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -116,53 +116,6 @@ class ElasticSymbolSeries:
         return self.orders[-order][2]
 
 
-@dataclass(frozen=True)
-class PolarizationBasis:
-    """Unit polarizations, full covectors and co-kernel vectors of one branch."""
-
-    N: np.ndarray
-    N1: np.ndarray
-    N2: np.ndarray
-    xiP: np.ndarray
-    xiS: np.ndarray
-    M: np.ndarray
-    M1: np.ndarray
-    M2: np.ndarray
-
-
-_BRANCH_SIGNS = {"incident": 1.0, "reflected": -1.0, "transmitted": 1.0}
-
-
-def polarization_basis(cov: Covector, side: ElasticSideJet, branch: str,
-                       tol: float = GLANCING_TOL) -> PolarizationBasis:
-    """Polarization/co-kernel vectors of one branch, in the original frame."""
-    try:
-        sign = _BRANCH_SIGNS[branch]
-    except KeyError:
-        raise ValueError(f"branch must be one of {sorted(_BRANCH_SIGNS)}") from None
-    xi1, xi2 = cov.xi
-    k = cov.xi_norm
-    zp = sign * vertical_wavenumber(cov, side.cp[0], tol)
-    zs = sign * vertical_wavenumber(cov, side.cs[0], tol)
-    xiP = np.array([xi1, xi2, zp])
-    xiS = np.array([xi1, xi2, zs])
-    if k > 0.0:
-        e_par = np.array([xi1 / k, xi2 / k, 0.0])
-        e_perp = np.array([-xi2 / k, xi1 / k, 0.0])
-    else:
-        e_par = np.array([1.0, 0.0, 0.0])
-        e_perp = np.array([0.0, 1.0, 0.0])
-    N = xiP / np.linalg.norm(xiP)
-    N1 = (zs * e_par + np.array([0.0, 0.0, -k])) / np.linalg.norm(xiS)
-    N2 = e_perp
-    M1 = -1j * np.array([-xi2, xi1, 0.0])
-    M2 = -zp * np.array([xi1, xi2, 0.0]) + k * k * np.array([0.0, 0.0, 1.0])
-    M = -1j * xiS
-    return PolarizationBasis(N=N, N1=N1, N2=N2, xiP=xiP, xiS=xiS,
-                             M=M.astype(complex), M1=M1.astype(complex),
-                             M2=M2.astype(complex))
-
-
 def sh_reflection(cov: Covector, minus: ElasticSideJet, plus: ElasticSideJet,
                   tol: float = GLANCING_TOL) -> float:
     """Closed-form SH reflection coefficient; oracle for the 6x6 solve."""

@@ -104,10 +104,6 @@ class AmbiguousRoot(InversionError):
         self.roots = tuple(roots)
 
 
-class ComplexCurvatures(InversionError):
-    """Recovered (H, dH) pair has no real principal-curvature factorization."""
-
-
 # --- file formats -----------------------------------------------------------
 
 class ParseError(ReflectJetError):

@@ -38,10 +38,6 @@ class CurvatureSpectrum:
         if not all(math.isfinite(k) for k in self.kappas):
             raise ValueError("principal curvatures must be finite")
 
-    @property
-    def mean(self) -> float:
-        return sum(self.kappas)
-
 
 def mean_curvature_normal_derivatives(spec: CurvatureSpectrum, order: int) -> float:
     """J-th normal derivative of the mean curvature; J = 0 returns H."""

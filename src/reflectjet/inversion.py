@@ -36,7 +36,6 @@ import numpy as np
 from . import acoustic
 from .errors import (
     AmbiguousRoot,
-    ComplexCurvatures,
     DegenerateAngles,
     DepthExceeded,
     IllConditioned,
@@ -49,7 +48,6 @@ from .medium import (  # the tolerances are re-exported
     CONDITION_LIMIT,
     GLANCING_TOL,
     RESIDUAL_TOL,
-    ROOT_TOL,
     AcousticSideJet,
     Covector,
     ElasticSideJet,
@@ -59,8 +57,7 @@ from .medium import (  # the tolerances are re-exported
 
 log = logging.getLogger("reflectjet.inversion")
 
-DISCRIMINANT_SNAP = 1e-10
-
+ROOT_TOL = 1e-12  # xtol of the bracketed root refinement
 _ROOT_SCAN_POINTS = 96
 
 
@@ -146,25 +143,6 @@ class RecoveryReport:
         if self.kappas is not None:
             out["kappas"] = list(self.kappas)
         return out
-
-
-def shape_operator_from_mean_jet(mean: float, mean_derivative: float,
-                                 snap_tol: float = DISCRIMINANT_SNAP):
-    """Principal curvatures from H = k1 + k2 and dH/dnu = -(k1^2 + k2^2).
-
-    The pair solves z^2 - H z + (H^2 + dH)/2 = 0; a discriminant below
-    -snap_tol signals inconsistent inputs, within tolerance it snaps to
-    the double root.  The pair is identifiable only as an unordered set.
-    """
-    product = (mean * mean + mean_derivative) / 2.0
-    disc = mean * mean - 4.0 * product
-    if disc < -snap_tol:
-        raise ComplexCurvatures(
-            f"no real curvature pair for H={mean:.6g}, dH={mean_derivative:.6g} "
-            f"(discriminant {disc:.3e})"
-        )
-    root = math.sqrt(max(disc, 0.0))
-    return ((mean + root) / 2.0, (mean - root) / 2.0)
 
 
 # --- sample-set diagnostics --------------------------------------------------
@@ -271,7 +249,7 @@ def acoustic_recover_order0(samples, minus: AcousticSideJet,
     return values
 
 
-def _scan_roots(func, lo, hi, root_tol, scan=None):
+def _scan_roots(func, lo, hi, scan=None):
     """Roots of `func` on [lo, hi]: sign changes over a uniform grid,
     refined by bracketed root finding; exact zeros on the grid count.
     `scan(grid)`, if given, evaluates `func` on the whole grid at once."""
@@ -284,7 +262,7 @@ def _scan_roots(func, lo, hi, root_tol, scan=None):
         if values[i] == 0.0:
             roots.append(grid[i])
         elif values[i] * values[i + 1] < 0.0:
-            roots.append(brentq(func, grid[i], grid[i + 1], xtol=root_tol))
+            roots.append(brentq(func, grid[i], grid[i + 1], xtol=ROOT_TOL))
     return roots
 
 
@@ -477,8 +455,6 @@ def acoustic_recover_jets(samples, minus: AcousticSideJet, depth: int,
 
 def acoustic_recover_relative(ratios, minus: AcousticSideJet,
                               reference: Covector,
-                              speed_max: float | None = None,
-                              root_tol: float = ROOT_TOL,
                               residual_tol: float = 1e-6):
     """(mu_plus, cs_plus) from order-0 reflection ratios R(b)/R(b_ref).
 
@@ -534,11 +510,10 @@ def acoustic_recover_relative(ratios, minus: AcousticSideJet,
         return m0 - m1
 
     w_lo = b_max * (1.0 + 1e-9) + 1e-12
-    w_hi = 1.0 / speed_max if speed_max else max(10.0 / minus.cs[0],
-                                                 10.0 * b_max)
+    w_hi = max(10.0 / minus.cs[0], 10.0 * b_max)
     if w_hi <= w_lo:
         raise NoRoot("empty slowness bracket for the plus-side speed")
-    roots = _scan_roots(mismatch, w_lo * (1 + 1e-9), w_hi, root_tol)
+    roots = _scan_roots(mismatch, w_lo * (1 + 1e-9), w_hi)
 
     def ratio_misfit(mu_p, w):
         """Worst reproduction error of the measured ratios; the trivial
@@ -587,7 +562,6 @@ def acoustic_recover_relative(ratios, minus: AcousticSideJet,
 
 def elastic_recover_order0(samples, minus: ElasticSideJet,
                            residual_tol: float = RESIDUAL_TOL,
-                           root_tol: float = ROOT_TOL,
                            glancing_tol: float = GLANCING_TOL):
     """(rho_plus, cs_plus, cp_plus, residual, condition) at the interface
     from order-0 matrices.
@@ -640,7 +614,7 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
 
     # the grid as Python floats, whose arithmetic is faster than numpy's
     # scalars and gives the same bits
-    roots = _scan_roots(lambda cp: gaps([cp])[0], cp_lo, cp_hi, root_tol,
+    roots = _scan_roots(lambda cp: gaps([cp])[0], cp_lo, cp_hi,
                         scan=lambda grid: gaps(grid.tolist()))
     if not roots:
         raise NoRoot("no compressional speed matches the P-P reflection")
@@ -654,7 +628,7 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
             misfits[i] += float(np.linalg.norm(r - value))
     i_best = min(range(len(roots)), key=misfits.__getitem__)
     best, misfit = roots[i_best], misfits[i_best]
-    if not misfit <= max(residual_tol, 1e3 * root_tol) * max(1.0, len(group)):
+    if not misfit <= max(residual_tol, 1e3 * ROOT_TOL) * max(1.0, len(group)):
         raise InconsistentData(
             f"order-0 elastic matrices disagree with the recovered parameters "
             f"(misfit {misfit:.3e})"

@@ -153,11 +153,6 @@ def constant_jet(value, depth: int) -> Jet:
     return _jet((value,) + (0.0,) * depth)
 
 
-def identity_jet(depth: int) -> Jet:
-    """The multiplicative identity [1, 0, ..., 0]."""
-    return constant_jet(1.0, depth)
-
-
 def _check_depths(a: Jet, b: Jet):
     if a.depth != b.depth:
         raise DepthMismatch(f"jet depths differ: {a.depth} vs {b.depth}")

@@ -16,9 +16,15 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
-from .errors import ConvexityViolation, EvanescentError, GlancingError
+from .errors import (
+    ConvexityViolation,
+    EvanescentError,
+    GlancingError,
+    RegimeError,
+)
 from .geometry import CurvatureSpectrum, mean_curvature_jet, tangential_stretch_jet
 from .jets import Jet, constant_jet, jet_add, jet_mul, jet_scale
 
@@ -26,7 +32,6 @@ GLANCING_TOL = 1e-9
 # default bounds of the inversion's solves (reflectjet.inversion)
 RESIDUAL_TOL = 1e-8
 CONDITION_LIMIT = 1e8
-ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,6 @@ class InterfaceGeometry:
     def is_flat(self) -> bool:
         return self.kappa1 == 0.0 and self.kappa2 == 0.0
 
-    def mean_curvature_jet(self, depth: int) -> Jet:
-        return mean_curvature_jet(self.spectrum, depth)
-
 
 @dataclass(frozen=True)
 class Covector:
@@ -189,6 +191,13 @@ def vertical_wavenumber(cov: Covector, speed: float, tol: float = GLANCING_TOL) 
         raise ValueError("speed must be positive")
     regime = classify_regime(cov, speed, tol)
     if regime is Regime.GLANCING:
+        # below the normal range the glancing band cannot be resolved
+        scale = cov.tau ** 2 / speed ** 2
+        if not scale >= sys.float_info.min:
+            raise RegimeError(
+                f"tau^2/c^2 = {scale:.3g} underflows for tau {cov.tau:.6g} "
+                f"and speed {speed:.6g}: no regime can be told"
+            )
         raise GlancingError(
             f"covector within glancing tolerance for speed {speed:.6g}"
         )

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 
+from . import schemas
 from .errors import ParseError
 from .jets import Jet
 from .medium import (
@@ -102,12 +103,18 @@ def model_to_dict(model: InterfaceModel) -> dict:
 
 
 def _load_json(path):
+    """A model JSON file, checked against the shipped model schema: an
+    unknown or misspelt member would otherwise change the model."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
+        schemas.validate(obj, "model")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except schemas.SchemaError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return obj
 
 
 def load_model(path) -> InterfaceModel:
@@ -117,8 +124,6 @@ def load_model(path) -> InterfaceModel:
 def load_minus_side(path):
     """(minus side, geometry) for inversion inputs; 'plus' may be absent."""
     obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise ParseError("model JSON must be an object")
     minus = side_from_dict(obj.get("minus"), "minus")
     return minus, geometry_from_dict(obj.get("geometry"))
 

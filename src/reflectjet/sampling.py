@@ -21,11 +21,10 @@ from .medium import (
 )
 
 
-def _jet(rng: np.random.Generator, value: float, depth: int,
-         wiggle: float = 0.6) -> Jet:
+def _jet(rng: np.random.Generator, value: float, depth: int) -> Jet:
     coeffs = [value]
     for _ in range(depth):
-        mag = rng.uniform(0.2, wiggle) * abs(value)
+        mag = rng.uniform(0.2, 0.6) * abs(value)
         coeffs.append(mag * rng.choice([-1.0, 1.0]))
     return Jet(coeffs)
 
@@ -38,8 +37,7 @@ def _ratio(rng: np.random.Generator, contrast: float, min_contrast: float) -> fl
 
 def random_acoustic_model(rng: np.random.Generator, depth: int,
                           contrast: float = 5.0, min_contrast: float = 1.05,
-                          curved: bool = False,
-                          kappa_max: float = 1.0) -> InterfaceModel:
+                          curved: bool = False) -> InterfaceModel:
     rho_m = rng.uniform(0.6, 1.6)
     cs_m = rng.uniform(0.7, 1.5)
     minus = AcousticSideJet(_jet(rng, rho_m, depth), _jet(rng, cs_m, depth))
@@ -49,15 +47,14 @@ def random_acoustic_model(rng: np.random.Generator, depth: int,
     )
     geometry = InterfaceGeometry()
     if curved:
-        geometry = InterfaceGeometry(rng.uniform(-kappa_max, kappa_max),
-                                     rng.uniform(-kappa_max, kappa_max))
+        geometry = InterfaceGeometry(rng.uniform(-1.0, 1.0),
+                                     rng.uniform(-1.0, 1.0))
     return InterfaceModel(minus, plus, geometry)
 
 
 def random_elastic_model(rng: np.random.Generator, depth: int,
                          contrast: float = 2.0, min_contrast: float = 1.05,
-                         curved: bool = False,
-                         kappa_max: float = 1.0) -> InterfaceModel:
+                         curved: bool = False) -> InterfaceModel:
     rho_m = rng.uniform(0.6, 1.6)
     cs_m = rng.uniform(0.7, 1.3)
     cp_m = cs_m * rng.uniform(1.7, 2.2)
@@ -75,17 +72,16 @@ def random_elastic_model(rng: np.random.Generator, depth: int,
     )
     geometry = InterfaceGeometry()
     if curved:
-        geometry = InterfaceGeometry(rng.uniform(-kappa_max, kappa_max),
-                                     rng.uniform(-kappa_max, kappa_max))
+        geometry = InterfaceGeometry(rng.uniform(-1.0, 1.0),
+                                     rng.uniform(-1.0, 1.0))
     return InterfaceModel(minus, plus, geometry)
 
 
 def hyperbolic_grid(model: InterfaceModel, count: int, tau: float = 1.0,
-                    fraction: float = 0.8, include_normal: bool = True):
+                    fraction: float = 0.8):
     """Equispaced slowness grid in [0, fraction * b_crit] as covectors."""
     b_crit = model.critical_slowness()
-    start = 0.0 if include_normal else fraction * b_crit / count
-    bs = np.linspace(start, fraction * b_crit, count)
+    bs = np.linspace(0.0, fraction * b_crit, count)
     return [Covector(tau, (float(b) * tau, 0.0)) for b in bs]
 
 

@@ -10,6 +10,7 @@ from conftest import child_env
 from reflectjet import elastic, schemas
 from reflectjet.cli import main
 from reflectjet.modelio import (
+    load_minus_side,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -70,6 +71,22 @@ def test_model_json_errors(tmp_path):
             assert main(argv[:1] + ["--model", str(path)] + argv[1:]) == 2
     assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "x.json").exists()
+    # a member the shipped schema does not know, or of the wrong type,
+    # is named rather than ignored
+    elastic_cpjet = {side: {"rho_jet": [1.0], "cs_jet": [1.0],
+                            "cpjet": [2.0]} for side in ("minus", "plus")}
+    for doc, member in (
+            (dict(ACOUSTIC_MODEL, geometry={"kappa_1": 0.5, "kappa2": -0.2}),
+             "kappa_1"),
+            (elastic_cpjet, "cpjet"),
+            (dict(ACOUSTIC_MODEL, depth=True), "depth")):
+        path.write_text(json.dumps(doc))
+        for load in (load_model, load_minus_side):
+            with pytest.raises(ParseError, match=member):
+                load(str(path))
+        assert main(["forward", "--model", str(path), "--out",
+                     str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_forward_values_and_order(tmp_path):
@@ -137,6 +154,19 @@ def test_invert_round_trip_exit0(tmp_path):
     schemas.validate(doc, "recovery_report")
     assert doc["plus"]["cs_jet"][0] == pytest.approx(2.0, rel=1e-9)
     assert doc["plus"]["rho_jet"][1] == pytest.approx(-0.5, rel=1e-7)
+
+
+def test_invert_condition_limit_exit3(tmp_path, capsys):
+    model = _write_model(tmp_path, ACOUSTIC_MODEL)
+    sym = tmp_path / "sym.csv"
+    assert main(["forward", "--model", model, "--out", str(sym),
+                 "--grid", "0,0.15,0.3"]) == 0
+    assert main(["invert", "--model", model, "--symbols", str(sym),
+                 "--out", str(tmp_path / "rec.json"), "--known-geometry",
+                 "--tol", "condition=1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: IllConditioned: design matrix at order -1")
+    assert not (tmp_path / "rec.json").exists()
 
 
 def test_invert_missing_order_exit3(tmp_path):
@@ -402,7 +432,8 @@ def test_bad_log_level_exit2(tmp_path, monkeypatch, capsys):
     ["forward", "--direction", "nan,1"],
     ["forward", "--tol", "glancing=-1"],
     ["forward", "--tol", "glancing=nan"],
-    ["forward", "--tol", "root=0"],
+    ["forward", "--tol", "residual=0"],
+    ["forward", "--tol", "root=1e-12"],
     ["roundtrip", "--depth", "-1"],
     ["curvature-check", "--spectra", "1,1", "--step", "0"],
     ["roundtrip", "--grid-count", "0"],
@@ -421,3 +452,59 @@ def test_bad_numeric_options_exit2(tmp_path, capsys, argv):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+DEPTH2_MODEL = {
+    "minus": {"rho_jet": [1.0, 0.3, 0.1], "cs_jet": [1.0, -0.2, 0.1]},
+    "plus": {"rho_jet": [1.0, -0.5, 0.1], "cs_jet": [1.6, 0.6, 0.1]},
+}
+
+
+def _with_minus(rho_jet, cs_jet):
+    return dict(DEPTH2_MODEL, minus={"rho_jet": rho_jet, "cs_jet": cs_jet})
+
+
+@pytest.mark.parametrize("model, argv, message", [
+    # overflow and division by zero on finite inputs
+    (ACOUSTIC_MODEL, ["forward", "--grid", "1e200"], "OverflowError"),
+    (ACOUSTIC_MODEL, ["forward", "--tau", "1e200", "--grid", "0.1"],
+     "OverflowError"),
+    (dict(DEPTH2_MODEL, geometry={"kappa1": 1e200}), ["forward"],
+     "OverflowError"),
+    (_with_minus([1.0, 0.3, 0.1], [1e-200, -0.2, 0.1]), ["forward"],
+     "ZeroDivisionError"),
+    (None, ["curvature-check", "--spectra", "1e200,1"], "OverflowError"),
+    (None, ["curvature-check", "--spectra", "1,1", "--max-order", "400"],
+     "OverflowError"),
+    (None, ["roundtrip", "--tau", "1e200", "--count", "1"], "OverflowError"),
+    (ACOUSTIC_MODEL, ["invert", "--known-geometry"], "OverflowError"),
+    # silently wrong before: a glancing row for a hyperbolic covector whose
+    # tau^2/c^2 underflows, and NaN rows
+    (ACOUSTIC_MODEL, ["forward", "--tau", "1e-200", "--grid", "0.1"],
+     "underflows"),
+    (_with_minus([1.0, 1e300, 0.1], [1.0, -0.2, 0.1]),
+     ["forward", "--grid", "0.1"], "order -2 at b=0.1 is not finite"),
+    (_with_minus([1e-300, 0.3, 0.1], [1.0, -0.2, 0.1]),
+     ["forward", "--grid", "0.1"], "order -2 at b=0.1 is not finite"),
+])
+def test_extreme_numbers_exit3(tmp_path, capsys, model, argv, message):
+    # finite inputs out of floating-point range give one message line
+    # and no output, not a traceback and not a wrong row
+    out = tmp_path / "x.out"
+    if model is not None:
+        path = _write_model(tmp_path, model)
+        argv = argv[:1] + ["--model", path] + argv[1:]
+    if argv[0] == "invert":
+        # symbols of a hyperbolic grid at tau = 1e200
+        csv = tmp_path / "s.csv"
+        assert main(["forward", "--model", path, "--out", str(csv)]) == 0
+        header, *rows = csv.read_text().splitlines()
+        scaled = [[repr(float(v) * 1e200) for v in row.split(",")[:2]]
+                  + row.split(",")[2:] for row in rows]
+        csv.write_text("\n".join([header] + [",".join(r) for r in scaled]))
+        argv += ["--symbols", str(csv)]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()

@@ -1,6 +1,6 @@
-"""Elastic matrix-symbol engine: polarization bases, the 6x6 solve vs the
-SH closed form, block structure, and the acoustic engine as the oracle
-for the decoupled SH channel."""
+"""Elastic matrix-symbol engine: the 6x6 solve vs the SH closed form,
+block structure, and the acoustic engine as the oracle for the decoupled
+SH channel."""
 
 import gc
 import math
@@ -18,7 +18,6 @@ from reflectjet.elastic import (
     ELASTIC_DEPTH_CAP,
     forward_series_elastic,
     forward_symbols_elastic,
-    polarization_basis,
     principal_rt_matrices,
     sh_reflection,
 )
@@ -38,41 +37,6 @@ from reflectjet.sampling import random_acoustic_model, random_elastic_model
 
 def _pair(rng, depth=0, contrast=2.0):
     return random_elastic_model(rng, depth, contrast=contrast)
-
-
-def test_polarization_basis_invariants(rng):
-    side = ElasticSideJet(Jet([1.0]), Jet([1.0]), Jet([2.0]))
-    for _ in range(30):
-        tau = rng.uniform(0.5, 2.0)
-        b = rng.uniform(0.05, 0.45)
-        angle = rng.uniform(0.0, 2 * np.pi)
-        cov = Covector(tau, (b * tau * np.cos(angle), b * tau * np.sin(angle)))
-        for branch in ("incident", "reflected", "transmitted"):
-            pb = polarization_basis(cov, side, branch)
-            frame = np.array([pb.N1, pb.N2, pb.xiS / np.linalg.norm(pb.xiS)])
-            assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-12
-            assert abs(pb.N @ pb.N - 1.0) <= 1e-12
-            assert abs(pb.M1 @ np.array([*cov.xi, 0.0])) <= 1e-12
-            assert abs(pb.M1[2]) == 0.0
-            assert abs(pb.M2 @ pb.xiP) <= 1e-12
-            assert np.abs(pb.M - (-1j) * pb.xiS).max() <= 1e-12
-
-
-def test_polarization_basis_m1_example():
-    side = ElasticSideJet(Jet([1.0]), Jet([1.0]), Jet([2.0]))
-    cov = Covector(1.0, (0.25, 0.1))
-    pb = polarization_basis(cov, side, "incident")
-    np.testing.assert_allclose(pb.M1, -1j * np.array([-0.1, 0.25, 0.0]))
-
-
-def test_polarization_basis_in_plane_p():
-    side = ElasticSideJet(Jet([1.0]), Jet([1.0]), Jet([2.0]))
-    cov = Covector(1.0, (0.3, 0.0))
-    pb = polarization_basis(cov, side, "incident")
-    z = vertical_wavenumber(cov, 2.0)
-    expected = np.array([0.3, 0.0, z])
-    np.testing.assert_allclose(pb.N, expected / np.linalg.norm(expected),
-                               atol=1e-14)
 
 
 def test_identical_media_identity():

@@ -17,10 +17,11 @@ from reflectjet.elastic import (
 )
 from reflectjet.errors import (
     AmbiguousRoot,
-    ComplexCurvatures,
     DegenerateAngles,
+    IllConditioned,
     InconsistentData,
     MissingOrder,
+    NoRoot,
     SingularInterfaceSystem,
 )
 from reflectjet.inversion import (
@@ -31,7 +32,6 @@ from reflectjet.inversion import (
     acoustic_recover_relative,
     elastic_recover_jets,
     elastic_recover_order0,
-    shape_operator_from_mean_jet,
 )
 from reflectjet.jets import Jet
 from reflectjet.medium import (
@@ -125,6 +125,16 @@ def test_depth0_reduces_to_order0(rng):
     direct = acoustic_recover_order0(samples, model.minus)
     assert report.plus.cs[0] == direct[0]
     assert report.plus.rho[0] == direct[1]
+
+
+def test_condition_limit_raises_ill_conditioned(rng):
+    model = random_acoustic_model(rng, 1)
+    samples = _acoustic_samples(model, hyperbolic_grid(model, 5), 1)
+    with pytest.raises(IllConditioned) as info:
+        acoustic_recover_jets(samples, model.minus, 1,
+                              geometry=InterfaceGeometry(), cond_limit=1.0)
+    assert info.value.order == -1
+    assert info.value.condition > 1.0
 
 
 def test_curved_round_trip_recovers_kappas(rng):
@@ -421,6 +431,20 @@ def test_elastic_order0_round_trip():
     assert cp == pytest.approx(2.5, rel=1e-8)
 
 
+def test_elastic_order0_unmatched_pp_raises_no_root():
+    minus = ElasticSideJet(Jet([1.0]), Jet([1.0]), Jet([2.0]))
+    plus = ElasticSideJet(Jet([1.5]), Jet([1.2]), Jet([2.5]))
+    model = InterfaceModel(minus, plus)
+    covs = hyperbolic_grid(model, 6)
+    samples = list(_elastic_samples(model, covs, 0).samples)
+    # a P-P entry at the probe (the smallest |b|) that no cp reaches
+    value = samples[0].value.copy()
+    value[0, 0] = 0.999
+    samples[0] = SymbolSample(samples[0].covector, 0, value)
+    with pytest.raises(NoRoot, match="no compressional speed"):
+        elastic_recover_order0(samples, minus)
+
+
 def test_elastic_order0_identical_media(rng):
     side = ElasticSideJet(Jet([1.1]), Jet([0.9]), Jet([1.8]))
     model = InterfaceModel(side, side)
@@ -599,29 +623,3 @@ def test_elastic_report_order0_diagnostics(rng):
     assert report.conditions[0] != 1.0
     assert report.conditions[0] >= 1.0
 
-
-# --- curvature factorization --------------------------------------------------
-
-
-def test_shape_operator_sphere():
-    r = 1.7
-    k1, k2 = shape_operator_from_mean_jet(2.0 / r, -2.0 / r ** 2)
-    assert k1 == pytest.approx(1.0 / r)
-    assert k2 == pytest.approx(1.0 / r)
-
-
-def test_shape_operator_mixed_pair():
-    pair = shape_operator_from_mean_jet(0.3, -(0.25 + 0.04))
-    assert sorted(pair) == pytest.approx([-0.2, 0.5])
-
-
-def test_shape_operator_flat():
-    assert shape_operator_from_mean_jet(0.0, 0.0) == (0.0, 0.0)
-
-
-def test_shape_operator_complex_rejected():
-    with pytest.raises(ComplexCurvatures):
-        shape_operator_from_mean_jet(0.0, 1.0)
-    # discriminant barely negative: snapped to the double root
-    k1, k2 = shape_operator_from_mean_jet(1.0, -0.5 + 1e-12)
-    assert k1 == k2 == pytest.approx(0.5)

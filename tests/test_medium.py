@@ -1,10 +1,12 @@
-"""Material model: regimes, vertical wavenumbers, Lame jets, validation."""
+"""Material model: regimes, vertical wavenumbers, Lame jets, validation;
+the package's exported names."""
 
 import math
 
 import numpy as np
 import pytest
 
+import reflectjet
 from reflectjet.errors import ConvexityViolation, EvanescentError, GlancingError
 from reflectjet.jets import Jet, jet_inv, jet_mul, jet_sqrt
 from reflectjet.medium import (
@@ -148,3 +150,15 @@ def test_covector():
     cov = Covector(2.0, (0.6, 0.8))
     assert cov.xi_norm == pytest.approx(1.0)
     assert cov.slowness == pytest.approx(0.5)
+
+
+def test_package_all_resolves():
+    # every exported name loads, the elastic and inversion ones through
+    # the lazy module __getattr__; a name not exported does not
+    for name in reflectjet.__all__:
+        assert getattr(reflectjet, name) is not None, name
+    namespace = {}
+    exec("from reflectjet import *", namespace)
+    assert set(reflectjet.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        reflectjet.polarization_basis
