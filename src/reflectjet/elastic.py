@@ -57,6 +57,20 @@ solve stays whole: it is a small share of the time, and splitting it
 into the P-SV and SH blocks could change LAPACK's rounding, while the
 whole solve keeps every coupling entry of R_J and T_J an exact +0.0.
 
+The jet work replays tapes (`reflectjet.tape`) of four units:
+`_zeta_body`, `_side_body` (a side's mode contexts, `_mode_ctx` and
+`_depth_ops`), `_particular_body` (a branch's `_l1`, `_l0`, `_pinv`,
+`_rhs_scale`) and `_fill_body` (its `_kernel_fill`).  A class key holds
+what the control flow reads: the depth; a side's branches, flat or
+curved, and which of its coefficients are zero (the `_nz` tests); a
+branch step's step, channel and absent context jets (`sig`); and the
+type of every scalar.  A process meets many classes, some only a few
+times, and a recording costs a few dozen runs of the body, so a class
+records on its `_WARM`th call.  The numpy calls (the 6x6 systems, their
+checks and solves, the columns and tractions) stay outside, and so do
+the compatibility checks, whose bound reads `_COMPAT_RTOL` at each
+call, and a side's regime and convexity checks, in the source's order.
+
 The forward depth is capped at two orders below principal
 (ELASTIC_DEPTH_CAP): the machinery iterates further, but only orders
 0..-2 are validated by the round-trip suite, so deeper requests are
@@ -70,10 +84,12 @@ and the SV/SH axes default to (e1, e2).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tape
 from .errors import CascadeIncompatible, DepthExceeded, SingularInterfaceSystem
 from .jets import (
     Jet,
@@ -97,6 +113,8 @@ from .medium import (
 ELASTIC_DEPTH_CAP = 2
 
 _COND_LIMIT = 1e12
+
+_WARM = 32  # the call of a class that records its tape (`tape._replay`)
 
 P, SV, SH = 0, 1, 2  # mode-coefficient slots
 
@@ -183,7 +201,11 @@ def _max_abs(j) -> float:
     return 0.0 if j is None else max(abs(c) for c in j.coeffs)
 
 
-class _ModeCtx:
+_ModeCtx = namedtuple("_ModeCtx", "mode kt zeta rho lam mu lam_mu h tau "
+                      "xi_sq kernels q0 p_diag op_scale ops sig")
+
+
+def _mode_ctx(kt, zeta, rho, lam, mu, h, mode, tau):
     """Per (branch, mode) transport context.
 
     `kt` is the jet of the tangential wavenumber along the normal: the
@@ -192,95 +214,70 @@ class _ModeCtx:
     to tau^2/c^2 exactly at every depth.  The operator jets `_l1` and
     `_pinv` use at a depth depend on the material and the phase alone;
     `ops[d]` holds them for every depth d a cascade uses, 0..depth-1.
-    `kernels` maps each kernel slot of the mode to its vector, with the
-    vector's zero entries absent.
+    `kernels[slot]` is the vector of each kernel slot of the mode, with
+    the vector's zero entries absent (None for the other mode's slots).
+    `sig` marks the absent jets of `ops`.
     """
-
-    __slots__ = ("kt", "zeta", "rho", "lam", "mu", "lam_mu", "h", "mode",
-                 "tau", "xi_sq", "kernels", "q0", "p_diag", "op_scale",
-                 "ops")
-
-    def __init__(self, kt, zeta, rho, lam, mu, h, mode, tau):
-        self.kt = kt
-        self.zeta = zeta
-        self.rho = rho
-        self.lam = lam
-        self.mu = mu
-        self.lam_mu = lam + mu
-        self.h = h
-        self.mode = mode
-        self.tau = tau
-        depth = zeta.depth
-        self.xi_sq = _xi_norm_sq(kt, zeta)
-        inv_norm = jet_inv(jet_sqrt(self.xi_sq))
-        kz = _nz(jet_mul(kt, inv_norm))  # absent at normal incidence
-        zn = jet_mul(zeta, inv_norm)
-        p33 = lam + jet_scale(mu, 2.0)
-        if mode == "P":
-            self.kernels = {P: (kz, None, zn)}
-            c2 = p33
-        else:
-            self.kernels = {SV: (zn, None, _scale(kz, -1.0)),
-                            SH: (None, constant_jet(1.0, depth), None)}
-            c2 = mu
-        # q = -2i (rho c^2) zeta is the kernel-transport divisor; only its
-        # value coefficient divides, the rest rides in the projected jets.
-        self.q0 = -2j * c2[0] * zeta[0]
-        self.p_diag = (mu, mu, p33)
-        # this context's share of the round-off yardstick of the cascade
-        # compatibility checks
-        self.op_scale = abs(self.q0) + max(abs(c) for c in p33.coeffs) \
-            * (1.0 + abs(zeta[0]))
-        self.ops = [_DepthOps(self, d) for d in range(depth)]
+    depth = zeta.depth
+    xi_sq = jet_mul(zeta, zeta) + jet_mul(kt, kt)
+    inv_norm = jet_inv(jet_sqrt(xi_sq))
+    kz = _nz(jet_mul(kt, inv_norm))  # absent at normal incidence
+    zn = jet_mul(zeta, inv_norm)
+    p33 = lam + jet_scale(mu, 2.0)
+    if mode == "P":
+        kernels, c2 = ((kz, None, zn), None, None), p33
+    else:
+        kernels = (None, (zn, None, _scale(kz, -1.0)),
+                   (None, constant_jet(1.0, depth), None))
+        c2 = mu
+    # q = -2i (rho c^2) zeta is the kernel-transport divisor; only its
+    # value coefficient divides, the rest rides in the projected jets.
+    q0 = -2j * c2[0] * zeta[0]
+    # this context's share of the round-off yardstick of the cascade
+    # compatibility checks
+    op_scale = abs(q0) + max(abs(c) for c in p33.coeffs) * (1.0 + abs(zeta[0]))
+    ctx = _ModeCtx(mode, kt, zeta, rho, lam, mu, lam + mu, h, tau, xi_sq,
+                   kernels, q0, (mu, mu, p33), op_scale, (), "")
+    ops = tuple(_depth_ops(ctx, d) for d in range(depth))
+    sig = "".join("." if j is None else "+" for op in ops for j in op)
+    return ctx._replace(ops=ops, sig=sig)
 
 
-class _DepthOps:
+_DepthOps = namedtuple("_DepthOps", "kt zeta lam lm mu_p lam_p kt_p zeta_p "
+                       "d_mu_zeta mu_zeta two_mu_zeta mu_kt_p mu_zeta_p "
+                       "mu_p_zeta h hmu inv_xi_sq inv_m inv_lm_xi4")
+
+
+def _depth_ops(ctx: _ModeCtx, d: int) -> _DepthOps:
     """The material-and-phase jets of one context at depth d: the factors
     of `_l1` that do not involve the amplitude, and the inverses `_pinv`
     divides by.  A factor that vanishes for the input is absent: `kt'`
     and `mu kt'` on a flat interface, `kt` at normal incidence, and the
     derivative factors of a side whose material is constant."""
-
-    __slots__ = ("kt", "zeta", "lam", "lm", "mu_p", "lam_p", "kt_p",
-                 "zeta_p", "d_mu_zeta", "mu_zeta", "two_mu_zeta", "mu_kt_p",
-                 "mu_zeta_p", "mu_p_zeta", "h", "hmu", "inv_xi_sq",
-                 "inv_m", "inv_lm_xi4")
-
-    def __init__(self, ctx: _ModeCtx, d: int):
-        self.kt = _nz(_fit(ctx.kt, d))
-        self.zeta = zeta = _fit(ctx.zeta, d)
-        self.lam = _fit(ctx.lam, d)
-        self.lm = lm = _fit(ctx.lam_mu, d)
-        mu = _fit(ctx.mu, d)
-        mu_p = _fit(jet_derivative(ctx.mu), d)
-        kt_p = _fit(jet_derivative(ctx.kt), d)
-        zeta_p = _fit(jet_derivative(ctx.zeta), d)
-        self.mu_p, self.kt_p, self.zeta_p = _nz(mu_p), _nz(kt_p), _nz(zeta_p)
-        self.lam_p = _nz(_fit(jet_derivative(ctx.lam), d))
-        self.d_mu_zeta = _nz(_fit(jet_derivative(jet_mul(ctx.mu, ctx.zeta)),
-                                  d))
-        self.mu_zeta = jet_mul(mu, zeta)
-        self.two_mu_zeta = jet_scale(self.mu_zeta, 2.0)
-        self.mu_kt_p = _nz(jet_mul(mu, kt_p))
-        self.mu_zeta_p = _nz(jet_mul(mu, zeta_p))
-        self.mu_p_zeta = _nz(jet_mul(mu_p, zeta))
-        self.h = self.hmu = None
-        if ctx.h is not None:
-            self.h = h = _fit(ctx.h, d)
-            self.hmu = jet_mul(h, mu)
-        xi_sq = _fit(ctx.xi_sq, d)
-        self.inv_xi_sq = jet_inv(xi_sq)
-        self.inv_m = self.inv_lm_xi4 = None
-        if ctx.mode == "P":
-            m = jet_scale(_fit(ctx.rho, d), ctx.tau * ctx.tau) \
-                - jet_mul(mu, xi_sq)
-            self.inv_m = jet_inv(m)
-        else:
-            self.inv_lm_xi4 = jet_inv(jet_mul(lm, jet_mul(xi_sq, xi_sq)))
-
-
-def _xi_norm_sq(kt, zeta):
-    return jet_mul(zeta, zeta) + jet_mul(kt, kt)
+    zeta, lm, mu = _fit(ctx.zeta, d), _fit(ctx.lam_mu, d), _fit(ctx.mu, d)
+    mu_p = _fit(jet_derivative(ctx.mu), d)
+    kt_p = _fit(jet_derivative(ctx.kt), d)
+    zeta_p = _fit(jet_derivative(ctx.zeta), d)
+    mu_zeta = jet_mul(mu, zeta)
+    h = hmu = inv_m = inv_lm_xi4 = None
+    if ctx.h is not None:
+        h = _fit(ctx.h, d)
+        hmu = jet_mul(h, mu)
+    xi_sq = _fit(ctx.xi_sq, d)
+    if ctx.mode == "P":
+        m = jet_scale(_fit(ctx.rho, d), ctx.tau * ctx.tau) - jet_mul(mu, xi_sq)
+        inv_m = jet_inv(m)
+    else:
+        inv_lm_xi4 = jet_inv(jet_mul(lm, jet_mul(xi_sq, xi_sq)))
+    return _DepthOps(
+        kt=_nz(_fit(ctx.kt, d)), zeta=zeta, lam=_fit(ctx.lam, d), lm=lm,
+        mu_p=_nz(mu_p), lam_p=_nz(_fit(jet_derivative(ctx.lam), d)),
+        kt_p=_nz(kt_p), zeta_p=_nz(zeta_p),
+        d_mu_zeta=_nz(_fit(jet_derivative(jet_mul(ctx.mu, ctx.zeta)), d)),
+        mu_zeta=mu_zeta, two_mu_zeta=jet_scale(mu_zeta, 2.0),
+        mu_kt_p=_nz(jet_mul(mu, kt_p)), mu_zeta_p=_nz(jet_mul(mu, zeta_p)),
+        mu_p_zeta=_nz(jet_mul(mu_p, zeta)), h=h, hmu=hmu,
+        inv_xi_sq=jet_inv(xi_sq), inv_m=inv_m, inv_lm_xi4=inv_lm_xi4)
 
 
 def _fit(j: Jet, d: int) -> Jet:
@@ -475,48 +472,63 @@ def _traction_phase(ctx: _ModeCtx, v):
 
 # --- one branch's cascade step ------------------------------------------------
 #
-# A branch is its (P, S) mode contexts and, per mode, its amplitude
-# jet-vectors keyed by order.  The incident branch and the reflected and
-# transmitted ones run through the same three steps; only the solve that
-# fixes each order's kernel values differs.  A column's amplitudes have
-# components in its channel only, so in the SH column the P amplitudes
-# are absent altogether.
+# A branch is its (P, S) mode contexts and, per mode, the list of its
+# amplitude jet-vectors, order 0 first.  The incident branch and the
+# reflected and transmitted ones run through the same three steps; only
+# the solve that fixes each order's kernel values differs.  A column's
+# amplitudes have components in its channel only, so in the SH column
+# the P amplitudes are absent altogether.
 
 
-def _branch_particular(ctxs, amps, J: int, d: int):
-    """Order-J particular solutions of one branch from its order J+1 and
-    J+2 amplitudes, with the scales of the order J+1 amplitudes and the
-    pending compatibility checks, both in (P, S) order."""
+def _branch_particular(ctxs, amps, channel, d: int):
+    """Order-J particular solutions of one branch from the amplitudes
+    `amps` of its orders 0..J+1, with the scales of the order J+1
+    amplitudes and the pending compatibility checks, all in (P, S)
+    order."""
+    last = tuple((amp[-1], amp[-2] if len(amp) > 1 else None)
+                 for amp in amps)
+    shape = len(amps[0]), channel, ctxs[0].sig, ctxs[1].sig  # see `sig`
+    return tape._replay(_particular_body, (d,), (ctxs, last), shape, _WARM)
+
+
+def _particular_body(d, ctxs, last):
     ws, scales, checks = [], [], []
-    for ctx, amp in zip(ctxs, amps):
-        rhs = tuple(_scale(c, -1.0) for c in _l1(ctx, amp[J + 1], d))
-        nxt = amp.get(J + 2)
-        if nxt is not None:
-            rhs = tuple(map(_sub, rhs, _l0(ctx, nxt, d)))
+    for ctx, (amp1, amp2) in zip(ctxs, last):
+        rhs = tuple(_scale(c, -1.0) for c in _l1(ctx, amp1, d))
+        if amp2 is not None:
+            rhs = tuple(map(_sub, rhs, _l0(ctx, amp2, d)))
         w, check = _pinv(ctx, rhs, d)
         ws.append(w)
-        scales.append(_rhs_scale(amp[J + 1]))
+        scales.append(_rhs_scale(amp1))
         checks.append(check)
     return ws, scales, checks
 
 
-def _branch_fill(ctxs, ws, vals, channel, amps, J: int, d: int):
-    """Order-J amplitude jets of one branch, from its particular solutions
-    and the kernel values `vals` in (P, SV, SH) slots; only the slots of
+def _branch_fill(ctxs, ws, vals, channel, amps, d: int):
+    """Append each mode's order-J amplitude jets to `amps`, from `ws` and
+    the kernel values `vals` in (P, SV, SH) slots; only the slots of
     `channel` are filled, the others being zero."""
-    for ctx, w, amp in zip(ctxs, ws, amps):
-        kernels = [(vals[slot], ctx.kernels[slot])
-                   for slot in channel if slot in ctx.kernels]
-        amp[J] = _kernel_fill(ctx, w, kernels, amp.get(J + 1), d)
+    last = tuple(amp[-1] if amp else None for amp in amps)
+    new = tape._replay(_fill_body, (channel, d), (ctxs, ws, tuple(vals), last),
+                       (len(amps[0]), ctxs[0].sig, ctxs[1].sig), _WARM)
+    for amp, a in zip(amps, new):
+        amp.append(a)
 
 
-def _branch_traction(ctxs, ws, amps, J: int):
+def _fill_body(channel, d, ctxs, ws, vals, last):
+    return [_kernel_fill(ctx, w, [(vals[slot], ctx.kernels[slot])
+                                  for slot in channel
+                                  if ctx.kernels[slot] is not None], a, d)
+            for ctx, w, a in zip(ctxs, ws, last)]
+
+
+def _branch_traction(ctxs, ws, amps):
     """F = sum_modes [tr1(values) + P_side d(a)_{J+1}/dnu] at x3 = 0."""
     total = np.zeros(3, dtype=complex)
     for ctx, w, amp in zip(ctxs, ws, amps):
         total += _traction_phase(ctx, _jv_values(w))
         pd = np.array([complex(ctx.p_diag[i][0]) for i in range(3)])
-        total += pd * _jv_values(amp[J + 1], 1)
+        total += pd * _jv_values(amp[-1], 1)
     return total
 
 
@@ -535,27 +547,33 @@ def _side_ctxs(cov: Covector, side: ElasticSideJet, kt, stretch, h,
     """Mode contexts of the named branches ("I", "R", "T") on one side;
     the reflected branch carries the negated vertical wavenumber, and
     `zetas` caches the zeta jet of each speed jet across calls."""
-    tau = cov.tau
     rho = side.rho.truncate(depth)
     lam, mu = derive_lame_jets(side.truncate(depth))
     modes = []
-    for mode, speed in (("P", side.cp), ("S", side.cs)):
+    for speed in (side.cp, side.cs):
         c = speed.truncate(depth)
         zeta = zetas.get(c.coeffs)
         if zeta is None:
             vertical_wavenumber(cov, speed[0], tol)
-            inv_c2 = jet_inv(jet_mul(c, c))
-            radicand = jet_scale(inv_c2, tau * tau) - stretch.truncate(depth)
-            zeta = zetas[c.coeffs] = jet_sqrt(radicand)
-        modes.append((mode, zeta))
-    ctx = {}
-    for branch in branches:
-        for mode, zeta in modes:
-            if branch == "R":
-                zeta = jet_scale(zeta, -1.0)
-            ctx[branch, mode] = _ModeCtx(kt, zeta, rho, lam, mu, h, mode,
-                                         tau)
-    return ctx
+            zeta = zetas[c.coeffs] = tape._replay(
+                _zeta_body, (), (cov.tau, c, stretch), depth, _WARM)
+        modes.append(zeta)
+    jets = (kt, rho, lam, mu, *modes)
+    zeros = tuple(c == 0 for j in jets for c in j.coeffs)  # for `_nz`
+    ctxs = tape._replay(_side_body, (branches,), (cov.tau, h, *jets),
+                        (depth, h is None, zeros), _WARM)
+    return dict(zip([(b, m) for b in branches for m in "PS"], ctxs))
+
+
+def _zeta_body(tau, c, stretch):
+    return jet_sqrt(jet_scale(jet_inv(jet_mul(c, c)), tau * tau) - stretch)
+
+
+def _side_body(branches, tau, h, kt, rho, lam, mu, zeta_p, zeta_s):
+    return [_mode_ctx(kt, jet_scale(zeta, -1.0) if branch == "R" else zeta,
+                      rho, lam, mu, h, mode, tau)
+            for branch in branches
+            for mode, zeta in (("P", zeta_p), ("S", zeta_s))]
 
 
 class _MinusSide:
@@ -589,10 +607,10 @@ class _MinusSide:
         K = self.depth
         channel = _channel(q)
         ctxs = (self.ctx["I", "P"], self.ctx["I", "S"])
-        amps = ({}, {})
+        amps = ([], [])
         steps = []
         for step in range(K + 1):
-            J, d = -step, K - step
+            d = K - step
             if step == 0:
                 ws = (_ABSENT, _ABSENT)
                 # the trace of the incident field vanishes below the
@@ -601,17 +619,18 @@ class _MinusSide:
                 alpha[q] = 1.0
                 steps.append(None)
             else:
-                ws, scales, checks = _branch_particular(ctxs, amps, J, d)
+                ws, scales, checks = _branch_particular(ctxs, amps, channel,
+                                                        d)
                 w_val = _jv_values(ws[0]) + _jv_values(ws[1])
                 alpha = np.linalg.solve(self.S["I"].astype(complex), -w_val)
                 # (u_I)_J at the interface: zero by construction, kept
                 # explicit
                 disp = w_val + self.S["I"] @ alpha
-                trac = _branch_traction(ctxs, ws, amps, J)
+                trac = _branch_traction(ctxs, ws, amps)
                 trac += self.T["I"] @ alpha
                 steps.append((scales, checks, disp, trac))
             if step < K:
-                _branch_fill(ctxs, ws, alpha, channel, amps, J, d)
+                _branch_fill(ctxs, ws, alpha, channel, amps, d)
         return steps
 
 
@@ -697,10 +716,10 @@ def _column(ms: _MinusSide, run: _ElasticRun, q: int, m6, sol0, s_inv,
     ctx_r = (ms.ctx["R", "P"], ms.ctx["R", "S"])
     ctx_t = (run.ctx["T", "P"], run.ctx["T", "S"])
     first = not reflected
-    amp_r, amp_t = ({}, {}), ({}, {})
+    amp_r, amp_t = ([], []), ([], [])
     out = []
     for step in range(K + 1):
-        J, d = -step, K - step
+        d = K - step
         if step == 0:
             w_r = w_t = (_ABSENT, _ABSENT)
             x_r, x_t = sol0[:3, q].copy(), sol0[3:, q].copy()
@@ -708,13 +727,14 @@ def _column(ms: _MinusSide, run: _ElasticRun, q: int, m6, sol0, s_inv,
         else:
             scales_i, checks_i, disp_i, trac_i = incident[step]
             if first:
-                w_r, scales_r, checks_r = _branch_particular(ctx_r, amp_r, J,
-                                                             d)
+                w_r, scales_r, checks_r = _branch_particular(ctx_r, amp_r,
+                                                             channel, d)
                 reflected.append((scales_r, checks_r,
                                   _jv_values(w_r[0]) + _jv_values(w_r[1]),
-                                  _branch_traction(ctx_r, w_r, amp_r, J)))
+                                  _branch_traction(ctx_r, w_r, amp_r)))
             scales_r, checks_r, val_r, f_r = reflected[step - 1]
-            w_t, scales_t, checks_t = _branch_particular(ctx_t, amp_t, J, d)
+            w_t, scales_t, checks_t = _branch_particular(ctx_t, amp_t,
+                                                         channel, d)
             amp_scale = 0.0
             for s in scales_i + scales_r + scales_t:
                 amp_scale = max(amp_scale, s)
@@ -726,14 +746,14 @@ def _column(ms: _MinusSide, run: _ElasticRun, q: int, m6, sol0, s_inv,
         if step > 0:
             rhs6 = np.zeros(6, dtype=complex)
             rhs6[:3] = disp_i + val_r - val_t
-            f_t = _branch_traction(ctx_t, w_t, amp_t, J)
+            f_t = _branch_traction(ctx_t, w_t, amp_t)
             rhs6[3:] = trac_i + f_r - f_t
             sol = np.linalg.solve(m6, rhs6)
             x_r, x_t = sol[:3], sol[3:]
         if step < K:
             if first:
-                _branch_fill(ctx_r, w_r, x_r, channel, amp_r, J, d)
-            _branch_fill(ctx_t, w_t, x_t, channel, amp_t, J, d)
+                _branch_fill(ctx_r, w_r, x_r, channel, amp_r, d)
+            _branch_fill(ctx_t, w_t, x_t, channel, amp_t, d)
         out.append((x_r + s_inv[0] @ val_r, x_t + s_inv[1] @ val_t))
     return out
 

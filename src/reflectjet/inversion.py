@@ -397,9 +397,13 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
             per_cov.append(row)
         base, *others = (np.concatenate(col) for col in zip(*per_cov))
         cols = [other - base for other in others]
-        sol, res, cond = _lstsq_real(cols, measured - base, -k,
-                                     cond_limit, residual_tol,
-                                     float(np.linalg.norm(measured)))
+        try:  # numpy would warn of an overflow and go on
+            with np.errstate(over="raise"):
+                sol, res, cond = _lstsq_real(
+                    cols, measured - base, -k, cond_limit, residual_tol,
+                    float(np.linalg.norm(measured)))
+        except FloatingPointError:
+            raise InconsistentData(f"samples at order {-k} overflow") from None
         for c, value in zip(coeffs, sol):
             c.append(float(value))
         if recover_here:

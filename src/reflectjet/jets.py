@@ -53,7 +53,8 @@ def _leibniz_terms(n: int):
 # and `jet_exp` accumulate in explicit loops of the same form: the
 # operations sum() performs up to Python 3.11 (3.12 compensates float
 # sums), without a generator's set-up cost, which dominated on short jets.
-# The kernels serve the elastic engine; the acoustic one replays tapes.
+# Both engines replay tapes of these operations (`reflectjet.tape`); the
+# kernels serve the recordings and the calls that run a body.
 
 
 class _Kernels(dict):

@@ -3,20 +3,25 @@ as straight-line Python (operator-overloading taping, as in ADOL-C:
 Griewank, Juedes & Utke, ACM TOMS 22(2), 1996; Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., 2008, ch. 13).
 
-The first call of a class runs the function on `_Var`s, which carry the
-real values and log each operation.  The log is compiled once per process
-into functions of at most `_CHUNK` lines that apply the same operators to
-the same operand objects in the same order: constants enter as objects,
-never as text, and nothing is rewritten, so a replay gives the function's
-bits.  A comparison is logged as a guard; when a replayed guard disagrees,
-the function runs on the real values.  Reading a `_Var` as a plain value
-(`float()`, `bool()`, `hash()`, an index, formatting) would bake it into
-the tape, so it raises `_Escape`.
+A class runs the function itself for its first calls, as many as its
+caller asks, then on `_Var`s, which carry the real values and log each
+operation.  The log is compiled once per process into functions of at
+most `_CHUNK` lines that apply the same operators to the same operand
+objects in the same order (`_fold` writes a value used once into its
+use where the order holds): constants enter as objects, never as text,
+and nothing is rewritten, so a replay gives the function's bits.  A
+comparison is logged as a guard; when a replayed guard disagrees, the
+function runs on the real values.  Reading a `_Var` as a plain value
+(`float()`, `bool()`, `hash()`, an index, formatting) would bake it
+into the tape, so it raises `_Escape`.  While a function records, the
+loaded `_MODULES` see logging stand-ins for `math`, `cmath`, `complex`
+and `max`.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import itertools
 import math
 import operator
@@ -27,8 +32,11 @@ from types import SimpleNamespace
 from .jets import Jet, _jet
 
 _CHUNK = 256  # lines per compiled function: one long one costs far more memory
+_NEST = 40  # the deepest a folded expression nests, far below the parser's 200
 _TAPES = {}  # (body, static, shape) -> (packer, {scalar types: run})
-_MODULES = ("reflectjet.acoustic", "reflectjet.jets")  # whose math bodies call
+_CODES = {}  # source of a chunk -> its code, shared by tapes of one text
+_CALLS = collections.Counter()  # class key (and types) -> calls before that
+_MODULES = ("reflectjet.acoustic", "reflectjet.elastic", "reflectjet.jets")
 _SWAP = threading.RLock()  # one recording at a time swaps the stand-ins in
 
 
@@ -68,6 +76,7 @@ for _ops, _guard in (("add + sub - mul * truediv / pow **", False),
         if not _guard:
             setattr(_Var, f"__r{_name}__", _method(_text, _fn, swap=True))
 _Var.__neg__ = _method("-{}", operator.neg)
+_Var.__abs__ = _method("abs({})", abs)
 
 
 def _logged(fn):
@@ -91,15 +100,20 @@ class _ComplexType(type):
         return isinstance(x.v if isinstance(x, _Var) else x, complex)
 
 
-_STAND_INS = {"complex": _ComplexType("complex", (), {})}
+def _max_of(*items):
+    return max(items)
+
+
+_STAND_INS = {"complex": _ComplexType("complex", (), {}),
+              "max": lambda *a: _logged(_max_of)(*(a if len(a) > 1 else a[0]))}
 for _module, _names in ((math, ("log", "exp", "sqrt")), (cmath, ("exp",))):
     _STAND_INS[_module.__name__] = SimpleNamespace(**{
         **vars(_module), **{n: _logged(getattr(_module, n)) for n in _names}})
 
 
 class _Recording:
-    """Lines of (number made or None, statement, numbers used), and the
-    namespace of the constants they name."""
+    """Lines of (number made or None, text with a `{}` per value used,
+    numbers used), and the namespace of the constants they name."""
 
     def __init__(self):
         self.lines, self.numbers = [], itertools.count()
@@ -110,9 +124,9 @@ class _Recording:
         var.rec, var.n, var.v = self, next(self.numbers), value
         return var
 
-    def name(self, x):
+    def name(self, x):  # a recorded value's place is `{}`
         if isinstance(x, _Var):
-            return f"v{x.n}"
+            return "{}"
         if id(x) not in self.consts:  # the namespace keeps x, and so its id
             self.consts[id(x)] = f"k{len(self.consts)}"
             self.namespace[self.consts[id(x)]] = x
@@ -127,11 +141,13 @@ class _Recording:
             self.lines.append((None, f"if {test}: raise _Miss", uses))
             return value
         var = self.var(value)
-        self.lines.append((var.n, f"v{var.n} = {expr}", uses))
+        self.lines.append((var.n, expr, uses))
         return var
 
     def emit(self, x, uses):
-        """Python for `x`: values in nested tuples, lists and namedtuples."""
+        """Python for `x`: values nested in tuples, lists and jets."""
+        if isinstance(x, Jet):
+            return f"{self.name(_jet)}({self.emit(x.coeffs, uses)})"
         if not isinstance(x, (tuple, list)):
             uses += [x.n] if isinstance(x, _Var) else []
             return self.name(x)
@@ -156,14 +172,18 @@ class _Recording:
         params = [[f"v{n}" for n in range(inputs)]] + [
             [f"v{n}" for n in sorted(last) if born.get(n, -1) < c <= last[n]]
             for c in range(1, len(chunks))]
+        count = collections.Counter(u for _, _, used in lines for u in used)
         for c, chunk in enumerate(chunks):
-            body = [text for _, text, _ in chunk]
+            body = _fold(chunk, {n for n, _, _ in chunk
+                                 if count[n] == 1 and last[n] == c})
             if c + 1 < len(chunks):
                 passed = "".join(p + ", " for p in params[c + 1])
                 body.append(f"return ({passed})")
             src = (f"def c{c}({', '.join(params[c])}):\n    "
                    + "\n    ".join(body))
-            exec(compile(src, f"<tape {label} {c}>", "exec"), self.namespace)
+            if src not in _CODES:  # the constants it names are looked up
+                _CODES[src] = compile(src, f"<tape {label} {c}>", "exec")
+            exec(_CODES[src], self.namespace)
         *head, tail = (self.namespace[f"c{c}"] for c in range(len(chunks)))
 
         def run(values):
@@ -174,15 +194,39 @@ class _Recording:
         return run
 
 
+def _fold(chunk, once):
+    """The statements of `chunk`, each value of `once` written into its
+    use, parenthesised, where the operations keep their order: a line
+    takes its values from the top of a stack of those not yet written,
+    and the rest are written before it, as are guards."""
+    body, stack = [], []  # stack: (number, expression, nesting)
+    for made, text, used in chunk:
+        folded, nest = {}, 0
+        for n in reversed(used):
+            if stack and stack[-1][0] == n:
+                _, folded[n], depth = stack.pop()
+                nest = max(nest, depth)
+        text = text.format(*[f"({folded[n]})" if n in folded else f"v{n}"
+                             for n in used])
+        if made in once and nest < _NEST:
+            stack.append((made, text, nest + 1))
+            continue
+        body += [f"v{n} = {expr}" for n, expr, _ in stack]
+        stack.clear()
+        body.append(text if made is None else f"v{made} = {text}")
+    return body
+
+
 def _packer(args):
     """A function listing, in `_refill` order, the scalars of values that
-    nest like `args` in tuples, lists and jets."""
+    nest like `args` in tuples, lists and jets; None and strings nest."""
     def paths(x, at):
         if isinstance(x, Jet):
             return [f"*{at}.coeffs"]
         if not isinstance(x, (tuple, list)):
-            return [] if x is None else [at]
-        if any(isinstance(i, (Jet, tuple, list)) or i is None for i in x):
+            return [] if x is None or isinstance(x, str) else [at]
+        if any(i is None or isinstance(i, (Jet, tuple, list, str))
+               for i in x):
             return [p for i, item in enumerate(x)
                     for p in paths(item, f"{at}[{i}]")]
         return [f"*{at}"]
@@ -197,24 +241,35 @@ def _refill(x, values):
     if isinstance(x, (tuple, list)):
         items = [_refill(item, values) for item in x]
         return type(x)(*items) if hasattr(x, "_fields") else type(x)(items)
-    return x if x is None else next(values)
+    return x if x is None or isinstance(x, str) else next(values)
 
 
-def _replay(body, static, args, shape):
+def _replay(body, static, args, shape, warm=1):
     """`body(*static, *args)` from the tape of its class, keyed by `static`
     (what the control flow reads besides the scalars), `shape` (where
-    `args` holds them) and the scalars' types.  While `body` records,
-    `_MODULES` see logging stand-ins for `math`, `cmath` and `complex`.
-    If recording fails where the body runs, the body runs the class."""
-    entry = _TAPES.get((body, static, shape))
+    `args` holds them) and the scalars' types; the class's `warm`th call
+    records it, the calls before run `body`.  If recording fails where
+    the body runs, the body runs the class."""
+    key = body, static, shape
+    entry = _TAPES.get(key)
     if entry is None:
-        entry = _TAPES[body, static, shape] = _packer(args), {}
+        _CALLS[key] += 1
+        if _CALLS[key] < warm:
+            return body(*static, *args)
+        del _CALLS[key]
+        entry = _TAPES[key] = _packer(args), {}
     leaves = entry[0](args)
     types = tuple(map(type, leaves))
-    if types not in entry[1]:
-        entry[1][types] = _record(body, static, args, leaves)
+    run = entry[1].get(types)
+    if run is None:
+        # the first scalar types record at once, later ones warm up too
+        _CALLS[key, types] += 1
+        if entry[1] and _CALLS[key, types] < warm:
+            return body(*static, *args)
+        del _CALLS[key, types]
+        run = entry[1][types] = _record(body, static, args, leaves)
     try:
-        return entry[1][types](leaves)
+        return run(leaves)
     except _Miss:
         return body(*static, *args)
 
@@ -222,7 +277,7 @@ def _replay(body, static, args, shape):
 def _record(body, static, args, leaves):
     rec = _Recording()
     inputs = [rec.var(x) for x in leaves]
-    spaces = [vars(sys.modules[m]) for m in _MODULES]
+    spaces = [vars(sys.modules[m]) for m in _MODULES if m in sys.modules]
     with _SWAP:
         saved = [{k: s[k] for k in _STAND_INS if k in s} for s in spaces]
         try:

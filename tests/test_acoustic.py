@@ -4,10 +4,13 @@ order -1 closed form, flux conservation, homogeneity, curvature terms."""
 import itertools
 import math
 import operator
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from reflectjet import acoustic, tape
 from reflectjet.acoustic import (
     _group,
@@ -259,7 +262,7 @@ def _outcome(fn, *args):
 def _by_source(fn, *args):
     """`_outcome` with the engine halves running their source bodies."""
     taped = tape._replay
-    tape._replay = lambda body, static, args, shape: body(*static, *args)
+    tape._replay = lambda body, static, args, *key: body(*static, *args)
     try:
         return _outcome(fn, *args)
     finally:
@@ -372,6 +375,55 @@ def test_tape_of_escaping_body_runs_the_body(monkeypatch):
     assert tape._replay(lambda x: float(x) * 2.0, (), (1.5,), ()) == 3.0
     [(_, runs)] = tape._TAPES.values()
     assert list(runs.values()) == [tape._miss]
+
+
+def test_class_records_on_its_warm_call(monkeypatch):
+    # a class runs its body until its `warm`th call, which records it
+    monkeypatch.setattr(tape, "_TAPES", {})
+    bodies = []
+
+    def source(x):
+        bodies.append(type(x).__name__)
+        return x * 2.0
+
+    for x in (1.5, 2.5, 3.5, 4.5):
+        assert tape._replay(source, (), (x,), (), 3) == 2.0 * x
+    assert bodies == ["float", "float", "_Var"]
+
+
+def test_folded_tape_keeps_the_order_of_operations(monkeypatch):
+    # `x` is folded into its use after `y`, yet still runs first: a
+    # replay raises the source's first error, not the overflow
+    def source(a, b):
+        x = a / b
+        y = a ** 1e10
+        return y + x
+
+    monkeypatch.setattr(tape, "_TAPES", {})
+    assert tape._replay(source, (), (1.0, 2.0), ()) == 1.5
+    with pytest.raises(ZeroDivisionError):
+        tape._replay(source, (), (10.0, 0.0), ())
+
+
+def test_acoustic_recording_loads_no_elastic_engine():
+    # a recording swaps its stand-ins into the loaded engine modules only
+    code = (
+        "import sys\n"
+        "from reflectjet import acoustic, tape\n"
+        "from reflectjet.jets import Jet\n"
+        "from reflectjet.medium import AcousticSideJet, Covector\n"
+        "side = AcousticSideJet(Jet([1.0, 0.2]), Jet([1.0, -0.1]))\n"
+        "plus = AcousticSideJet(Jet([1.3, 0.1]), Jet([1.5, 0.2]))\n"
+        "acoustic.forward_series(Covector(1.0, (0.3, 0.0)), side, plus,\n"
+        "                        None, 1)\n"
+        "assert len(tape._TAPES) == 2\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m in ('numpy', 'reflectjet.elastic')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_long_tape_replays_across_chunks():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -486,6 +487,12 @@ def _with_minus(rho_jet, cs_jet):
      ["forward", "--grid", "0.1"], "order -2 at b=0.1 is not finite"),
     (_with_minus([1e-300, 0.3, 0.1], [1.0, -0.2, 0.1]),
      ["forward", "--grid", "0.1"], "order -2 at b=0.1 is not finite"),
+    # numpy's overflow warning came before the message line
+    ({"minus": {"rho_jet": [1.0, 1e300], "cs_jet": [1.0, -0.2],
+                "cp_jet": [2.0, 0.3]},
+      "plus": {"rho_jet": [1.4, 0.2], "cs_jet": [1.2, 0.1],
+               "cp_jet": [2.3, -0.2]}},
+     ["roundtrip", "--depth", "1"], "overflow"),
 ])
 def test_extreme_numbers_exit3(tmp_path, capsys, model, argv, message):
     # finite inputs out of floating-point range give one message line
@@ -503,7 +510,9 @@ def test_extreme_numbers_exit3(tmp_path, capsys, model, argv, message):
                   + row.split(",")[2:] for row in rows]
         csv.write_text("\n".join([header] + [",".join(r) for r in scaled]))
         argv += ["--symbols", str(csv)]
-    assert main(argv + ["--out", str(out)]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning is a second stderr line
+        assert main(argv + ["--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.strip().splitlines()) == 1

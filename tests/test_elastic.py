@@ -2,7 +2,9 @@
 block structure, and the acoustic engine as the oracle for the decoupled
 SH channel."""
 
+import collections
 import gc
+import itertools
 import math
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from reflectjet import elastic
+from reflectjet import elastic, tape
 from reflectjet.acoustic import forward_series, forward_symbols
 from reflectjet.elastic import (
     ELASTIC_DEPTH_CAP,
@@ -22,6 +24,7 @@ from reflectjet.elastic import (
     sh_reflection,
 )
 from reflectjet.errors import CascadeIncompatible, DepthExceeded, EvanescentError
+from reflectjet.inversion import SymbolSamples, elastic_recover_jets
 from reflectjet.jets import Jet
 from reflectjet.medium import (
     GLANCING_TOL,
@@ -32,7 +35,12 @@ from reflectjet.medium import (
     InterfaceModel,
     vertical_wavenumber,
 )
-from reflectjet.sampling import random_acoustic_model, random_elastic_model
+from reflectjet.sampling import (
+    hyperbolic_grid,
+    random_acoustic_model,
+    random_elastic_model,
+)
+from test_acoustic import _by_source, _outcome, _replays_only
 
 
 def _pair(rng, depth=0, contrast=2.0):
@@ -372,3 +380,116 @@ def test_incompatibility_raises_under_optimization():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised"
+
+
+# --- tapes ------------------------------------------------------------------
+
+
+def _typed(side, kind):
+    """`side` with plain float or np.float64 coefficients."""
+    cast = np.float64 if kind == "float64" else float
+    return ElasticSideJet(*(Jet([cast(c) for c in j])
+                            for j in (side.rho, side.cs, side.cp)))
+
+
+def _with_tops(plus, depth, tops):
+    return ElasticSideJet(*(Jet(j.coeffs[:depth] + (t,)) for j, t in
+                            zip((plus.rho, plus.cs, plus.cp), tops)))
+
+
+def _group_lists(cov, minus, geometry, depth, pluses):
+    """A fresh minus side's group, as lists: every bit, signed zeros
+    included, shows in their repr."""
+    ms = elastic._MinusSide(cov, minus, geometry, depth, GLANCING_TOL)
+    return [_as_lists(s) for s in elastic._group(ms, pluses)]
+
+
+@pytest.fixture
+def fresh_tapes(monkeypatch):
+    """No class recorded yet, and each records on its first call."""
+    monkeypatch.setattr(tape, "_TAPES", {})
+    monkeypatch.setattr(tape, "_CALLS", collections.Counter())
+    monkeypatch.setattr(elastic, "_WARM", 1)
+
+
+@pytest.mark.parametrize("kind", ["float", "float64"])
+@pytest.mark.parametrize("curved", [False, True])
+def test_tape_equals_source(rng, monkeypatch, fresh_tapes, curved, kind):
+    # every class of mode contexts and branch steps replays the source's
+    # own bits: depths 0-2, normal and oblique incidence, groups of 1-4
+    # plus sides with -0.0 and 1.0 tops; the second round runs on the
+    # tapes alone
+    model = random_elastic_model(rng, 2, curved=curved)
+    minus, plus = _typed(model.minus, kind), _typed(model.plus, "float")
+    b_crit = model.critical_slowness()
+    covs = [Covector(1.0, (0.0, -0.0)),
+            Covector(1.0, (0.6 * b_crit, 0.3 * b_crit))]
+    for replayed in (False, True):
+        if replayed:
+            _replays_only(monkeypatch)
+        for depth in range(3):
+            if depth:
+                pluses = [_with_tops(plus, depth, tops) for tops in (
+                    (-0.0, -0.0, -0.0), (-0.0, 1.0, -0.0),
+                    (1.0, -0.0, -0.0), (-0.0, -0.0, 1.0))]
+            else:
+                pluses = [ElasticSideJet(*(Jet([f * j[0]]) for j in
+                                           (plus.rho, plus.cs, plus.cp)))
+                          for f in (1.0, 0.9, 1.2, 0.8)]
+            for cov, n in itertools.product(covs, range(1, 5)):
+                args = (cov, minus, model.geometry, depth, pluses[:n])
+                assert (_outcome(_group_lists, *args)
+                        == _by_source(_group_lists, *args))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_tape_errors_are_the_sources(rng, fresh_tapes):
+    # glancing and evanescent covectors, a depth beyond the cap and a
+    # side jet whose cascade overflows raise the source's error, with
+    # its type and message, whether their class records or replays
+    model = random_elastic_model(rng, 2)
+    huge = ElasticSideJet(Jet([model.minus.rho[0], 1e300, 0.0]),
+                          model.minus.cs, model.minus.cp)
+    b_minus = 1.0 / model.minus.cp[0]
+    b_plus = 1.0 / model.plus.cp[0]
+    good = Covector(1.0, (0.3 * model.critical_slowness(), 0.1))
+    cases = [(Covector(1.0, (b_minus, 0.0)), model.minus, 2),
+             (Covector(1.0, (1.01 * b_plus, 0.0)), model.minus, 2),
+             (good, model.minus, 3), (good, huge, 2), (good, huge, 1)]
+
+    def series(cov, minus, depth):
+        return _as_lists(forward_series_elastic(cov, minus, model.plus, None,
+                                                depth))
+
+    outcomes = set()
+    for _ in range(2):
+        for args in cases:
+            outcome = _outcome(series, *args)
+            assert outcome == _by_source(series, *args)
+            outcomes.add(outcome.split(":")[0])
+    assert {"GlancingError", "EvanescentError", "DepthExceeded",
+            "CascadeIncompatible"} <= outcomes
+
+
+def test_second_round_trip_replays_every_class(monkeypatch, fresh_tapes):
+    # after one depth-2 round trip every class of the next one has a
+    # tape, none of its guards misses and no class fell back to its body
+    model = random_elastic_model(np.random.default_rng(7), 2)
+    covs = hyperbolic_grid(model, 6)
+
+    def round_trip():
+        series = [forward_symbols_elastic(c, model, 2) for c in covs]
+        samples = SymbolSamples.from_elastic_series(series)
+        return elastic_recover_jets(samples, model.minus, 2,
+                                    geometry=InterfaceGeometry())
+
+    first = round_trip()
+    classes = {(key, types) for key, (_, runs) in tape._TAPES.items()
+               for types in runs}
+    assert all(key[0].__module__ == "reflectjet.elastic"
+               for key, _ in classes)
+    _replays_only(monkeypatch)
+    assert repr(round_trip().plus) == repr(first.plus)
+    assert classes == {(key, types) for key, (_, runs) in tape._TAPES.items()
+                       for types in runs}

@@ -13,6 +13,8 @@ bit for bit as they were:
   at the critical slowness and past it, along three directions;
 * the `repr` of acoustic groups of 1-4 plus sides whose top coefficients
   are -0.0 or 1.0, on minus sides built at the group's depth and deeper;
+* the `repr` of elastic groups of 1-4 plus sides whose top coefficients
+  are -0.0 or 1.0, at depths 1 and 2, at normal and oblique incidence;
 * the `repr` of recovery reports without `timings`, with the geometry
   known and recovered;
 * the `repr` of `elastic_recover_order0` results, the order-0 `cp`
@@ -22,7 +24,7 @@ bit for bit as they were:
   without `timings`, written in a temporary directory.
 
 An exception is printed as its type and message, so it is compared too.
-A dump takes about 17 s on one core.
+A dump takes about 40 s on one core.
 """
 
 from __future__ import annotations
@@ -45,7 +47,12 @@ from reflectjet.inversion import (
     elastic_recover_order0,
 )
 from reflectjet.jets import Jet
-from reflectjet.medium import GLANCING_TOL, AcousticSideJet, Covector
+from reflectjet.medium import (
+    GLANCING_TOL,
+    AcousticSideJet,
+    Covector,
+    ElasticSideJet,
+)
 from reflectjet.modelio import model_from_dict, model_to_dict
 from reflectjet.sampling import random_acoustic_model, random_elastic_model
 
@@ -148,6 +155,29 @@ def dump_groups(out):
                                 f"built={built} n={n}: {group!r}")
 
 
+# the elastic tops (rho, cs, cp): the base side and one field's unit
+ELASTIC_TOPS = ((-0.0, -0.0, -0.0), (-0.0, 1.0, -0.0), (1.0, -0.0, -0.0),
+                (-0.0, -0.0, 1.0))
+
+
+def dump_elastic_groups(out):
+    for label, sampled in _models(random_elastic_model, (2,)):
+        for model, kind in ((sampled, ""), (_as_floats(sampled), " floats")):
+            for depth in (1, 2):
+                pluses = [ElasticSideJet(*(
+                    Jet(j.coeffs[:depth] + (t,)) for j, t in
+                    zip((model.plus.rho, model.plus.cs, model.plus.cp), tops)))
+                    for tops in ELASTIC_TOPS]
+                for cov in _covectors(model)[::3]:
+                    ms = _attempt(elastic._MinusSide, cov, model.minus,
+                                  model.geometry, depth, GLANCING_TOL)
+                    for n in range(1, 5):
+                        group = (ms if isinstance(ms, str) else
+                                 _attempt(elastic._group, ms, pluses[:n]))
+                        out(f"elastic._group {label}{kind} {cov!r} "
+                            f"depth={depth} n={n}: {group!r}")
+
+
 def dump_recovery(out):
     cases = ((acoustic.forward_symbols, acoustic_recover_jets,
               random_acoustic_model, range(1, 5), 8),
@@ -225,8 +255,8 @@ def dump_cli(out):
 def main():
     # every float of an array in full: the shortest repr that round-trips
     np.set_printoptions(floatmode="unique")
-    for dump in (dump_forward, dump_groups, dump_recovery, dump_order0,
-                 dump_cli):
+    for dump in (dump_forward, dump_groups, dump_elastic_groups,
+                 dump_recovery, dump_order0, dump_cli):
         dump(print)
 
 
