@@ -57,19 +57,18 @@ solve stays whole: it is a small share of the time, and splitting it
 into the P-SV and SH blocks could change LAPACK's rounding, while the
 whole solve keeps every coupling entry of R_J and T_J an exact +0.0.
 
-The jet work replays tapes (`reflectjet.tape`) of four units:
-`_zeta_body`, `_side_body` (a side's mode contexts, `_mode_ctx` and
-`_depth_ops`), `_particular_body` (a branch's `_l1`, `_l0`, `_pinv`,
-`_rhs_scale`) and `_fill_body` (its `_kernel_fill`).  A class key holds
-what the control flow reads: the depth; a side's branches, flat or
-curved, and which of its coefficients are zero (the `_nz` tests); a
-branch step's step, channel and absent context jets (`sig`); and the
-type of every scalar.  A process meets many classes, some only a few
-times, and a recording costs a few dozen runs of the body, so a class
-records on its `_WARM`th call.  The numpy calls (the 6x6 systems, their
-checks and solves, the columns and tractions) stay outside, and so do
-the compatibility checks, whose bound reads `_COMPAT_RTOL` at each
-call, and a side's regime and convexity checks, in the source's order.
+The jet work replays tapes (`reflectjet.tape`) of three units:
+`_side_body` (a side's mode contexts, `_mode_ctx` and `_depth_ops`),
+`_particular_body` (a branch's `_l1`, `_l0`, `_pinv`, `_rhs_scale`) and
+`_fill_body` (its `_kernel_fill`).  A class key holds what the control
+flow reads: the depth; a side's branches, flat or curved, and which of
+its coefficients are zero (the `_nz` tests); a branch step's channel and
+its contexts' absent jets (`sig`).  A recording costs some 20 to 45 runs
+of its unit, so a class records on its `_WARM`th call, once its runs
+have cost about as much.  The numpy calls (the 6x6 systems, their checks
+and solves, the columns and tractions) stay outside, and so do the
+compatibility checks, whose bound reads `_COMPAT_RTOL` at each call, and
+a side's regime and convexity checks, in the source's order.
 
 The forward depth is capped at two orders below principal
 (ELASTIC_DEPTH_CAP): the machinery iterates further, but only orders
@@ -216,7 +215,7 @@ def _mode_ctx(kt, zeta, rho, lam, mu, h, mode, tau):
     `ops[d]` holds them for every depth d a cascade uses, 0..depth-1.
     `kernels[slot]` is the vector of each kernel slot of the mode, with
     the vector's zero entries absent (None for the other mode's slots).
-    `sig` marks the absent jets of `ops`.
+    `sig` marks the absent jets of `ops` and `kernels`.
     """
     depth = zeta.depth
     xi_sq = jet_mul(zeta, zeta) + jet_mul(kt, kt)
@@ -239,7 +238,8 @@ def _mode_ctx(kt, zeta, rho, lam, mu, h, mode, tau):
     ctx = _ModeCtx(mode, kt, zeta, rho, lam, mu, lam + mu, h, tau, xi_sq,
                    kernels, q0, (mu, mu, p33), op_scale, (), "")
     ops = tuple(_depth_ops(ctx, d) for d in range(depth))
-    sig = "".join("." if j is None else "+" for op in ops for j in op)
+    sig = "".join("." if j is None else "+"
+                  for part in (*ops, *filter(None, kernels)) for j in part)
     return ctx._replace(ops=ops, sig=sig)
 
 
@@ -485,8 +485,7 @@ def _branch_particular(ctxs, amps, channel, d: int):
     `amps` of its orders 0..J+1, with the scales of the order J+1
     amplitudes and the pending compatibility checks, all in (P, S)
     order."""
-    last = tuple((amp[-1], amp[-2] if len(amp) > 1 else None)
-                 for amp in amps)
+    last = tuple((amp[-1], amp[-2] if len(amp) > 1 else None) for amp in amps)
     shape = len(amps[0]), channel, ctxs[0].sig, ctxs[1].sig  # see `sig`
     return tape._replay(_particular_body, (d,), (ctxs, last), shape, _WARM)
 
@@ -509,9 +508,9 @@ def _branch_fill(ctxs, ws, vals, channel, amps, d: int):
     the kernel values `vals` in (P, SV, SH) slots; only the slots of
     `channel` are filled, the others being zero."""
     last = tuple(amp[-1] if amp else None for amp in amps)
-    new = tape._replay(_fill_body, (channel, d), (ctxs, ws, tuple(vals), last),
-                       (len(amps[0]), ctxs[0].sig, ctxs[1].sig), _WARM)
-    for amp, a in zip(amps, new):
+    for amp, a in zip(amps, tape._replay(
+            _fill_body, (channel, d), (ctxs, ws, tuple(vals), last),
+            (len(amps[0]), ctxs[0].sig, ctxs[1].sig), _WARM)):
         amp.append(a)
 
 
@@ -555,18 +554,14 @@ def _side_ctxs(cov: Covector, side: ElasticSideJet, kt, stretch, h,
         zeta = zetas.get(c.coeffs)
         if zeta is None:
             vertical_wavenumber(cov, speed[0], tol)
-            zeta = zetas[c.coeffs] = tape._replay(
-                _zeta_body, (), (cov.tau, c, stretch), depth, _WARM)
+            radicand = jet_scale(jet_inv(jet_mul(c, c)), cov.tau * cov.tau)
+            zeta = zetas[c.coeffs] = jet_sqrt(radicand - stretch)
         modes.append(zeta)
     jets = (kt, rho, lam, mu, *modes)
-    zeros = tuple(c == 0 for j in jets for c in j.coeffs)  # for `_nz`
+    zeros = tuple(not c for j in jets for c in j.coeffs)  # for `_nz`
     ctxs = tape._replay(_side_body, (branches,), (cov.tau, h, *jets),
                         (depth, h is None, zeros), _WARM)
     return dict(zip([(b, m) for b in branches for m in "PS"], ctxs))
-
-
-def _zeta_body(tau, c, stretch):
-    return jet_sqrt(jet_scale(jet_inv(jet_mul(c, c)), tau * tau) - stretch)
 
 
 def _side_body(branches, tau, h, kt, rho, lam, mu, zeta_p, zeta_s):

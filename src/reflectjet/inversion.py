@@ -274,8 +274,8 @@ def _scan_roots(func, lo, hi, scan=None):
 _ROUNDOFF_FLOOR = 1e3
 
 
-def _lstsq_real(design_cols, y_complex, order, cond_limit, residual_tol,
-                measured_norm):
+@np.errstate(over="raise")  # an overflow raises, where numpy would warn
+def _lstsq_real(design_cols, measured, base, order, cond_limit, residual_tol):
     """Real least squares over stacked (Re, Im) rows of a complex system.
 
     Columns are normalized before solving so the reported condition
@@ -286,7 +286,9 @@ def _lstsq_real(design_cols, y_complex, order, cond_limit, residual_tol,
     the measured data, beyond `residual_tol` times its own norm.  The
     reported residual stays relative to the right-hand side.
     """
+    floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * np.linalg.norm(measured)
     a = np.column_stack([np.concatenate([c.real, c.imag]) for c in design_cols])
+    y_complex = measured - base
     y = np.concatenate([y_complex.real, y_complex.imag])
     norms = np.linalg.norm(a, axis=0)
     if np.any(norms == 0.0):
@@ -304,7 +306,6 @@ def _lstsq_real(design_cols, y_complex, order, cond_limit, residual_tol,
         )
     resid = float(np.linalg.norm(a @ sol - y))
     scale = max(float(np.linalg.norm(y)), 1e-300)
-    floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * measured_norm
     if not resid <= residual_tol * scale + floor:
         raise InconsistentData(
             f"samples at order {order} disagree "
@@ -397,13 +398,8 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
             per_cov.append(row)
         base, *others = (np.concatenate(col) for col in zip(*per_cov))
         cols = [other - base for other in others]
-        try:  # numpy would warn of an overflow and go on
-            with np.errstate(over="raise"):
-                sol, res, cond = _lstsq_real(
-                    cols, measured - base, -k, cond_limit, residual_tol,
-                    float(np.linalg.norm(measured)))
-        except FloatingPointError:
-            raise InconsistentData(f"samples at order {-k} overflow") from None
+        sol, res, cond = _lstsq_real(cols, measured, base, -k, cond_limit,
+                                     residual_tol)
         for c, value in zip(coeffs, sol):
             c.append(float(value))
         if recover_here:

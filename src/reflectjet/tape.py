@@ -6,16 +6,17 @@ Griewank, Juedes & Utke, ACM TOMS 22(2), 1996; Griewank & Walther,
 A class runs the function itself for its first calls, as many as its
 caller asks, then on `_Var`s, which carry the real values and log each
 operation.  The log is compiled once per process into functions of at
-most `_CHUNK` lines that apply the same operators to the same operand
-objects in the same order (`_fold` writes a value used once into its
-use where the order holds): constants enter as objects, never as text,
-and nothing is rewritten, so a replay gives the function's bits.  A
-comparison is logged as a guard; when a replayed guard disagrees, the
-function runs on the real values.  Reading a `_Var` as a plain value
-(`float()`, `bool()`, `hash()`, an index, formatting) would bake it
-into the tape, so it raises `_Escape`.  While a function records, the
-loaded `_MODULES` see logging stand-ins for `math`, `cmath`, `complex`
-and `max`.
+most `_CHUNK` lines, each calling the next, that apply the same operators
+to the same operands in the same order (`_fold` writes a value used once
+into its use, with the parentheses precedence needs) and return the jets,
+tuples and lists the function did: constants enter as objects, never as
+text, so a replay gives the function's bits.  A replay takes only the
+jets and scalars the recording read; a class keeps a tape per types of
+those.  A comparison is logged as a guard; when a replayed guard
+disagrees, the function runs on the real values.  Reading a `_Var` as a
+plain value (`float()`, `bool()`, `hash()`, an index, formatting) raises
+`_Escape`.  While a function records, only the loaded `_MODULES` see the
+logging stand-ins for `math`, `cmath`, `complex` and `max`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ _CHUNK = 256  # lines per compiled function: one long one costs far more memory
 _NEST = 40  # the deepest a folded expression nests, far below the parser's 200
 _TAPES = {}  # (body, static, shape) -> (packer, {scalar types: run})
 _CODES = {}  # source of a chunk -> its code, shared by tapes of one text
-_CALLS = collections.Counter()  # class key (and types) -> calls before that
+_CALLS = collections.Counter()  # class key -> its calls before recording
 _MODULES = ("reflectjet.acoustic", "reflectjet.elastic", "reflectjet.jets")
 _SWAP = threading.RLock()  # one recording at a time swaps the stand-ins in
 
@@ -57,26 +58,28 @@ class _Var:
     def _escape(self, *args):
         raise _Escape(f"recorded v{self.n} read as a plain value")
 
-    __float__ = __int__ = __index__ = __complex__ = __bool__ = _escape
+    __float__ = __int__ = __index__ = __complex__ = __bool__ = __ceil__ = _escape
     __hash__ = __format__ = __round__ = __trunc__ = __floor__ = _escape
-    __ceil__ = _escape
 
 
-def _method(text, fn, guard=False, swap=False):
-    if swap:
-        return lambda self, other: self.rec.log(text, fn, (other, self))
-    return lambda self, *other: self.rec.log(text, fn, (self, *other), guard)
+def _method(text, fn, shape, swap=False):
+    return lambda self, *other: self.rec.log(
+        text, fn, (*other, self) if swap else (self, *other), shape)
 
 
-for _ops, _guard in (("add + sub - mul * truediv / pow **", False),
-                     ("lt < le <= gt > ge >= eq == ne !=", True)):
-    for _name, _sym in zip(*[iter(_ops.split())] * 2):
-        _fn, _text = getattr(operator, _name), f"{{}} {_sym} {{}}"
-        setattr(_Var, f"__{_name}__", _method(_text, _fn, _guard))
-        if not _guard:
-            setattr(_Var, f"__r{_name}__", _method(_text, _fn, swap=True))
-_Var.__neg__ = _method("-{}", operator.neg)
-_Var.__abs__ = _method("abs({})", abs)
+# An operation's shape: its precedence (0 a comparison, which is logged as
+# a guard, 1 + -, 2 * /, 3 unary -, 4 **, 5 a call), then the precedence
+# each operand needs to be written in its place without parentheses.
+for _name, _sym, _shape in zip(*[iter((
+        "add + 112 sub - 112 mul * 223 truediv / 223 pow ** 453 lt < 011 "
+        "le <= 011 gt > 011 ge >= 011 eq == 011 ne != 011").split())] * 3):
+    _fn, _text, _shape = (getattr(operator, _name), f"{{}} {_sym} {{}}",
+                          tuple(map(int, _shape)))
+    setattr(_Var, f"__{_name}__", _method(_text, _fn, _shape))
+    if _shape[0]:
+        setattr(_Var, f"__r{_name}__", _method(_text, _fn, _shape, True))
+_Var.__neg__ = _method("-{}", operator.neg, (3, 3))
+_Var.__abs__ = _method("abs({})", abs, (5, 0))
 
 
 def _logged(fn):
@@ -85,7 +88,8 @@ def _logged(fn):
         for a in args:
             if isinstance(a, _Var):
                 text = "{}(" + ", ".join(["{}"] * len(args)) + ")"
-                return a.rec.log(text, lambda f, *x: f(*x), (fn, *args))
+                return a.rec.log(text, lambda f, *x: f(*x), (fn, *args),
+                                 (5,) + (0,) * (len(args) + 1))
         return fn(*args)
     return call
 
@@ -97,15 +101,14 @@ class _ComplexType(type):
     __call__ = staticmethod(_logged(complex))
 
     def __instancecheck__(cls, x):
+        if isinstance(x, _Var):
+            x.rec.read.add(x.n)  # the tape reads its type
         return isinstance(x.v if isinstance(x, _Var) else x, complex)
 
 
-def _max_of(*items):
-    return max(items)
-
-
+_MAX = _logged(lambda *items: max(items))
 _STAND_INS = {"complex": _ComplexType("complex", (), {}),
-              "max": lambda *a: _logged(_max_of)(*(a if len(a) > 1 else a[0]))}
+              "max": lambda *a: _MAX(*(a if len(a) > 1 else a[0]))}
 for _module, _names in ((math, ("log", "exp", "sqrt")), (cmath, ("exp",))):
     _STAND_INS[_module.__name__] = SimpleNamespace(**{
         **vars(_module), **{n: _logged(getattr(_module, n)) for n in _names}})
@@ -113,10 +116,11 @@ for _module, _names in ((math, ("log", "exp", "sqrt")), (cmath, ("exp",))):
 
 class _Recording:
     """Lines of (number made or None, text with a `{}` per value used,
-    numbers used), and the namespace of the constants they name."""
+    numbers used, the precedence each needs there, the precedence of the
+    text), and the namespace of the constants they name."""
 
     def __init__(self):
-        self.lines, self.numbers = [], itertools.count()
+        self.lines, self.numbers, self.read = [], itertools.count(), set()
         self.consts, self.namespace = {}, {"_Miss": _Miss}
 
     def var(self, value):
@@ -132,16 +136,22 @@ class _Recording:
             self.namespace[self.consts[id(x)]] = x
         return self.consts[id(x)]
 
-    def log(self, text, fn, args, guard=False):
+    def log(self, text, fn, args, shape):
         expr = text.format(*map(self.name, args))
-        uses = [a.n for a in args if isinstance(a, _Var)]
-        value = fn(*(a.v if isinstance(a, _Var) else a for a in args))
-        if guard:
+        uses, needs, values = [], [], []
+        for a, need in zip(args, shape[1:]):
+            if isinstance(a, _Var):
+                uses.append(a.n)
+                needs.append(need)
+                a = a.v
+            values.append(a)
+        value = fn(*values)
+        if not shape[0]:  # a guard
             test = f"not ({expr})" if value else f"({expr})"
-            self.lines.append((None, f"if {test}: raise _Miss", uses))
+            self.lines.append((None, f"if {test}: raise _Miss", uses, needs, 0))
             return value
         var = self.var(value)
-        self.lines.append((var.n, expr, uses))
+        self.lines.append((var.n, expr, uses, needs, shape[0]))
         return var
 
     def emit(self, x, uses):
@@ -152,86 +162,71 @@ class _Recording:
             uses += [x.n] if isinstance(x, _Var) else []
             return self.name(x)
         items = "".join(self.emit(item, uses) + ", " for item in x)
-        if isinstance(x, list):
-            return f"[{items}]"
-        if type(x) is tuple:
-            return f"({items})"
-        return f"{self.name(type(x))}({items})"  # a namedtuple
+        make = getattr(type(x), "_make", type(x))  # a namedtuple's, or the type
+        return f"{self.name(make)}(({items}))"
 
     def compile(self, inputs, out, label):
-        """A function of the input values that runs the log's chunks in
-        turn and returns `out`."""
+        """A function of the values of `inputs` (numbers), in order, that
+        runs the log's chunks in turn and returns `out`."""
         uses = []
-        lines = self.lines + [(None, f"return {self.emit(out, uses)}", uses)]
+        lines = self.lines + [(None, f"return {self.emit(out, uses)}", uses,
+                               [0] * len(uses), 0)]
         chunks = [lines[i:i + _CHUNK] for i in range(0, len(lines), _CHUNK)]
-        born = {n: c for c, chunk in enumerate(chunks) for n, _, _ in chunk}
+        born = {n: c for c, chunk in enumerate(chunks) for n, *_ in chunk}
         last = {u: c for c, chunk in enumerate(chunks)
-                for _, _, used in chunk for u in used}
+                for _, _, used, *_ in chunk for u in used}
         # chunk c takes the values made before it (inputs: -1) that it or
         # a later chunk uses
-        params = [[f"v{n}" for n in range(inputs)]] + [
+        params = [[f"v{n}" for n in inputs]] + [
             [f"v{n}" for n in sorted(last) if born.get(n, -1) < c <= last[n]]
             for c in range(1, len(chunks))]
-        count = collections.Counter(u for _, _, used in lines for u in used)
+        count = collections.Counter(u for line in lines for u in line[2])
         for c, chunk in enumerate(chunks):
-            body = _fold(chunk, {n for n, _, _ in chunk
+            body = _fold(chunk, {n for n, *_ in chunk
                                  if count[n] == 1 and last[n] == c})
-            if c + 1 < len(chunks):
-                passed = "".join(p + ", " for p in params[c + 1])
-                body.append(f"return ({passed})")
+            if c + 1 < len(chunks):  # each chunk calls the next
+                body.append(f"return c{c + 1}({', '.join(params[c + 1])})")
             src = (f"def c{c}({', '.join(params[c])}):\n    "
                    + "\n    ".join(body))
             if src not in _CODES:  # the constants it names are looked up
                 _CODES[src] = compile(src, f"<tape {label} {c}>", "exec")
             exec(_CODES[src], self.namespace)
-        *head, tail = (self.namespace[f"c{c}"] for c in range(len(chunks)))
-
-        def run(values):
-            for chunk in head:
-                values = chunk(*values)
-            return tail(*values)
-
-        return run
+        return lambda values, c0=self.namespace["c0"]: c0(*values)
 
 
 def _fold(chunk, once):
     """The statements of `chunk`, each value of `once` written into its
-    use, parenthesised, where the operations keep their order: a line
-    takes its values from the top of a stack of those not yet written,
-    and the rest are written before it, as are guards."""
-    body, stack = [], []  # stack: (number, expression, nesting)
-    for made, text, used in chunk:
+    use, parenthesised if its precedence is below the use's need, where
+    the operations keep their order: a line takes its values from the top
+    of a stack of those not yet written, the rest are written before it."""
+    body, stack = [], []  # stack: (number, expression, nesting, precedence)
+    for made, text, used, needs, prec in chunk:
         folded, nest = {}, 0
         for n in reversed(used):
             if stack and stack[-1][0] == n:
-                _, folded[n], depth = stack.pop()
-                nest = max(nest, depth)
-        text = text.format(*[f"({folded[n]})" if n in folded else f"v{n}"
-                             for n in used])
+                _, expr, depth, p = stack.pop()
+                folded[n], nest = (expr, p), max(nest, depth)
+        text = text.format(*[
+            f"v{n}" if n not in folded else folded[n][0]
+            if folded[n][1] >= need else f"({folded[n][0]})"
+            for n, need in zip(used, needs)])
         if made in once and nest < _NEST:
-            stack.append((made, text, nest + 1))
+            stack.append((made, text, nest + 1, prec))
             continue
-        body += [f"v{n} = {expr}" for n, expr, _ in stack]
+        body += [f"v{n} = {expr}" for n, expr, *_ in stack]
         stack.clear()
         body.append(text if made is None else f"v{made} = {text}")
     return body
 
 
-def _packer(args):
-    """A function listing, in `_refill` order, the scalars of values that
-    nest like `args` in tuples, lists and jets; None and strings nest."""
-    def paths(x, at):
-        if isinstance(x, Jet):
-            return [f"*{at}.coeffs"]
-        if not isinstance(x, (tuple, list)):
-            return [] if x is None or isinstance(x, str) else [at]
-        if any(i is None or isinstance(i, (Jet, tuple, list, str))
-               for i in x):
-            return [p for i, item in enumerate(x)
-                    for p in paths(item, f"{at}[{i}]")]
-        return [f"*{at}"]
-
-    return eval(f"lambda a: ({''.join(p + ', ' for p in paths(args, 'a'))})")
+def _slots(x, at):
+    """(path, scalars) of each jet and scalar nested in `x` in tuples and
+    lists, in `_refill` order; None and strings nest."""
+    if isinstance(x, Jet):
+        return [(f"*{at}.coeffs", x.coeffs)]
+    if isinstance(x, (tuple, list)):
+        return [s for i, item in enumerate(x) for s in _slots(item, f"{at}[{i}]")]
+    return [] if x is None or isinstance(x, str) else [(at, (x,))]
 
 
 def _refill(x, values):
@@ -247,43 +242,42 @@ def _refill(x, values):
 def _replay(body, static, args, shape, warm=1):
     """`body(*static, *args)` from the tape of its class, keyed by `static`
     (what the control flow reads besides the scalars), `shape` (where
-    `args` holds them) and the scalars' types; the class's `warm`th call
-    records it, the calls before run `body`.  If recording fails where
-    the body runs, the body runs the class."""
+    `args` holds them) and the types of the scalars the tape reads.  The
+    class's `warm`th call records it; the calls before, or all if
+    recording fails where the body runs, run `body`."""
     key = body, static, shape
     entry = _TAPES.get(key)
     if entry is None:
-        _CALLS[key] += 1
-        if _CALLS[key] < warm:
+        calls = _CALLS[key] = _CALLS[key] + 1
+        if calls < warm:
             return body(*static, *args)
+        packer, run = _record(body, static, args, None)
+        entry = _TAPES[key] = packer, {tuple(map(type, packer(args))): run}
         del _CALLS[key]
-        entry = _TAPES[key] = _packer(args), {}
     leaves = entry[0](args)
     types = tuple(map(type, leaves))
     run = entry[1].get(types)
     if run is None:
-        # the first scalar types record at once, later ones warm up too
-        _CALLS[key, types] += 1
-        if entry[1] and _CALLS[key, types] < warm:
-            return body(*static, *args)
-        del _CALLS[key, types]
-        run = entry[1][types] = _record(body, static, args, leaves)
+        run = entry[1][types] = _record(body, static, args, entry[0])[1]
     try:
         return run(leaves)
     except _Miss:
         return body(*static, *args)
 
 
-def _record(body, static, args, leaves):
+def _record(body, static, args, packer):
+    """A packer of the jets and scalars of `args` a tape of `body` reads
+    (or `packer`, of its class), and the tape, a function of their list."""
+    slots = _slots(args, "a")
     rec = _Recording()
-    inputs = [rec.var(x) for x in leaves]
+    inputs = [[rec.var(x) for x in xs] for _, xs in slots]
     spaces = [vars(sys.modules[m]) for m in _MODULES if m in sys.modules]
     with _SWAP:
         saved = [{k: s[k] for k in _STAND_INS if k in s} for s in spaces]
         try:
             for space in spaces:
                 space.update(_STAND_INS)
-            out = body(*static, *_refill(args, iter(inputs)))
+            out = body(*static, *_refill(args, itertools.chain(*inputs)))
         except Exception:
             out = _miss
         finally:
@@ -293,8 +287,23 @@ def _record(body, static, args, leaves):
                 space.update(old)
     if out is _miss:  # the body raises its own error, or runs the class
         body(*static, *args)
-        return _miss
-    return rec.compile(len(inputs), out, body.__name__)
+        return packer or _packer([]), _miss
+    read = rec.read.union(*(line[2] for line in rec.lines), [
+        x.n for _, xs in _slots(out, "") for x in xs if isinstance(x, _Var)])
+    paths = {path: [x.n for x in xs] for (path, _), xs in zip(slots, inputs)}
+    packer = packer or _packer([p for p, ns in paths.items()
+                                if read.intersection(ns)])
+    if any(read.intersection(paths[p]) for p in paths.keys() - packer.paths):
+        return packer, _miss  # these types read another part of `args`
+    return packer, rec.compile([n for p in packer.paths for n in paths[p]],
+                               out, body.__name__)
+
+
+def _packer(paths):
+    """A function listing the scalars at `paths` of its argument."""
+    packer = eval(f"lambda a: ({''.join(p + ', ' for p in paths)})")
+    packer.paths = paths
+    return packer
 
 
 def _miss(values):

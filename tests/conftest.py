@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reflectjet import tape
 from reflectjet.medium import Covector
 
 
@@ -36,3 +37,41 @@ def two_direction_grid(model, count, tau=1.0, fraction=0.8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# --- tapes ---------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """`repr` of fn(*args), or the type and message of its error."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def by_source(fn, *args):
+    """`outcome` with the engine halves running their source bodies."""
+    taped = tape._replay
+    tape._replay = lambda body, static, args, *key: body(*static, *args)
+    try:
+        return outcome(fn, *args)
+    finally:
+        tape._replay = taped
+
+
+def replays_only(monkeypatch):
+    """Every class recorded so far has a tape, and a guard that misses in
+    it fails the test instead of running the body."""
+    def strict(run):
+        def replay(values):
+            try:
+                return run(values)
+            except tape._Miss:
+                raise AssertionError("a guard missed: the body ran") from None
+        return replay
+
+    for _, runs in tape._TAPES.values():
+        for types, run in list(runs.items()):
+            assert run is not tape._miss
+            monkeypatch.setitem(runs, types, strict(run))

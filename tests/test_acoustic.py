@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import child_env
+from conftest import by_source, child_env, outcome, replays_only
 from reflectjet import acoustic, tape
 from reflectjet.acoustic import (
     _group,
@@ -251,24 +251,6 @@ def test_group_checks_its_contract(rng):
 # --- tapes ---------------------------------------------------------------
 
 
-def _outcome(fn, *args):
-    """`repr` of fn(*args), or the type and message of its error."""
-    try:
-        return repr(fn(*args))
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _by_source(fn, *args):
-    """`_outcome` with the engine halves running their source bodies."""
-    taped = tape._replay
-    tape._replay = lambda body, static, args, *key: body(*static, *args)
-    try:
-        return _outcome(fn, *args)
-    finally:
-        tape._replay = taped
-
-
 def _typed(side, kind):
     """`side` with float coefficients (as the CLI reads them), np.float64
     ones (as `sampling` makes them), or the two alternating."""
@@ -278,23 +260,6 @@ def _typed(side, kind):
                     for i, c in enumerate(coeffs)])
 
     return AcousticSideJet(jet(side.rho, 0), jet(side.cs, 1))
-
-
-def _replays_only(monkeypatch):
-    """Every class recorded so far has a tape, and a guard that misses in
-    it fails the test instead of running the body."""
-    def strict(run):
-        def replay(values):
-            try:
-                return run(values)
-            except tape._Miss:
-                raise AssertionError("a guard missed: the body ran") from None
-        return replay
-
-    for _, runs in tape._TAPES.values():
-        for types, run in list(runs.items()):
-            assert run is not tape._miss
-            monkeypatch.setitem(runs, types, strict(run))
 
 
 @pytest.mark.parametrize("kind", ["float", "float64", "mixed"])
@@ -311,7 +276,7 @@ def test_tape_equals_source(rng, monkeypatch, curved, kind):
             Covector(1.0, (0.999 * 0.6 * b_crit, 0.999 * 0.8 * b_crit))]
     for replayed in (False, True):
         if replayed:
-            _replays_only(monkeypatch)
+            replays_only(monkeypatch)
         for depth in range(5):
             if depth:
                 pluses = [_with_top(plus, depth, r, c) for r, c in
@@ -323,11 +288,11 @@ def test_tape_equals_source(rng, monkeypatch, curved, kind):
             for cov, built in itertools.product(covs, {depth, 4}):
                 args = (cov, minus, model.geometry, built, GLANCING_TOL)
                 taped = _minus_side(*args)
-                assert repr(taped) == _by_source(_minus_side, *args)
+                assert repr(taped) == by_source(_minus_side, *args)
                 for n in range(1, len(pluses) + 1):
                     group = (taped, depth, pluses[:n])
-                    assert (_outcome(_group, *group)
-                            == _by_source(_group, *group))
+                    assert (outcome(_group, *group)
+                            == by_source(_group, *group))
 
 
 @pytest.mark.parametrize("curved", [False, True])
@@ -344,19 +309,19 @@ def test_tape_errors_are_the_sources(rng, monkeypatch, curved):
         good = Covector(1.0, (0.3 * model.critical_slowness(), 0.0))
         args = (minus, plus, model.geometry, 2)
         for cov in bad + [good] + bad + [good]:
-            outcome = _outcome(forward_series, cov, *args)
-            assert outcome == _by_source(forward_series, cov, *args)
-            assert outcome.startswith(("GlancingError: ", "EvanescentError: ",
+            result = outcome(forward_series, cov, *args)
+            assert result == by_source(forward_series, cov, *args)
+            assert result.startswith(("GlancingError: ", "EvanescentError: ",
                                        "[("))
     ms = _minus_side(good, minus, model.geometry, 2, GLANCING_TOL)
     below = _with_top(plus, 1, 1.0, 1.0).truncate(2)
-    outcome = _outcome(_group, ms, 2, [plus, below])
-    assert outcome == _by_source(_group, ms, 2, [plus, below])
-    assert outcome.startswith("ValueError: ")
+    result = outcome(_group, ms, 2, [plus, below])
+    assert result == by_source(_group, ms, 2, [plus, below])
+    assert result.startswith("ValueError: ")
 
-    _replays_only(monkeypatch)
+    replays_only(monkeypatch)
     assert (repr(forward_series(good, *args))
-            == _by_source(forward_series, good, *args))
+            == by_source(forward_series, good, *args))
 
 
 @pytest.mark.parametrize("value", [1.5, np.float64(-0.0), 1.5 - 0.5j])
@@ -403,6 +368,20 @@ def test_folded_tape_keeps_the_order_of_operations(monkeypatch):
     assert tape._replay(source, (), (1.0, 2.0), ()) == 1.5
     with pytest.raises(ZeroDivisionError):
         tape._replay(source, (), (10.0, 0.0), ())
+
+
+def test_folded_tape_keeps_precedence(monkeypatch):
+    # a value folded into its use gets the parentheses its precedence
+    # needs there, and no others: the replay is the source's value
+    def source(a, b, c):
+        return [a / (b * c), a - (b - c), (a + b) * c, -(a * b), a * -b,
+                (a ** b) ** c, a ** -(b * c), (-a) ** b, a ** b ** c,
+                abs(a - b) * c, (a - b) / (c + a), a - b - c, a * (b / c),
+                a ** (b * c), a + (b + c)]
+
+    monkeypatch.setattr(tape, "_TAPES", {})
+    for xs in ((1.5, 0.7, 2.25), (0.1, 0.2, 0.3)):
+        assert repr(tape._replay(source, (), xs, ())) == repr(source(*xs))
 
 
 def test_acoustic_recording_loads_no_elastic_engine():

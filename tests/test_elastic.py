@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import child_env
+from conftest import by_source, child_env, outcome, replays_only
 from reflectjet import elastic, tape
 from reflectjet.acoustic import forward_series, forward_symbols
 from reflectjet.elastic import (
@@ -40,7 +40,6 @@ from reflectjet.sampling import (
     random_acoustic_model,
     random_elastic_model,
 )
-from test_acoustic import _by_source, _outcome, _replays_only
 
 
 def _pair(rng, depth=0, contrast=2.0):
@@ -426,7 +425,7 @@ def test_tape_equals_source(rng, monkeypatch, fresh_tapes, curved, kind):
             Covector(1.0, (0.6 * b_crit, 0.3 * b_crit))]
     for replayed in (False, True):
         if replayed:
-            _replays_only(monkeypatch)
+            replays_only(monkeypatch)
         for depth in range(3):
             if depth:
                 pluses = [_with_tops(plus, depth, tops) for tops in (
@@ -438,8 +437,37 @@ def test_tape_equals_source(rng, monkeypatch, fresh_tapes, curved, kind):
                           for f in (1.0, 0.9, 1.2, 0.8)]
             for cov, n in itertools.product(covs, range(1, 5)):
                 args = (cov, minus, model.geometry, depth, pluses[:n])
-                assert (_outcome(_group_lists, *args)
-                        == _by_source(_group_lists, *args))
+                assert (outcome(_group_lists, *args)
+                        == by_source(_group_lists, *args))
+
+
+def test_tape_key_holds_absent_kernel_jets(rng, fresh_tapes):
+    # kt / |Xi| underflows to zero where kt does not: the P kernel's kt
+    # entry is absent while the depth operators keep kt, and the branch
+    # steps on such contexts are a class of their own, recorded or not.
+    # No covector gets there: |xi'|^2 underflows, or |Xi|^2 overflows,
+    # first.
+    model = random_elastic_model(rng, 2)
+    cov, stretch = Covector(1e24, (0.0, 0.0)), Jet([0.0, 0.0, 0.0])
+    vals = np.array([1.0, 0.5, 0.0], dtype=complex)
+
+    def cascade(kt):
+        ctx = elastic._side_ctxs(cov, model.minus, kt, stretch, None, 2,
+                                 GLANCING_TOL, ("I",), {})
+        ctxs = (ctx["I", "P"], ctx["I", "S"])
+        amps, ws, steps = ([], []), (elastic._ABSENT,) * 2, []
+        for d in (2, 1, 0):
+            if d < 2:
+                ws, scales, checks = elastic._branch_particular(
+                    ctxs, amps, elastic._PSV, d)
+                steps.append((ws, scales, checks))
+            if d:
+                elastic._branch_fill(ctxs, ws, vals, elastic._PSV, amps, d)
+        return [c.kernels for c in ctxs], amps, steps
+
+    for kt in (Jet([1e-3, 0.0, 0.0]), Jet([1e-300, 0.0, 0.0])) * 2:
+        assert outcome(cascade, kt) == by_source(cascade, kt)
+    assert "(None, None, Jet(" in by_source(cascade, kt)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -465,9 +493,9 @@ def test_tape_errors_are_the_sources(rng, fresh_tapes):
     outcomes = set()
     for _ in range(2):
         for args in cases:
-            outcome = _outcome(series, *args)
-            assert outcome == _by_source(series, *args)
-            outcomes.add(outcome.split(":")[0])
+            result = outcome(series, *args)
+            assert result == by_source(series, *args)
+            outcomes.add(result.split(":")[0])
     assert {"GlancingError", "EvanescentError", "DepthExceeded",
             "CascadeIncompatible"} <= outcomes
 
@@ -489,7 +517,7 @@ def test_second_round_trip_replays_every_class(monkeypatch, fresh_tapes):
                for types in runs}
     assert all(key[0].__module__ == "reflectjet.elastic"
                for key, _ in classes)
-    _replays_only(monkeypatch)
+    replays_only(monkeypatch)
     assert repr(round_trip().plus) == repr(first.plus)
     assert classes == {(key, types) for key, (_, runs) in tape._TAPES.items()
                        for types in runs}
