@@ -26,17 +26,20 @@ covector, minus side, geometry, depth and tolerance fix: the curvature
 jets, the incident and reflected mode contexts, their interface
 columns, and for each incident column the incident cascade together
 with what its compatibility checks need.  `_group` runs plus sides on
-it, sharing each distinct speed jet's zeta jet; `_order0` gives a
-depth-0 group's order-0 matrices alone, from one stacked condition
-check and solve.  A jet's coefficient m comes from coefficients <= m
-by the same operations at any length, so plus sides that agree below
-their top coefficients (else ValueError) agree in every value that
-does not reach the top: at depth >= 1 a group's runs share the
-interface (the 6x6 matrix, its check and solve, the inverse columns)
-and the reflected cascade, which the first run records.  Every output
-keeps the bits of a separate run, and every compatibility check of
-every branch still runs in every run, because its bound depends on
-the plus side through the run's amplitude and operator scales.
+it, sharing each distinct speed jet's zeta jet.  `_interface_columns`
+builds every branch's interface columns from value scalars, so
+`_order0` gives a depth-0 group's order-0 matrices alone without mode
+contexts: each plus side's columns come from its values, and one
+stacked condition check and solve serve them.  A jet's coefficient m
+comes from coefficients <= m by the same operations at any length, so
+plus sides that agree below their top coefficients (else ValueError)
+agree in every value that does not reach the top: at depth >= 1 a
+group's runs share the interface (the 6x6 matrix, its check and solve,
+the inverse columns) and the reflected cascade, which the first run
+records.  Every output keeps the bits of a separate run, and every
+compatibility check of every branch still runs in every run, because
+its bound depends on the plus side through the run's amplitude and
+operator scales.
 
 The cascade leaves out what is zero by construction.  In the rotated
 frame the P kernel and the SV kernel have no middle component and the
@@ -65,10 +68,11 @@ flow reads: the depth; a side's branches, flat or curved, and which of
 its coefficients are zero (the `_nz` tests); a branch step's channel and
 its contexts' absent jets (`sig`).  A recording costs some 20 to 45 runs
 of its unit, so a class records on its `_WARM`th call, once its runs
-have cost about as much.  The numpy calls (the 6x6 systems, their checks
-and solves, the columns and tractions) stay outside, and so do the
-compatibility checks, whose bound reads `_COMPAT_RTOL` at each call, and
-a side's regime and convexity checks, in the source's order.
+have cost about as much.  The interface columns (Python scalars), the
+branch tractions and the numpy 6x6 systems with their checks and
+solves stay outside, and so do the compatibility checks, whose bound
+reads `_COMPAT_RTOL` at each call, and a side's regime and convexity
+checks, in the source's order.
 
 The forward depth is capped at two orders below principal
 (ELASTIC_DEPTH_CAP): the machinery iterates further, but only orders
@@ -83,6 +87,7 @@ and the SV/SH axes default to (e1, e2).
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -456,18 +461,35 @@ def _kernel_fill(ctx: _ModeCtx, w, kernels, a_next, d: int):
     return out
 
 
-def _traction_phase(ctx: _ModeCtx, v):
-    """Phase part of the traction of a value 3-vector: i B(x, dphi) v."""
-    lam0 = complex(ctx.lam[0])
-    mu0 = complex(ctx.mu[0])
-    z0 = complex(ctx.zeta[0])
-    k = complex(ctx.kt[0])
+def _traction_phase(k, z0, lam0, mu0, v):
+    """Phase part of the traction of a value 3-vector: i B(x, dphi) v,
+    from the complex values of kt, zeta, lambda and mu."""
     xi_v = k * v[0] + z0 * v[2]
-    return 1j * np.array([
-        mu0 * (k * v[2] + z0 * v[0]),
-        mu0 * (z0 * v[1]),
-        lam0 * xi_v + 2.0 * mu0 * z0 * v[2],
-    ])
+    return [1j * (mu0 * (k * v[2] + z0 * v[0])), 1j * (mu0 * (z0 * v[1])),
+            1j * (lam0 * xi_v + 2.0 * mu0 * z0 * v[2])]
+
+
+def _interface_columns(kt0, lam0, mu0, zeta_p, zeta_s):
+    """Displacement and traction columns (P, SV, SH) of one branch, as one
+    tuple of 18 complex values, the displacement columns first, from the
+    values of kt, lambda, mu and the branch's signed zetas: `_mode_ctx`'s
+    kernel values by its scalar operations, with a zero kz absent as `_nz`
+    makes it (+0.0, not -0.0, in the SV column)."""
+    inv_p = 1.0 / math.exp(0.5 * math.log(zeta_p * zeta_p + kt0 * kt0))
+    inv_s = 1.0 / math.exp(0.5 * math.log(zeta_s * zeta_s + kt0 * kt0))
+    kz, zn = kt0 * inv_s, complex(zeta_s * inv_s)
+    p = (complex(kt0 * inv_p), 0j, complex(zeta_p * inv_p))
+    sv, sh = (zn, 0j, complex(-kz) if kz else 0j), (0j, 1 + 0j, 0j)
+    k, lam0, mu0, z = complex(kt0), complex(lam0), complex(mu0), complex(zeta_s)
+    return (*p, *sv, *sh, *_traction_phase(k, complex(zeta_p), lam0, mu0, p),
+            *_traction_phase(k, z, lam0, mu0, sv),
+            *_traction_phase(k, z, lam0, mu0, sh))
+
+
+def _ctx_columns(ctx_p: _ModeCtx, ctx_s: _ModeCtx):
+    """`_interface_columns` of the branch of the contexts `ctx_p`, `ctx_s`."""
+    return _interface_columns(ctx_p.kt[0], ctx_p.lam[0], ctx_p.mu[0],
+                              ctx_p.zeta[0], ctx_s.zeta[0])
 
 
 # --- one branch's cascade step ------------------------------------------------
@@ -525,29 +547,17 @@ def _branch_traction(ctxs, ws, amps):
     """F = sum_modes [tr1(values) + P_side d(a)_{J+1}/dnu] at x3 = 0."""
     total = np.zeros(3, dtype=complex)
     for ctx, w, amp in zip(ctxs, ws, amps):
-        total += _traction_phase(ctx, _jv_values(w))
+        total += _traction_phase(*(complex(j[0]) for j in (
+            ctx.kt, ctx.zeta, ctx.lam, ctx.mu)), _jv_values(w))
         pd = np.array([complex(ctx.p_diag[i][0]) for i in range(3)])
         total += pd * _jv_values(amp[-1], 1)
     return total
 
 
-def _columns(ctx_p: _ModeCtx, ctx_s: _ModeCtx):
-    """Displacement and traction columns (P, SV, SH) of one branch."""
-    cols, tracs = [], []
-    for ctx, slot in ((ctx_p, P), (ctx_s, SV), (ctx_s, SH)):
-        v = _jv_values(ctx.kernels[slot])
-        cols.append(v)
-        tracs.append(_traction_phase(ctx, v))
-    return np.array(cols).T, np.array(tracs).T
-
-
-def _side_ctxs(cov: Covector, side: ElasticSideJet, kt, stretch, h,
-               depth: int, tol: float, branches, zetas: dict):
-    """Mode contexts of the named branches ("I", "R", "T") on one side;
-    the reflected branch carries the negated vertical wavenumber, and
-    `zetas` caches the zeta jet of each speed jet across calls."""
-    rho = side.rho.truncate(depth)
-    lam, mu = derive_lame_jets(side.truncate(depth))
+def _zeta_jets(cov: Covector, side: ElasticSideJet, stretch, depth: int,
+               tol: float, zetas: dict):
+    """The P and S zeta jets of one side, each speed's regime checked
+    first; `zetas` caches the zeta jet of each speed jet across calls."""
     modes = []
     for speed in (side.cp, side.cs):
         c = speed.truncate(depth)
@@ -557,6 +567,17 @@ def _side_ctxs(cov: Covector, side: ElasticSideJet, kt, stretch, h,
             radicand = jet_scale(jet_inv(jet_mul(c, c)), cov.tau * cov.tau)
             zeta = zetas[c.coeffs] = jet_sqrt(radicand - stretch)
         modes.append(zeta)
+    return modes
+
+
+def _side_ctxs(cov: Covector, side: ElasticSideJet, kt, stretch, h,
+               depth: int, tol: float, branches, zetas: dict):
+    """Mode contexts of the named branches ("I", "R", "T") on one side;
+    the reflected branch carries the negated vertical wavenumber, and
+    `zetas` is `_zeta_jets`'s cache."""
+    rho = side.rho.truncate(depth)
+    lam, mu = derive_lame_jets(side.truncate(depth))
+    modes = _zeta_jets(cov, side, stretch, depth, tol, zetas)
     jets = (kt, rho, lam, mu, *modes)
     zeros = tuple(not c for j in jets for c in j.coeffs)  # for `_nz`
     ctxs = tape._replay(_side_body, (branches,), (cov.tau, h, *jets),
@@ -589,8 +610,9 @@ class _MinusSide:
                               depth, tol, ("I", "R"), {})
         self.S, self.T = {}, {}
         for branch in ("I", "R"):
-            self.S[branch], self.T[branch] = _columns(self.ctx[branch, "P"],
-                                                      self.ctx[branch, "S"])
+            self.S[branch], self.T[branch] = np.array(_ctx_columns(
+                self.ctx[branch, "P"], self.ctx[branch, "S"])).reshape(
+                    2, 3, 3).swapaxes(1, 2)
         self.order0_rhs = np.vstack([self.S["I"], self.T["I"]]).astype(complex)
         self.incident = [self._incident_cascade(q) for q in (P, SV, SH)]
 
@@ -644,32 +666,38 @@ class _ElasticRun:
         self.op_scale = max(ctx.op_scale for ctx in self.ctx.values())
 
 
-def _interface(ms: _MinusSide, runs):
-    """The 6x6 interface matrices of `runs` and their order-0 solutions,
+def _interface(ms: _MinusSide, tops):
+    """The 6x6 interface matrices whose transmitted columns are `tops`
+    (one `_interface_columns` result each) and their order-0 solutions,
     as stacks.  One condition check and one solve serve the stack: numpy
     runs LAPACK on each matrix alone, so each result has the bits of a
     call on that matrix alone.  The first singular matrix raises."""
-    m6 = np.zeros((len(runs), 6, 6), dtype=complex)
+    m6 = np.zeros((len(tops), 6, 6), dtype=complex)
     m6[:, :3, :3] = -ms.S["R"]
     m6[:, 3:, :3] = -ms.T["R"]
-    for m, run in zip(m6, runs):
-        m[:3, 3:], m[3:, 3:] = _columns(run.ctx["T", "P"], run.ctx["T", "S"])
+    m6[:, :, 3:] = np.array(tops, dtype=complex).reshape(
+        -1, 2, 3, 3).swapaxes(2, 3).reshape(-1, 6, 3)
     for cond in np.linalg.cond(m6):
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularInterfaceSystem(
                 f"elastic interface system is singular (cond={cond:.3e})",
                 condition=cond,
             )
-    rhs = np.broadcast_to(ms.order0_rhs, (len(runs), 6, 3))
+    rhs = np.broadcast_to(ms.order0_rhs, (len(tops), 6, 3))
     return m6, np.linalg.solve(m6, rhs)
 
 
 def _order0(ms: _MinusSide, pluses) -> list:
-    """Order-0 (R0, T0) of each of `pluses` on a depth-0 minus side:
-    the stacked order-0 solutions of a depth-0 `_group`, without its
-    symbol columns."""
-    zetas = {}
-    _, sol = _interface(ms, [_ElasticRun(ms, p, zetas) for p in pluses])
+    """Order-0 (R0, T0) of each of `pluses` on a depth-0 minus side, as a
+    depth-0 `_group` solves and checks them, without mode contexts."""
+    zetas, tops = {}, []
+    for plus in pluses:
+        lam, mu = derive_lame_jets(plus.truncate(ms.depth))
+        zeta_p, zeta_s = _zeta_jets(ms.cov, plus, ms.stretch, ms.depth,
+                                    ms.tol, zetas)
+        tops.append(_interface_columns(ms.kt[0], lam[0], mu[0], zeta_p[0],
+                                       zeta_s[0]))
+    _, sol = _interface(ms, tops)
     return [(x[:3], x[3:]) for x in sol]
 
 
@@ -684,7 +712,9 @@ def _group(ms: _MinusSide, pluses) -> list:
     runs = [_ElasticRun(ms, p, zetas) for p in pluses]
     # below depth 0 the plus sides share coefficient 0, so one interface
     # serves the group
-    m6, sol = _interface(ms, runs if K == 0 else runs[:1])
+    m6, sol = _interface(ms, [_ctx_columns(run.ctx["T", "P"],
+                                           run.ctx["T", "S"])
+                              for run in (runs if K == 0 else runs[:1])])
     s_inv_r = np.linalg.inv(ms.S["R"])
     s_inv_t = np.linalg.inv(m6[:, :3, 3:])
     reflected = ([], [], [])  # per column, filled by the first run

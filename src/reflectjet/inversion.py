@@ -250,19 +250,20 @@ def acoustic_recover_order0(samples, minus: AcousticSideJet,
 
 
 def _scan_roots(func, lo, hi, scan=None):
-    """Roots of `func` on [lo, hi]: sign changes over a uniform grid,
-    refined by bracketed root finding; exact zeros on the grid count.
+    """Roots of `func` on [lo, hi], as floats: sign changes over a uniform
+    grid, refined by bracketed root finding; exact zeros on the grid,
+    its ends included, count.
     `scan(grid)`, if given, evaluates `func` on the whole grid at once."""
     from scipy.optimize import brentq
 
     grid = np.linspace(lo, hi, _ROOT_SCAN_POINTS)
     values = scan(grid) if scan is not None else [func(x) for x in grid]
     roots = []
-    for i in range(len(grid) - 1):
+    for i, x in enumerate(grid.tolist()):
         if values[i] == 0.0:
-            roots.append(grid[i])
-        elif values[i] * values[i + 1] < 0.0:
-            roots.append(brentq(func, grid[i], grid[i + 1], xtol=ROOT_TOL))
+            roots.append(x)
+        elif i + 1 < len(grid) and values[i] * values[i + 1] < 0.0:
+            roots.append(brentq(func, x, grid[i + 1], xtol=ROOT_TOL))
     return roots
 
 
@@ -595,14 +596,15 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
         )
 
     # one minus side per sample serves every cp that the scan and the
-    # misfit try, each as one depth-0 group
+    # misfit try; `_order0` builds each cp's columns from its values
     minus0 = minus.truncate(0)
     minus_sides = [elastic._MinusSide(s.covector, minus0, None, 0,
                                       glancing_tol) for s in group]
 
+    rho_jet, cs_jet = Jet([rho_plus]), Jet([cs_plus])
+
     def forward_r(cps, ms):
-        pluses = [ElasticSideJet(Jet([rho_plus]), Jet([cs_plus]), Jet([cp]))
-                  for cp in cps]
+        pluses = [ElasticSideJet(rho_jet, cs_jet, Jet([cp])) for cp in cps]
         return [r for r, _ in elastic._order0(ms, pluses)]
 
     # smallest |b|: P-P entry is monotone in impedance there
@@ -610,7 +612,8 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
     meas = np.asarray(group[0].value, dtype=complex)
 
     def gaps(cps):
-        return [float((r - meas)[0, 0].real) for r in forward_r(cps, probe)]
+        return [float((r[0, 0] - meas[0, 0]).real)
+                for r in forward_r(cps, probe)]
 
     # the grid as Python floats, whose arithmetic is faster than numpy's
     # scalars and gives the same bits

@@ -97,6 +97,9 @@ class ElasticSideJet:
         return (self.cs[0], self.cp[0])
 
     def truncate(self, depth: int) -> "ElasticSideJet":
+        """A side is immutable, so one already at `depth` is returned as is."""
+        if depth == self.depth:
+            return self
         return ElasticSideJet(
             self.rho.truncate(depth), self.cs.truncate(depth), self.cp.truncate(depth)
         )

@@ -189,8 +189,9 @@ def _parse_int(field, value, path, line_no):
 def read_symbol_csv(paths, log=None):
     """SymbolSamples (reflection side) from one or more symbol CSV files.
 
-    Duplicated rows are dropped with a warning; acoustic/elastic kind is
-    detected from the header and must agree across files.  Returns
+    Duplicated rows are dropped with a warning, and a duplicate with a
+    different value is a ParseError; acoustic/elastic kind is detected
+    from the header and must agree across files.  Returns
     (samples, kind).
     """
     # numpy and the inversion load only with the commands that read symbols
@@ -206,8 +207,10 @@ def read_symbol_csv(paths, log=None):
     dupes = 0
     for path in paths:
         with open(path, newline="") as fh:
-            reader = csv.reader(line for line in fh
-                                if line.strip() and not line.startswith("#"))
+            # each data line with its number in the file
+            numbered = [(n, line) for n, line in enumerate(fh, start=1)
+                        if line.strip() and not line.startswith("#")]
+            reader = csv.reader(line for _, line in numbered)
             try:
                 header = next(reader)
             except StopIteration:
@@ -223,7 +226,7 @@ def read_symbol_csv(paths, log=None):
                 kind = this_kind
             elif kind != this_kind:
                 raise ParseError(f"{path}: mixes {this_kind} data with {kind}")
-            for line_no, row in enumerate(reader, start=2):
+            for (line_no, _), row in zip(numbered[1:], reader):
                 if len(row) != len(header):
                     raise ParseError(
                         f"{path}:{line_no}: expected {len(header)} fields, "
@@ -248,10 +251,7 @@ def read_symbol_csv(paths, log=None):
                     value = complex(
                         _parse_float("re_aR", vals["re_aR"], path, line_no),
                         _parse_float("im_aR", vals["im_aR"], path, line_no))
-                    if key in scalar:
-                        dupes += 1
-                        continue
-                    scalar[key] = value
+                    kept = scalar.setdefault(key, value)
                 else:
                     row_i = _parse_int("row", vals["row"], path, line_no) - 1
                     col_i = _parse_int("col", vals["col"], path, line_no) - 1
@@ -264,10 +264,14 @@ def read_symbol_csv(paths, log=None):
                         _parse_float("im_R", vals["im_R"], path, line_no))
                     entry = matrices.setdefault(
                         key, np.full((3, 3), np.nan, dtype=complex))
-                    if not math.isnan(entry[row_i, col_i].real):
-                        dupes += 1
-                        continue
-                    entry[row_i, col_i] = value
+                    kept = entry[row_i, col_i]
+                    if math.isnan(kept.real):
+                        kept = entry[row_i, col_i] = value
+                if kept is not value:  # a duplicated row
+                    if kept != value:
+                        raise ParseError(f"{path}:{line_no}: duplicated "
+                                         "symbol row with a different value")
+                    dupes += 1
     if dupes and log is not None:
         log.warning("dropped %d duplicated symbol rows", dupes)
     out = []

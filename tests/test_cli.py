@@ -225,6 +225,29 @@ def test_invert_deduplicates_rows(tmp_path):
     assert a["plus"] == b["plus"]
 
 
+@pytest.mark.parametrize("doc, field", [(ACOUSTIC_MODEL, "im_aR"),
+                                        (ELASTIC_MODEL, "im_R")])
+def test_invert_rejects_conflicting_duplicate_rows(tmp_path, capsys, doc,
+                                                   field):
+    model = _write_model(tmp_path, doc)
+    sym = tmp_path / "sym.csv"
+    assert main(["forward", "--model", model, "--out", str(sym),
+                 "--grid", "0,0.15,0.3"]) == 0
+    lines = sym.read_text().strip().splitlines()
+    row = lines[1].split(",")
+    row[lines[0].split(",").index(field)] = "0.999"
+    # the line named is the row's line in the file, comments counted
+    conflicting = tmp_path / "conflicting.csv"
+    conflicting.write_text("\n".join(lines + ["# a comment", "",
+                                              ",".join(row)]) + "\n")
+    rec = tmp_path / "rec.json"
+    assert main(["invert", "--model", model, "--symbols", str(conflicting),
+                 "--out", str(rec), "--known-geometry"]) == 2
+    assert (f"{conflicting}:{len(lines) + 3}: duplicated symbol row with a "
+            "different value") in capsys.readouterr().err
+    assert not rec.exists()
+
+
 def test_invert_merges_multiple_symbol_files(tmp_path):
     doc = {
         "minus": {"rho_jet": [1.0, 0.3, 0.1], "cs_jet": [1.0, -0.2, 0.2]},

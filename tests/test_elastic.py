@@ -217,6 +217,73 @@ def test_order0_matches_principal(rng):
     np.testing.assert_allclose(series.orders[0][2], t0, atol=1e-13)
 
 
+def _kernel_columns(ctx_p, ctx_s):
+    """The columns of one branch as the contexts' kernel jets give them,
+    each traction by the arithmetic of a 3-element array."""
+    cols, tracs = [], []
+    for ctx, slot in ((ctx_p, elastic.P), (ctx_s, elastic.SV),
+                      (ctx_s, elastic.SH)):
+        v = np.array([0j if c is None else complex(c[0])
+                      for c in ctx.kernels[slot]])
+        lam0, mu0, z0, k = (complex(j[0])
+                            for j in (ctx.lam, ctx.mu, ctx.zeta, ctx.kt))
+        xi_v = k * v[0] + z0 * v[2]
+        cols.append(v)
+        tracs.append(1j * np.array([mu0 * (k * v[2] + z0 * v[0]),
+                                    mu0 * (z0 * v[1]),
+                                    lam0 * xi_v + 2.0 * mu0 * z0 * v[2]]))
+    return np.array(cols).T, np.array(tracs).T
+
+
+def _floats(side):
+    return ElasticSideJet(*(Jet([float(c) for c in j.coeffs])
+                            for j in (side.rho, side.cs, side.cp)))
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_value_columns_equal_kernel_columns(rng, curved):
+    # the columns built from value scalars carry the bits, signed zeros
+    # included, of the contexts' kernel jets, on every branch
+    model = random_elastic_model(rng, 2, curved=curved)
+    b_crit = model.critical_slowness()
+    covs = (Covector(1.0), Covector(1.0, (0.5 * b_crit, 0.3 * b_crit)),
+            Covector(-2.0, (0.0, -1.6 * b_crit)))
+    for convert, cov, depth in itertools.product((lambda s: s, _floats),
+                                                 covs, (0, 2)):
+        minus, plus = convert(model.minus), convert(model.plus)
+        ms = elastic._MinusSide(cov, minus, model.geometry, depth,
+                                GLANCING_TOL)
+        run = elastic._ElasticRun(ms, plus, {})
+        for branch in "IRT":
+            ctx_p, ctx_s = run.ctx[branch, "P"], run.ctx[branch, "S"]
+            want = [repr(a.tolist()) for a in _kernel_columns(ctx_p, ctx_s)]
+            got = [repr(a.tolist()) for a in np.array(elastic._ctx_columns(
+                ctx_p, ctx_s)).reshape(2, 3, 3).swapaxes(1, 2)]
+            assert got == want
+            if branch != "T":
+                assert [repr(ms.S[branch].tolist()),
+                        repr(ms.T[branch].tolist())] == want
+
+
+def test_order0_errors_are_the_sources(rng):
+    # a glancing, an evanescent and a non-convex plus side stop the stack
+    # with the error building its run gives, the first of them winning
+    model = random_elastic_model(rng, 0)
+    b = 0.5 * model.critical_slowness()
+    ms = elastic._MinusSide(Covector(1.0, (b, 0.0)), model.minus, None, 0,
+                            GLANCING_TOL)
+    good, rho, cs = model.plus, model.plus.rho, model.plus.cs
+    bad = [ElasticSideJet(rho, cs, Jet([1.0 / b])),
+           ElasticSideJet(rho, cs, Jet([1.1 / b])),
+           ElasticSideJet(Jet([1e-200]), Jet([1e-100]), Jet([1.0]))]
+    errors = [outcome(elastic._ElasticRun, ms, p, {}) for p in bad]
+    assert [e.split(":")[0] for e in errors] == [
+        "GlancingError", "EvanescentError", "ConvexityViolation"]
+    for error, first in zip(errors, bad):
+        for then in bad:
+            assert outcome(elastic._order0, ms, [good, first, then]) == error
+
+
 def test_depth_cap_and_model_depth():
     side = ElasticSideJet(Jet([1.0] + [0.0] * 3), Jet([1.0] + [0.0] * 3),
                           Jet([2.0] + [0.0] * 3))

@@ -472,6 +472,16 @@ def test_r33_alone_determines_rho_cs(rng):
     assert rho_plus == pytest.approx(model.plus.rho[0], rel=1e-9)
 
 
+def test_scan_roots_counts_exact_zeros_at_both_ends():
+    from reflectjet.inversion import _scan_roots
+    for shift in (1.0, 2.0):
+        for scan in (None, lambda grid: [x - shift for x in grid]):
+            roots = _scan_roots(lambda x: x - shift, 1.0, 2.0, scan)
+            assert roots == [shift] and type(roots[0]) is float
+    roots = _scan_roots(lambda x: x - 1.5, 1.0, 2.0)
+    assert roots == [pytest.approx(1.5)] and type(roots[0]) is float
+
+
 def _scan_pluses(monkeypatch, samples, minus):
     """The probe minus side and the plus sides of the order-0 cp scan,
     recorded from its one stacked call."""
@@ -492,7 +502,9 @@ def _scan_pluses(monkeypatch, samples, minus):
 def _scalar_interface(ms, plus):
     """The 6x6 matrix of one plus side, its condition number and its
     order-0 solution, each from a call on that matrix alone."""
-    m6 = elastic._interface(ms, [elastic._ElasticRun(ms, plus, {})])[0][0]
+    run = elastic._ElasticRun(ms, plus, {})
+    top = elastic._ctx_columns(run.ctx["T", "P"], run.ctx["T", "S"])
+    m6 = elastic._interface(ms, [top])[0][0]
     return np.linalg.cond(m6), np.linalg.solve(m6, ms.order0_rhs)
 
 

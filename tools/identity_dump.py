@@ -20,6 +20,10 @@ bit for bit as they were:
 * the `repr` of `elastic_recover_order0` results, the order-0 `cp`
   scan among them, for several seeds, and for data whose P-P entry no
   `cp` matches (`NoRoot`);
+* the `repr` of `elastic._order0` on stacks of 20 plus sides from the
+  scan's `cp_lo` to its `cp_hi`, on flat and curved depth-0 minus sides
+  at normal and oblique incidence, with np.float64 and float values,
+  and with a glancing plus side among them;
 * the bytes of `reflectjet forward` CSVs and of `reflectjet invert` JSON
   without `timings`, written in a temporary directory.
 
@@ -209,6 +213,45 @@ def dump_order0(out):
         out(f"elastic_recover_order0 seed={seed} perturbed: {result!r}")
 
 
+def _scan_stack(model, cov, count=20):
+    """Plus sides of the order-0 `cp` scan at `cov`: the model's rho and
+    cs with `count` compressional speeds from the scan's `cp_lo` to its
+    `cp_hi`, the slowness of `cov` standing in for the grid's largest."""
+    plus = model.plus
+    b = abs(cov.slowness)
+    cp_lo = np.sqrt(4.0 / 3.0) * plus.cs[0] * (1.0 + 1e-9)
+    cp_hi = (1.0 - 1e-9) / b if b > 0 else 100.0 * plus.cs[0]
+    cps = np.linspace(cp_lo, cp_hi, count)
+    if type(plus.cs[0]) is float:  # the values of a model JSON
+        cps = cps.tolist()
+    return [ElasticSideJet(Jet([plus.rho[0]]), Jet([plus.cs[0]]), Jet([cp]))
+            for cp in cps]
+
+
+def dump_order0_stacks(out):
+    for label, sampled in _models(random_elastic_model, (0,)):
+        for model, kind in ((sampled, ""), (_as_floats(sampled), " floats")):
+            b_crit = model.critical_slowness()
+            covs = (Covector(1.0), Covector(1.0, (0.3 * b_crit, 0.4 * b_crit)),
+                    Covector(-2.0, (1.6 * b_crit, 0.0)))
+            for cov in covs:
+                ms = _attempt(elastic._MinusSide, cov, model.minus,
+                              model.geometry, 0, GLANCING_TOL)
+                pluses = _scan_stack(model, cov)
+                if cov.slowness:  # a glancing candidate among them
+                    glancing = ElasticSideJet(
+                        model.plus.rho, model.plus.cs,
+                        Jet([1.0 / abs(cov.slowness)]))
+                    cases = (pluses, pluses[:7] + [glancing] + pluses[7:])
+                else:
+                    cases = (pluses,)
+                for stack in cases:
+                    result = (ms if isinstance(ms, str) else
+                              _attempt(elastic._order0, ms, stack))
+                    out(f"elastic._order0 {label}{kind} {cov!r} "
+                        f"n={len(stack)}: {result!r}")
+
+
 def _cli(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -256,7 +299,7 @@ def main():
     # every float of an array in full: the shortest repr that round-trips
     np.set_printoptions(floatmode="unique")
     for dump in (dump_forward, dump_groups, dump_elastic_groups,
-                 dump_recovery, dump_order0, dump_cli):
+                 dump_recovery, dump_order0, dump_order0_stacks, dump_cli):
         dump(print)
 
 
