@@ -23,23 +23,23 @@ ride along exactly in the jet coefficients.
 The plus side enters only through the transmitted branch and the 6x6
 system, so a run has two halves.  `_MinusSide` holds what the
 covector, minus side, geometry, depth and tolerance fix: the curvature
-jets, the incident and reflected mode contexts, their interface
-columns, and for each incident column the incident cascade together
-with what its compatibility checks need.  `_group` runs plus sides on
-it, sharing each distinct speed jet's zeta jet.  `_interface_columns`
-builds every branch's interface columns from value scalars, so
-`_order0` gives a depth-0 group's order-0 matrices alone without mode
+jets, the incident and reflected mode contexts, their interface columns
+and the order-0 right-hand side.  `_group` runs plus sides on it,
+sharing each distinct speed jet's zeta jet.  `_interface_columns`
+builds every branch's interface columns from value scalars, and
+`_order0`, the one solve of a depth-0 interface, needs no mode
 contexts: each plus side's columns come from its values, and one
-stacked condition check and solve serve them.  A jet's coefficient m
-comes from coefficients <= m by the same operations at any length, so
-plus sides that agree below their top coefficients (else ValueError)
-agree in every value that does not reach the top: at depth >= 1 a
-group's runs share the interface (the 6x6 matrix, its check and solve,
-the inverse columns) and the reflected cascade, which the first run
-records.  Every output keeps the bits of a separate run, and every
-compatibility check of every branch still runs in every run, because
-its bound depends on the plus side through the run's amplitude and
-operator scales.
+stacked condition check and solve serve them.  A depth-0 group is
+`_order0`'s matrices plus 0.0.  A jet's coefficient m comes from
+coefficients <= m by the same operations at any length, so plus sides
+that agree below their top coefficients (else ValueError) agree in
+every value that does not reach the top: at depth >= 1 a group's runs
+share the interface (the 6x6 matrix, its check and solve, the inverse
+columns) and the incident and reflected cascades, whose steps the first
+run records per column.  Every output keeps the bits of a separate run,
+and every compatibility check of every branch still runs in every run,
+because its bound depends on the plus side through the run's amplitude
+and operator scales.
 
 The cascade leaves out what is zero by construction.  In the rotated
 frame the P kernel and the SV kernel have no middle component and the
@@ -57,8 +57,11 @@ dropping it changes at most the sign of a zero: every nonzero output is
 bit-identical to the full computation.  The compatibility checks of a
 zero channel still run, with gap 0 and scale 0.  The 6x6 interface
 solve stays whole: it is a small share of the time, and splitting it
-into the P-SV and SH blocks could change LAPACK's rounding, while the
-whole solve keeps every coupling entry of R_J and T_J an exact +0.0.
+into the P-SV and SH blocks could change LAPACK's rounding.  Every
+coupling entry of R_J and T_J is an exact +0.0 at every forward order
+and in `principal_rt_matrices`, but not in the raw `_order0` stack,
+which keeps the solver's zeros, -0.0 among them; adding 0.0 makes them
++0.0.
 
 The jet work replays tapes (`reflectjet.tape`) of three units:
 `_side_body` (a side's mode contexts, `_mode_ctx` and `_depth_ops`),
@@ -594,9 +597,9 @@ def _side_body(branches, tau, h, kt, rho, lam, mu, zeta_p, zeta_s):
 
 class _MinusSide:
     """The part of one covector's run that the plus side does not touch:
-    curvature jets, the incident and reflected contexts and columns, and
-    per incident column the incident branch's cascade.  `_group` runs
-    any number of plus sides on it."""
+    the curvature jets, the incident and reflected contexts, their
+    interface columns and the order-0 right-hand side.  `_group` runs any
+    number of plus sides on it."""
 
     def __init__(self, cov: Covector, minus: ElasticSideJet, geometry,
                  depth: int, tol: float):
@@ -613,42 +616,7 @@ class _MinusSide:
             self.S[branch], self.T[branch] = np.array(_ctx_columns(
                 self.ctx[branch, "P"], self.ctx[branch, "S"])).reshape(
                     2, 3, 3).swapaxes(1, 2)
-        self.order0_rhs = np.vstack([self.S["I"], self.T["I"]]).astype(complex)
-        self.incident = [self._incident_cascade(q) for q in (P, SV, SH)]
-
-    def _incident_cascade(self, q: int):
-        """Per order J = 0..-depth, what the cascade of incident column q
-        gives the interface solve: None at order 0, then the amplitude
-        scales and pending checks of the incident modes, the incident
-        displacement and its traction at the interface."""
-        K = self.depth
-        channel = _channel(q)
-        ctxs = (self.ctx["I", "P"], self.ctx["I", "S"])
-        amps = ([], [])
-        steps = []
-        for step in range(K + 1):
-            d = K - step
-            if step == 0:
-                ws = (_ABSENT, _ABSENT)
-                # the trace of the incident field vanishes below the
-                # principal order
-                alpha = np.zeros(3, dtype=complex)
-                alpha[q] = 1.0
-                steps.append(None)
-            else:
-                ws, scales, checks = _branch_particular(ctxs, amps, channel,
-                                                        d)
-                w_val = _jv_values(ws[0]) + _jv_values(ws[1])
-                alpha = np.linalg.solve(self.S["I"].astype(complex), -w_val)
-                # (u_I)_J at the interface: zero by construction, kept
-                # explicit
-                disp = w_val + self.S["I"] @ alpha
-                trac = _branch_traction(ctxs, ws, amps)
-                trac += self.T["I"] @ alpha
-                steps.append((scales, checks, disp, trac))
-            if step < K:
-                _branch_fill(ctxs, ws, alpha, channel, amps, d)
-        return steps
+        self.order0_rhs = np.vstack([self.S["I"], self.T["I"]])
 
 
 _CHECK_KEYS = (("I", "P"), ("I", "S"), ("R", "P"), ("R", "S"),
@@ -688,8 +656,8 @@ def _interface(ms: _MinusSide, tops):
 
 
 def _order0(ms: _MinusSide, pluses) -> list:
-    """Order-0 (R0, T0) of each of `pluses` on a depth-0 minus side, as a
-    depth-0 `_group` solves and checks them, without mode contexts."""
+    """Order-0 (R0, T0) of each of `pluses` on a depth-0 minus side,
+    without mode contexts; the solver's zeros keep their signs."""
     zetas, tops = {}, []
     for plus in pluses:
         lam, mu = derive_lame_jets(plus.truncate(ms.depth))
@@ -705,24 +673,22 @@ def _group(ms: _MinusSide, pluses) -> list:
     """`forward_series_elastic` for each of `pluses` on the minus side
     `ms` (see the module note on groups)."""
     K = ms.depth
+    if K == 0:  # adding 0.0 turns the solver's -0.0 into +0.0
+        return [[(r + 0.0, t + 0.0)] for r, t in _order0(ms, pluses)]
     if len({(p.rho.coeffs[:K], p.cs.coeffs[:K], p.cp.coeffs[:K])
             for p in pluses}) > 1:
         raise ValueError("a group's plus sides differ below the top coefficient")
     zetas = {}
     runs = [_ElasticRun(ms, p, zetas) for p in pluses]
-    # below depth 0 the plus sides share coefficient 0, so one interface
-    # serves the group
-    m6, sol = _interface(ms, [_ctx_columns(run.ctx["T", "P"],
-                                           run.ctx["T", "S"])
-                              for run in (runs if K == 0 else runs[:1])])
-    s_inv_r = np.linalg.inv(ms.S["R"])
-    s_inv_t = np.linalg.inv(m6[:, :3, 3:])
-    reflected = ([], [], [])  # per column, filled by the first run
+    # the plus sides share coefficient 0, so one interface serves the group
+    m6, sol = _interface(ms, [_ctx_columns(runs[0].ctx["T", "P"],
+                                           runs[0].ctx["T", "S"])])
+    s_inv = np.linalg.inv(ms.S["R"]), np.linalg.inv(m6[0, :3, 3:])
+    steps = ([], [], [])  # per column, filled by the first run
     out = []
-    for i, run in enumerate(runs):
-        j = i if K == 0 else 0
-        cols = [_column(ms, run, q, m6[j], sol[j], (s_inv_r, s_inv_t[j]),
-                        reflected[q]) for q in (P, SV, SH)]
+    for run in runs:
+        cols = [_column(ms, run, q, m6[0], sol[0], s_inv, steps[q])
+                for q in (P, SV, SH)]
         out.append([(np.column_stack([c[k][0] for c in cols]),
                      np.column_stack([c[k][1] for c in cols]))
                     for k in range(K + 1)])
@@ -730,53 +696,64 @@ def _group(ms: _MinusSide, pluses) -> list:
 
 
 def _column(ms: _MinusSide, run: _ElasticRun, q: int, m6, sol0, s_inv,
-            reflected):
+            steps):
     """Symbol columns [(R_J[:, q], T_J[:, q]) for J = 0..-depth] of one
-    run.  The first run of a group records in `reflected` what the
-    reflected branch gives each step; the others read it, because the
-    group's reflected values agree at every order that fills it."""
+    run at depth >= 1.  The first run of a group runs the incident and
+    reflected cascades and records in `steps` what they give each step;
+    the others read it, because the group's incident and reflected values
+    agree at every order that fills them."""
     K = ms.depth
     channel = _channel(q)
-    incident = ms.incident[q]
+    ctx_i = (ms.ctx["I", "P"], ms.ctx["I", "S"])
     ctx_r = (ms.ctx["R", "P"], ms.ctx["R", "S"])
     ctx_t = (run.ctx["T", "P"], run.ctx["T", "S"])
-    first = not reflected
-    amp_r, amp_t = ([], []), ([], [])
+    first = not steps
+    amp_i, amp_r, amp_t = ([], []), ([], []), ([], [])
     out = []
     for step in range(K + 1):
         d = K - step
         if step == 0:
-            w_r = w_t = (_ABSENT, _ABSENT)
+            w_i = w_r = w_t = (_ABSENT, _ABSENT)
+            alpha = np.zeros(3, dtype=complex)
+            alpha[q] = 1.0
             x_r, x_t = sol0[:3, q].copy(), sol0[3:, q].copy()
-            val_r = np.zeros(3, dtype=complex)
+            val_r = val_t = np.zeros(3, dtype=complex)
         else:
-            scales_i, checks_i, disp_i, trac_i = incident[step]
             if first:
+                w_i, scales_i, checks_i = _branch_particular(ctx_i, amp_i,
+                                                             channel, d)
+                w_val = _jv_values(w_i[0]) + _jv_values(w_i[1])
+                # the trace of the incident field vanishes below the
+                # principal order
+                alpha = np.linalg.solve(ms.S["I"], -w_val)
+                trac_i = _branch_traction(ctx_i, w_i, amp_i)
+                trac_i += ms.T["I"] @ alpha
                 w_r, scales_r, checks_r = _branch_particular(ctx_r, amp_r,
                                                              channel, d)
-                reflected.append((scales_r, checks_r,
-                                  _jv_values(w_r[0]) + _jv_values(w_r[1]),
-                                  _branch_traction(ctx_r, w_r, amp_r)))
-            scales_r, checks_r, val_r, f_r = reflected[step - 1]
+                val_r = _jv_values(w_r[0]) + _jv_values(w_r[1])
+                # the incident displacement (u_I)_J at the interface, zero
+                # by construction but kept explicit, and the incident
+                # traction, each with the reflected branch's share added
+                steps.append((scales_i + scales_r, checks_i + checks_r, val_r,
+                              w_val + ms.S["I"] @ alpha + val_r,
+                              trac_i + _branch_traction(ctx_r, w_r, amp_r)))
+            scales_ir, checks_ir, val_r, disp_ir, trac_ir = steps[step - 1]
             w_t, scales_t, checks_t = _branch_particular(ctx_t, amp_t,
                                                          channel, d)
             amp_scale = 0.0
-            for s in scales_i + scales_r + scales_t:
+            for s in scales_ir + scales_t:
                 amp_scale = max(amp_scale, s)
             floor = 1e-12 * amp_scale * run.op_scale
-            for key, check in zip(_CHECK_KEYS,
-                                  checks_i + checks_r + checks_t):
+            for key, check in zip(_CHECK_KEYS, checks_ir + checks_t):
                 _check_compatible(key, check, floor)
-        val_t = _jv_values(w_t[0]) + _jv_values(w_t[1])
-        if step > 0:
-            rhs6 = np.zeros(6, dtype=complex)
-            rhs6[:3] = disp_i + val_r - val_t
-            f_t = _branch_traction(ctx_t, w_t, amp_t)
-            rhs6[3:] = trac_i + f_r - f_t
-            sol = np.linalg.solve(m6, rhs6)
+            val_t = _jv_values(w_t[0]) + _jv_values(w_t[1])
+            sol = np.linalg.solve(m6, np.concatenate([
+                disp_ir - val_t, trac_ir - _branch_traction(ctx_t, w_t,
+                                                            amp_t)]))
             x_r, x_t = sol[:3], sol[3:]
         if step < K:
             if first:
+                _branch_fill(ctx_i, w_i, alpha, channel, amp_i, d)
                 _branch_fill(ctx_r, w_r, x_r, channel, amp_r, d)
             _branch_fill(ctx_t, w_t, x_t, channel, amp_t, d)
         out.append((x_r + s_inv[0] @ val_r, x_t + s_inv[1] @ val_t))
@@ -824,8 +801,9 @@ def forward_symbols_elastic(cov: Covector, model: InterfaceModel, depth: int,
 
 def principal_rt_matrices(cov: Covector, model: InterfaceModel,
                           tol: float = GLANCING_TOL):
-    """Order-0 reflection/transmission matrices from the 6x6 solve."""
+    """Order-0 reflection/transmission matrices from the 6x6 solve, as
+    order 0 of a flat depth-0 forward series."""
     if not model.is_elastic:
         raise TypeError("elastic engine requires an elastic model")
-    ms = _MinusSide(cov, model.minus.truncate(0), None, 0, tol)
-    return _order0(ms, [model.plus.truncate(0)])[0]
+    return forward_series_elastic(cov, model.minus.truncate(0),
+                                  model.plus.truncate(0), None, 0, tol)[0]

@@ -74,25 +74,6 @@ def mean_curvature_jet(spec: CurvatureSpectrum, depth: int) -> Jet:
     return Jet(mean_curvature_normal_derivatives(spec, j) for j in range(depth + 1))
 
 
-def tangential_stretch_profile(spec: CurvatureSpectrum, xi, s: float) -> float:
-    """|xi'|^2 of the frozen phase on the parallel surface at distance s.
-
-    In interface-normal coordinates the tangential metric spreads with
-    the principal curvatures, so the squared tangential wavenumber of a
-    phase with fixed interface trace is q(s) = sum_a xi_a^2/(1+s k_a)^2
-    (principal axes along the interface coordinates).  Together with the
-    mean-curvature profile this is the entire shape-operator content of
-    the frozen model.
-    """
-    total = 0.0
-    for k, x in zip(spec.kappas, xi):
-        denom = 1.0 + s * k
-        if denom == 0.0:
-            raise FocalPoint(f"focal point at s={s} for curvature {k}")
-        total += (x / denom) ** 2
-    return total
-
-
 def richardson_derivative(func, x, order: int, step=1e-3):
     """Richardson-extrapolated central difference of d^order f / dx^order.
 
@@ -126,8 +107,14 @@ def rational_curvature_profile(spec: CurvatureSpectrum, s) -> "Fraction":
 def tangential_stretch_jet(spec: CurvatureSpectrum, xi, depth: int) -> Jet:
     """Jet of the stretched squared tangential wavenumber along the normal.
 
-    d^j q / ds^j at 0 is (-1)^j (j+1)! sum_a kappa_a^j xi_a^2; like the
-    mean-curvature derivatives, it depends only on the shape operator.
+    In interface-normal coordinates the tangential metric spreads with
+    the principal curvatures, so on the parallel surface at distance s
+    the squared tangential wavenumber of a phase with fixed interface
+    trace is q(s) = sum_a xi_a^2/(1+s kappa_a)^2 (principal axes along
+    the interface coordinates).  d^j q / ds^j at 0 is
+    (-1)^j (j+1)! sum_a kappa_a^j xi_a^2; like the mean-curvature
+    derivatives, it depends only on the shape operator, and together
+    they are its entire content in the frozen model.
     """
     coeffs = []
     for j in range(depth + 1):

@@ -89,22 +89,24 @@ def test_sh_flux(rng):
 
 
 def test_block_decoupling_all_orders(rng):
-    # the SH channel (slot 3) decouples from P-SV at every order, and the
-    # coupling entries are exactly +0.0, which the CSV output shows
+    # the SH channel (slot 3) decouples from P-SV at every order of every
+    # depth, and the coupling entries are exactly +0.0, which the CSV
+    # output shows
     for curved in (False, True) * 5:
         model = random_elastic_model(rng, 2, curved=curved)
         b_crit = model.critical_slowness()
         for b in (0.0, rng.uniform(0.05, 0.8) * b_crit, 0.999 * b_crit):
             for angle in (0.0, rng.uniform(0.0, 2.0 * np.pi)):
                 cov = Covector(1.0, (b * np.cos(angle), b * np.sin(angle)))
-                series = forward_symbols_elastic(cov, model, 2)
-                for _, r, t in series.orders:
-                    for m in (r, t):
-                        for i, j in ((2, 0), (2, 1), (0, 2), (1, 2)):
-                            z = complex(m[i, j])
-                            assert z == 0.0
-                            assert math.copysign(1.0, z.real) == 1.0
-                            assert math.copysign(1.0, z.imag) == 1.0
+                for depth in range(3):
+                    series = forward_symbols_elastic(cov, model, depth)
+                    for _, r, t in series.orders:
+                        for m in (r, t):
+                            for i, j in ((2, 0), (2, 1), (0, 2), (1, 2)):
+                                z = complex(m[i, j])
+                                assert z == 0.0
+                                assert math.copysign(1.0, z.real) == 1.0
+                                assert math.copysign(1.0, z.imag) == 1.0
 
 
 def test_every_check_runs_in_every_channel(rng, monkeypatch):
@@ -209,12 +211,20 @@ def test_mode_matrices_invariant_under_rotation(rng):
 
 
 def test_order0_matches_principal(rng):
-    model = _pair(rng, depth=2)
-    cov = Covector(1.0, (0.4 * model.critical_slowness(), 0.0))
-    series = forward_symbols_elastic(cov, model, 2)
-    r0, t0 = principal_rt_matrices(cov, model)
-    np.testing.assert_allclose(series.orders[0][1], r0, atol=1e-13)
-    np.testing.assert_allclose(series.orders[0][2], t0, atol=1e-13)
+    # the principal matrices are order 0 of a flat forward series at
+    # every depth, bit for bit, signed zeros included
+    for _ in range(4):
+        model = _pair(rng, depth=2)
+        b_crit = model.critical_slowness()
+        for frac in (0.0, 0.4, 0.9, 0.999):
+            for angle in (0.0, rng.uniform(0.0, 2.0 * np.pi)):
+                b = frac * b_crit
+                cov = Covector(1.0, (b * np.cos(angle), b * np.sin(angle)))
+                want = repr(_as_lists([principal_rt_matrices(cov, model)]))
+                for depth in range(3):
+                    series = forward_series_elastic(cov, model.minus,
+                                                    model.plus, None, depth)
+                    assert repr(_as_lists(series[:1])) == want
 
 
 def _kernel_columns(ctx_p, ctx_s):

@@ -13,7 +13,6 @@ from reflectjet.geometry import (
     rational_curvature_profile,
     richardson_derivative,
     tangential_stretch_jet,
-    tangential_stretch_profile,
 )
 
 
@@ -102,11 +101,3 @@ def test_stretch_jet_against_profile_oracle(rng):
             oracle = float(richardson_derivative(prof, Fraction(0), order,
                                                  step))
             assert abs(jet[order] - oracle) <= 1e-6 * max(abs(oracle), 1.0)
-
-
-def test_stretch_profile_value_and_focal_point():
-    spec = CurvatureSpectrum((1.0, -1.0))
-    xi = (0.3, 0.4)
-    assert tangential_stretch_profile(spec, xi, 0.0) == pytest.approx(0.25)
-    with pytest.raises(FocalPoint):
-        tangential_stretch_profile(spec, xi, 1.0)

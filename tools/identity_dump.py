@@ -14,12 +14,16 @@ bit for bit as they were:
 * the `repr` of acoustic groups of 1-4 plus sides whose top coefficients
   are -0.0 or 1.0, on minus sides built at the group's depth and deeper;
 * the `repr` of elastic groups of 1-4 plus sides whose top coefficients
-  are -0.0 or 1.0, at depths 1 and 2, at normal and oblique incidence;
+  are -0.0 or 1.0, at depths 1 and 2, and of depth-0 groups of 1-4
+  distinct plus sides, at normal and oblique incidence;
 * the `repr` of recovery reports without `timings`, with the geometry
   known and recovered;
 * the `repr` of `elastic_recover_order0` results, the order-0 `cp`
   scan among them, for several seeds, and for data whose P-P entry no
   `cp` matches (`NoRoot`);
+* the `repr` of `elastic.principal_rt_matrices` for the depth-0 models,
+  flat and curved, with np.float64 and float values, at the forward
+  dump's covectors;
 * the `repr` of `elastic._order0` on stacks of 20 plus sides from the
   scan's `cp_lo` to its `cp_hi`, on flat and curved depth-0 minus sides
   at normal and oblique incidence, with np.float64 and float values,
@@ -162,16 +166,27 @@ def dump_groups(out):
 # the elastic tops (rho, cs, cp): the base side and one field's unit
 ELASTIC_TOPS = ((-0.0, -0.0, -0.0), (-0.0, 1.0, -0.0), (1.0, -0.0, -0.0),
                 (-0.0, -0.0, 1.0))
+# the depth-0 plus sides (rho, both speeds): the model's own, then
+# distinct sides no faster than it, so each stays admissible where it is
+ELASTIC_FACTORS = ((1.0, 1.0), (1.3, 0.9), (0.7, 0.95), (1.1, 0.8))
+
+
+def _elastic_group_pluses(plus, depth):
+    fields = (plus.rho, plus.cs, plus.cp)
+    if depth == 0:
+        return [ElasticSideJet(*(Jet([f * j[0]]) for f, j in
+                                 zip((g, s, s), fields)))
+                for g, s in ELASTIC_FACTORS]
+    return [ElasticSideJet(*(Jet(j.coeffs[:depth] + (t,))
+                             for j, t in zip(fields, tops)))
+            for tops in ELASTIC_TOPS]
 
 
 def dump_elastic_groups(out):
     for label, sampled in _models(random_elastic_model, (2,)):
         for model, kind in ((sampled, ""), (_as_floats(sampled), " floats")):
-            for depth in (1, 2):
-                pluses = [ElasticSideJet(*(
-                    Jet(j.coeffs[:depth] + (t,)) for j, t in
-                    zip((model.plus.rho, model.plus.cs, model.plus.cp), tops)))
-                    for tops in ELASTIC_TOPS]
+            for depth in (0, 1, 2):
+                pluses = _elastic_group_pluses(model.plus, depth)
                 for cov in _covectors(model)[::3]:
                     ms = _attempt(elastic._MinusSide, cov, model.minus,
                                   model.geometry, depth, GLANCING_TOL)
@@ -211,6 +226,15 @@ def dump_order0(out):
         samples[0] = SymbolSample(samples[0].covector, 0, value)
         result = _attempt(elastic_recover_order0, samples, model.minus)
         out(f"elastic_recover_order0 seed={seed} perturbed: {result!r}")
+
+
+def dump_principal(out):
+    for label, sampled in _models(random_elastic_model, (0,)):
+        for model, kind in ((sampled, ""), (_as_floats(sampled), " floats")):
+            for cov in _covectors(model):
+                result = _attempt(elastic.principal_rt_matrices, cov, model)
+                out(f"principal_rt_matrices {label}{kind} {cov!r}: "
+                    f"{result!r}")
 
 
 def _scan_stack(model, cov, count=20):
@@ -299,7 +323,8 @@ def main():
     # every float of an array in full: the shortest repr that round-trips
     np.set_printoptions(floatmode="unique")
     for dump in (dump_forward, dump_groups, dump_elastic_groups,
-                 dump_recovery, dump_order0, dump_order0_stacks, dump_cli):
+                 dump_recovery, dump_order0, dump_principal,
+                 dump_order0_stacks, dump_cli):
         dump(print)
 
 
