@@ -747,9 +747,9 @@ def _column(ms: _MinusSide, run: _ElasticRun, q: int, m6, sol0, s_inv,
             for key, check in zip(_CHECK_KEYS, checks_ir + checks_t):
                 _check_compatible(key, check, floor)
             val_t = _jv_values(w_t[0]) + _jv_values(w_t[1])
-            sol = np.linalg.solve(m6, np.concatenate([
-                disp_ir - val_t, trac_ir - _branch_traction(ctx_t, w_t,
-                                                            amp_t)]))
+            f_t = _branch_traction(ctx_t, w_t, amp_t)
+            sol = np.linalg.solve(m6, np.concatenate([disp_ir - val_t,
+                                                      trac_ir - f_t]))
             x_r, x_t = sol[:3], sol[3:]
         if step < K:
             if first:
