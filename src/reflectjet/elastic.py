@@ -35,11 +35,17 @@ coefficients <= m by the same operations at any length, so plus sides
 that agree below their top coefficients (else ValueError) agree in
 every value that does not reach the top: at depth >= 1 a group's runs
 share the interface (the 6x6 matrix, its check and solve, the inverse
-columns) and the incident and reflected cascades, whose steps the first
-run records per column.  Every output keeps the bits of a separate run,
-and every compatibility check of every branch still runs in every run,
-because its bound depends on the plus side through the run's amplitude
-and operator scales.
+columns) and the incident and reflected cascades.  A group runs its
+orders step-major: each order runs the particular steps of every column
+(P, SV, SH) of every run, then their numpy work as stacked calls, one
+6x6 solve of all their right-hand sides among them.  numpy gives each
+column of a multi-column solve, each item of a batched matmul and each
+row of an elementwise product the bits it has alone (a 2-D matmul would
+not), so every output keeps the bits of a separate run.  Every
+compatibility check of every branch still runs in every run, because
+its bound depends on the plus side through the run's amplitude and
+operator scales, and a group raises the error that running its columns
+one by one, run by run, raises first.
 
 The cascade leaves out what is zero by construction.  In the rotated
 frame the P kernel and the SV kernel have no middle component and the
@@ -310,11 +316,6 @@ def _jv_scale_jet(v, s: Jet):
     return tuple(_mul(c, s) for c in v)
 
 
-def _jv_values(v, k: int = 0):
-    """Coefficient k of each component, an absent one as 0."""
-    return np.array([0j if c is None else complex(c[k]) for c in v])
-
-
 def _l1(ctx: _ModeCtx, a, d: int):
     """Degree-(+1) transport operator applied to an amplitude jet-vector.
 
@@ -546,17 +547,6 @@ def _fill_body(channel, d, ctxs, ws, vals, last):
             for ctx, w, a in zip(ctxs, ws, last)]
 
 
-def _branch_traction(ctxs, ws, amps):
-    """F = sum_modes [tr1(values) + P_side d(a)_{J+1}/dnu] at x3 = 0."""
-    total = np.zeros(3, dtype=complex)
-    for ctx, w, amp in zip(ctxs, ws, amps):
-        total += _traction_phase(*(complex(j[0]) for j in (
-            ctx.kt, ctx.zeta, ctx.lam, ctx.mu)), _jv_values(w))
-        pd = np.array([complex(ctx.p_diag[i][0]) for i in range(3)])
-        total += pd * _jv_values(amp[-1], 1)
-    return total
-
-
 def _zeta_jets(cov: Covector, side: ElasticSideJet, stretch, depth: int,
                tol: float, zetas: dict):
     """The P and S zeta jets of one side, each speed's regime checked
@@ -655,10 +645,11 @@ def _interface(ms: _MinusSide, tops):
     return m6, np.linalg.solve(m6, rhs)
 
 
-def _order0(ms: _MinusSide, pluses) -> list:
+def _order0(ms: _MinusSide, pluses, zetas: dict) -> list:
     """Order-0 (R0, T0) of each of `pluses` on a depth-0 minus side,
-    without mode contexts; the solver's zeros keep their signs."""
-    zetas, tops = {}, []
+    without mode contexts, the solver's zeros keeping their signs;
+    `zetas` is `_zeta_jets`'s cache, kept across calls on `ms`."""
+    tops = []
     for plus in pluses:
         lam, mu = derive_lame_jets(plus.truncate(ms.depth))
         zeta_p, zeta_s = _zeta_jets(ms.cov, plus, ms.stretch, ms.depth,
@@ -669,95 +660,126 @@ def _order0(ms: _MinusSide, pluses) -> list:
     return [(x[:3], x[3:]) for x in sol]
 
 
+class _Branch:
+    """One branch of one symbol column in a group: its (P, S) contexts,
+    the column's channel, each mode's amplitudes so far, the context
+    values its traction reads, and its last particular step."""
+
+    __slots__ = "ctxs", "channel", "amps", "consts", "p_diag", "step"
+
+    def __init__(self, ctxs, q: int, values):
+        self.ctxs, self.channel, self.amps = ctxs, _channel(q), ([], [])
+        self.consts, self.p_diag = values
+        self.step = (_ABSENT, _ABSENT), (), ()
+
+
+def _branches(ctxs):
+    """The branches of the columns P, SV and SH on the contexts `ctxs`."""
+    values = ([[complex(j.coeffs[0]) for j in (c.kt, c.zeta, c.lam, c.mu)]
+               for c in ctxs], [[complex(p.coeffs[0]) for p in c.p_diag]
+                                for c in ctxs])
+    return [_Branch(ctxs, q, values) for q in (P, SV, SH)]
+
+
+def _step_values(rows):
+    """The summed mode values of each branch's particular step, and its
+    traction F = sum_modes [tr1(values) + P_side d(a)_{J+1}/dnu] at
+    x3 = 0, as (len(rows), 3) stacks.  The phase products are Python's,
+    which round as numpy's scalars do; the P_side products are one numpy
+    array product, which rounds each row as a row alone."""
+    v, phase, p_diag, dv = ([], []), ([], []), ([], []), ([], [])
+    for b in rows:
+        for m, (k, pd, w, amp) in enumerate(zip(b.consts, b.p_diag,
+                                                 b.step[0], b.amps)):
+            vm = [0j if c is None else complex(c.coeffs[0]) for c in w]
+            v[m].extend(vm)
+            phase[m].extend(_traction_phase(*k, vm))
+            p_diag[m].extend(pd)
+            dv[m].extend([0j if c is None else complex(c.coeffs[1])
+                          for c in amp[-1]])
+    v, phase, p_diag, dv = (np.array(a).reshape(2, -1, 3)
+                            for a in (v, phase, p_diag, dv))
+    trac = np.zeros((len(rows), 3), dtype=complex)
+    for m in (0, 1):
+        trac += phase[m]
+        trac += p_diag[m] * dv[m]
+    return v[0] + v[1], trac
+
+
 def _group(ms: _MinusSide, pluses) -> list:
     """`forward_series_elastic` for each of `pluses` on the minus side
     `ms` (see the module note on groups)."""
     K = ms.depth
     if K == 0:  # adding 0.0 turns the solver's -0.0 into +0.0
-        return [[(r + 0.0, t + 0.0)] for r, t in _order0(ms, pluses)]
+        return [[(r + 0.0, t + 0.0)] for r, t in _order0(ms, pluses, {})]
     if len({(p.rho.coeffs[:K], p.cs.coeffs[:K], p.cp.coeffs[:K])
             for p in pluses}) > 1:
         raise ValueError("a group's plus sides differ below the top coefficient")
     zetas = {}
     runs = [_ElasticRun(ms, p, zetas) for p in pluses]
     # the plus sides share coefficient 0, so one interface serves the group
-    m6, sol = _interface(ms, [_ctx_columns(runs[0].ctx["T", "P"],
-                                           runs[0].ctx["T", "S"])])
-    s_inv = np.linalg.inv(ms.S["R"]), np.linalg.inv(m6[0, :3, 3:])
-    steps = ([], [], [])  # per column, filled by the first run
-    out = []
-    for run in runs:
-        cols = [_column(ms, run, q, m6[0], sol[0], s_inv, steps[q])
-                for q in (P, SV, SH)]
-        out.append([(np.column_stack([c[k][0] for c in cols]),
-                     np.column_stack([c[k][1] for c in cols]))
-                    for k in range(K + 1)])
-    return out
-
-
-def _column(ms: _MinusSide, run: _ElasticRun, q: int, m6, sol0, s_inv,
-            steps):
-    """Symbol columns [(R_J[:, q], T_J[:, q]) for J = 0..-depth] of one
-    run at depth >= 1.  The first run of a group runs the incident and
-    reflected cascades and records in `steps` what they give each step;
-    the others read it, because the group's incident and reflected values
-    agree at every order that fills them."""
-    K = ms.depth
-    channel = _channel(q)
-    ctx_i = (ms.ctx["I", "P"], ms.ctx["I", "S"])
-    ctx_r = (ms.ctx["R", "P"], ms.ctx["R", "S"])
-    ctx_t = (run.ctx["T", "P"], run.ctx["T", "S"])
-    first = not steps
-    amp_i, amp_r, amp_t = ([], []), ([], []), ([], [])
-    out = []
+    (m6,), (sol,) = _interface(ms, [_ctx_columns(runs[0].ctx["T", "P"],
+                                                 runs[0].ctx["T", "S"])])
+    s_inv = np.linalg.inv(ms.S["R"]), np.linalg.inv(m6[:3, 3:])
+    # the branches of the columns (P, SV, SH): one incident and one
+    # reflected per column, shared by the runs, and a transmitted one per
+    # column of each run, run by run
+    inc, ref = (_branches((ms.ctx[b, "P"], ms.ctx[b, "S"])) for b in "IR")
+    tra = [b for run in runs
+           for b in _branches((run.ctx["T", "P"], run.ctx["T", "S"]))]
+    cq = [c % 3 for c in range(len(tra))]
+    alpha, x = np.eye(3, dtype=complex), sol.T[cq]
+    vals = np.zeros((6 + len(tra), 3), dtype=complex)
+    error, orders, nq = None, [], len(inc)
     for step in range(K + 1):
         d = K - step
-        if step == 0:
-            w_i = w_r = w_t = (_ABSENT, _ABSENT)
-            alpha = np.zeros(3, dtype=complex)
-            alpha[q] = 1.0
-            x_r, x_t = sol0[:3, q].copy(), sol0[3:, q].copy()
-            val_r = val_t = np.zeros(3, dtype=complex)
-        else:
-            if first:
-                w_i, scales_i, checks_i = _branch_particular(ctx_i, amp_i,
-                                                             channel, d)
-                w_val = _jv_values(w_i[0]) + _jv_values(w_i[1])
-                # the trace of the incident field vanishes below the
-                # principal order
-                alpha = np.linalg.solve(ms.S["I"], -w_val)
-                trac_i = _branch_traction(ctx_i, w_i, amp_i)
-                trac_i += ms.T["I"] @ alpha
-                w_r, scales_r, checks_r = _branch_particular(ctx_r, amp_r,
-                                                             channel, d)
-                val_r = _jv_values(w_r[0]) + _jv_values(w_r[1])
-                # the incident displacement (u_I)_J at the interface, zero
-                # by construction but kept explicit, and the incident
-                # traction, each with the reflected branch's share added
-                steps.append((scales_i + scales_r, checks_i + checks_r, val_r,
-                              w_val + ms.S["I"] @ alpha + val_r,
-                              trac_i + _branch_traction(ctx_r, w_r, amp_r)))
-            scales_ir, checks_ir, val_r, disp_ir, trac_ir = steps[step - 1]
-            w_t, scales_t, checks_t = _branch_particular(ctx_t, amp_t,
-                                                         channel, d)
-            amp_scale = 0.0
-            for s in scales_ir + scales_t:
-                amp_scale = max(amp_scale, s)
-            floor = 1e-12 * amp_scale * run.op_scale
-            for key, check in zip(_CHECK_KEYS, checks_ir + checks_t):
-                _check_compatible(key, check, floor)
-            val_t = _jv_values(w_t[0]) + _jv_values(w_t[1])
-            f_t = _branch_traction(ctx_t, w_t, amp_t)
-            sol = np.linalg.solve(m6, np.concatenate([disp_ir - val_t,
-                                                      trac_ir - f_t]))
-            x_r, x_t = sol[:3], sol[3:]
+        if step:
+            for b in inc + ref + tra:
+                b.step = _branch_particular(b.ctxs, b.amps, b.channel, d)
+            for c, b in enumerate(tra):
+                parts = inc[c % 3].step, ref[c % 3].step, b.step
+                amp_scale = max(0.0, *(s for p in parts for s in p[1]))
+                floor = 1e-12 * amp_scale * runs[c // 3].op_scale
+                try:
+                    for key, check in zip(_CHECK_KEYS, (k for p in parts
+                                                        for k in p[2])):
+                        _check_compatible(key, check, floor)
+                except CascadeIncompatible as exc:
+                    # columns run one by one would stop here: the columns
+                    # before keep running, as a failure of theirs comes
+                    # first, and this one and those after drop out
+                    error = exc
+                    del inc[c:], ref[c:], tra[c:], cq[c:]
+                    break
+            if not tra:
+                raise error
+            nq = len(inc)
+            vals, trac = _step_values(inc + ref + tra)
+            # the trace of the incident field vanishes below the principal
+            # order
+            alpha = np.linalg.solve(ms.S["I"], -vals[:nq].T).T.copy()
+            s_a, t_a = (np.matmul(m, alpha[:, :, None])[:, :, 0]
+                        for m in (ms.S["I"], ms.T["I"]))
+            # the incident displacement (u_I)_J at the interface, zero by
+            # construction but kept explicit, and the incident traction,
+            # each with the reflected branch's share added
+            disp = vals[:nq] + s_a + vals[nq:2 * nq]
+            trac_ir = trac[:nq] + t_a + trac[nq:2 * nq]
+            rhs = np.concatenate([disp[cq] - vals[2 * nq:],
+                                  trac_ir[cq] - trac[2 * nq:]], axis=1)
+            x = np.linalg.solve(m6, rhs.T).T
+        val_r, val_t = vals[nq:2 * nq, :, None], vals[2 * nq:, :, None]
+        orders.append((x[:, :3] + np.matmul(s_inv[0], val_r)[cq, :, 0],
+                       x[:, 3:] + np.matmul(s_inv[1], val_t)[:, :, 0]))
         if step < K:
-            if first:
-                _branch_fill(ctx_i, w_i, alpha, channel, amp_i, d)
-                _branch_fill(ctx_r, w_r, x_r, channel, amp_r, d)
-            _branch_fill(ctx_t, w_t, x_t, channel, amp_t, d)
-        out.append((x_r + s_inv[0] @ val_r, x_t + s_inv[1] @ val_t))
-    return out
+            for b, v in zip(inc + ref + tra, [*alpha, *x[:nq, :3], *x[:, 3:]]):
+                _branch_fill(b.ctxs, b.step[0], v, b.channel, b.amps, d)
+    if error is not None:
+        raise error
+    # column (run, q) of each order's stacks is the run's [:, q]
+    mats = [[np.ascontiguousarray(a.reshape(-1, 3, 3).swapaxes(1, 2))
+             for a in order] for order in orders]
+    return [[(r[i], t[i]) for r, t in mats] for i in range(len(runs))]
 
 
 def forward_series_elastic(

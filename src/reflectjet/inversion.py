@@ -595,17 +595,18 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
             "is post-critical for every convex cp"
         )
 
-    # one minus side per sample serves every cp that the scan and the
-    # misfit try; `_order0` builds each cp's columns from its values
+    # one minus side per sample, with its cache of zeta jets, serves every
+    # cp that the scan, the root search and the misfit try; `_order0`
+    # builds each cp's columns from its values
     minus0 = minus.truncate(0)
-    minus_sides = [elastic._MinusSide(s.covector, minus0, None, 0,
-                                      glancing_tol) for s in group]
+    minus_sides = [(elastic._MinusSide(s.covector, minus0, None, 0,
+                                       glancing_tol), {}) for s in group]
 
     rho_jet, cs_jet = Jet([rho_plus]), Jet([cs_plus])
 
-    def forward_r(cps, ms):
+    def forward_r(cps, side):
         pluses = [ElasticSideJet(rho_jet, cs_jet, Jet([cp])) for cp in cps]
-        return [r for r, _ in elastic._order0(ms, pluses)]
+        return [r for r, _ in elastic._order0(side[0], pluses, side[1])]
 
     # smallest |b|: P-P entry is monotone in impedance there
     probe = minus_sides[0]
@@ -625,9 +626,9 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
     # the misfit of every root over all samples, accumulated sample by
     # sample in sample order
     misfits = [0.0] * len(roots)
-    for s, ms in zip(group, minus_sides):
+    for s, side in zip(group, minus_sides):
         value = np.asarray(s.value, dtype=complex)
-        for i, r in enumerate(forward_r(roots, ms)):
+        for i, r in enumerate(forward_r(roots, side)):
             misfits[i] += float(np.linalg.norm(r - value))
     i_best = min(range(len(roots)), key=misfits.__getitem__)
     best, misfit = roots[i_best], misfits[i_best]

@@ -291,7 +291,7 @@ def test_order0_errors_are_the_sources(rng):
         "GlancingError", "EvanescentError", "ConvexityViolation"]
     for error, first in zip(errors, bad):
         for then in bad:
-            assert outcome(elastic._order0, ms, [good, first, then]) == error
+            assert outcome(elastic._order0, ms, [good, first, then], {}) == error
 
 
 def test_depth_cap_and_model_depth():
@@ -396,9 +396,10 @@ def test_reused_minus_side_changes_nothing(rng, curved):
 
 
 def test_incident_incompatibility_raises_fresh_and_reused(rng, monkeypatch):
-    model = _pair(rng, depth=1)
+    model = _pair(rng, depth=2)
     cov = Covector(1.0, (0.4 * model.critical_slowness(), 0.0))
     ms = elastic._MinusSide(cov, model.minus, None, 1, GLANCING_TOL)
+    ms2 = elastic._MinusSide(cov, model.minus, None, 2, GLANCING_TOL)
 
     def fresh():
         return forward_series_elastic(cov, model.minus, model.plus, None, 1)
@@ -406,18 +407,79 @@ def test_incident_incompatibility_raises_fresh_and_reused(rng, monkeypatch):
     def reused():
         return elastic._group(ms, [model.plus])[0]
 
+    def group():
+        return elastic._group(ms2, _unit_group(model.plus, 2))
+
     with monkeypatch.context() as patch:
         # a negative relative tolerance: no right-hand side is compatible
         patch.setattr(elastic, "_COMPAT_RTOL", -1.0)
-        for run in (fresh, reused, reused):
+        for run in (fresh, reused, reused, group, group):
             with pytest.raises(CascadeIncompatible, match="incident P-mode"):
                 run()
     reused()  # the checks pass at the real tolerance
+    group()
     monkeypatch.setattr(elastic, "_COMPAT_RTOL", -1.0)
     with pytest.raises(CascadeIncompatible, match="incident P-mode"):
         fresh()
     with pytest.raises(CascadeIncompatible, match="incident P-mode"):
         reused()  # a reused minus side after a passing run still checks
+
+
+@pytest.mark.parametrize("rtol", [-1e-11, -3e-12])
+def test_group_raises_its_first_failing_members_error(monkeypatch, rtol):
+    # a group's members run their orders step by step together, yet a
+    # group reports the error of its first member that fails alone; at
+    # these tolerances some steps fail and others pass, and on these
+    # models a member's columns fail at different steps
+    monkeypatch.setattr(elastic, "_COMPAT_RTOL", rtol)
+    for seed in range(6):
+        model = random_elastic_model(np.random.default_rng(seed), 2,
+                                     curved=seed % 2 == 1)
+        b_crit = model.critical_slowness()
+        pluses = _unit_group(model.plus, 2)
+        for frac in (0.3, 0.6, 0.9):
+            cov = Covector(1.0, (frac * b_crit, 0.2 * frac * b_crit))
+            ms = elastic._MinusSide(cov, model.minus, model.geometry, 2,
+                                    GLANCING_TOL)
+            alone = [outcome(elastic._group, ms, [p]) for p in pluses]
+            failed = [a for a in alone if not a.startswith("[")]
+            want = failed[0] if failed else "[%s]" % ", ".join(
+                a[1:-1] for a in alone)
+            assert outcome(elastic._group, ms, pluses) == want
+
+
+def test_stacked_numpy_forms_keep_the_one_column_bits(rng):
+    # a group's stacked steps rest on three numpy facts, checked here on
+    # the engine's own 6x6 matrices: each column of a multi-column solve
+    # has the bits of its one-column solve, a batched matmul has the
+    # matrix-vector bits, and a stacked elementwise product has each
+    # row's bits
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.float64).tolist()
+
+    for curved in (False, True):
+        model = random_elastic_model(rng, 1, curved=curved)
+        b_crit = model.critical_slowness()
+        for frac in (0.0, 0.5, 0.95):
+            cov = Covector(1.0, (frac * b_crit, 0.3 * frac * b_crit))
+            ms = elastic._MinusSide(cov, model.minus, model.geometry, 1,
+                                    GLANCING_TOL)
+            run = elastic._ElasticRun(ms, model.plus, {})
+            m6 = elastic._interface(ms, [elastic._ctx_columns(
+                run.ctx["T", "P"], run.ctx["T", "S"])])[0][0]
+            rhs = rng.standard_normal((6, 12)) + 1j * rng.standard_normal(
+                (6, 12))
+            multi = np.linalg.solve(m6, rhs)
+            for j in range(12):
+                assert bits(multi[:, j]) == bits(
+                    np.linalg.solve(m6, rhs[:, j].copy()))
+            vecs = rhs.T.copy().reshape(-1, 3)
+            for mat in (ms.S["I"], ms.T["I"], np.linalg.inv(m6[:3, 3:])):
+                batched = np.matmul(mat, vecs[:, :, None])[:, :, 0]
+                assert bits(batched) == bits([mat @ v for v in vecs])
+            stacked = vecs[:12] * vecs[12:]
+            assert bits(stacked) == bits(
+                [a.copy() * b.copy() for a, b in zip(vecs[:12], vecs[12:])])
 
 
 def test_engine_calls_retain_nothing(rng):

@@ -488,9 +488,9 @@ def _scan_pluses(monkeypatch, samples, minus):
     calls = []
     real = elastic._order0
 
-    def record(ms, pluses):
+    def record(ms, pluses, zetas):
         calls.append((ms, list(pluses)))
-        return real(ms, pluses)
+        return real(ms, pluses, zetas)
 
     with monkeypatch.context() as patch:
         patch.setattr(elastic, "_order0", record)
@@ -513,7 +513,7 @@ def test_cp_scan_stacked_equals_scalar(monkeypatch):
     samples = _elastic_samples(model, hyperbolic_grid(model, 5), 0)
     probe, pluses = _scan_pluses(monkeypatch, samples, model.minus)
     meas = np.asarray(samples.at_order(0)[0].value, dtype=complex)
-    stacked = elastic._order0(probe, pluses)
+    stacked = elastic._order0(probe, pluses, {})
     for plus, (r0, t0) in zip(pluses, stacked):
         _, sol = _scalar_interface(probe, plus)
         assert repr(r0.tolist()) == repr(sol[:3].tolist())

@@ -15,7 +15,11 @@ bit for bit as they were:
   are -0.0 or 1.0, on minus sides built at the group's depth and deeper;
 * the `repr` of elastic groups of 1-4 plus sides whose top coefficients
   are -0.0 or 1.0, at depths 1 and 2, and of depth-0 groups of 1-4
-  distinct plus sides, at normal and oblique incidence;
+  distinct plus sides, at normal and oblique incidence; the groups at
+  depths 1 and 2 again with the cascade checks' relative tolerance at
+  -1.0, where most checks fail, at 0.0, where none does, and at -1e-11,
+  where some steps fail and others pass, so the error a group reports
+  is compared too;
 * the `repr` of recovery reports without `timings`, with the geometry
   known and recovered;
 * the `repr` of `elastic_recover_order0` results, the order-0 `cp`
@@ -38,6 +42,7 @@ A dump takes about 40 s on one core.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
 import tempfile
@@ -183,9 +188,21 @@ def _elastic_group_pluses(plus, depth):
 
 
 def dump_elastic_groups(out):
+    rtol = elastic._COMPAT_RTOL
+    try:
+        for tol, depths in ((rtol, (0, 1, 2)), (-1.0, (1, 2)), (0.0, (1, 2)),
+                            (-1e-11, (1, 2))):
+            elastic._COMPAT_RTOL = tol
+            tag = "" if tol == rtol else f" rtol={tol}"
+            _dump_elastic_groups(out, depths, tag)
+    finally:
+        elastic._COMPAT_RTOL = rtol
+
+
+def _dump_elastic_groups(out, depths, tag):
     for label, sampled in _models(random_elastic_model, (2,)):
         for model, kind in ((sampled, ""), (_as_floats(sampled), " floats")):
-            for depth in (0, 1, 2):
+            for depth in depths:
                 pluses = _elastic_group_pluses(model.plus, depth)
                 for cov in _covectors(model)[::3]:
                     ms = _attempt(elastic._MinusSide, cov, model.minus,
@@ -193,7 +210,7 @@ def dump_elastic_groups(out):
                     for n in range(1, 5):
                         group = (ms if isinstance(ms, str) else
                                  _attempt(elastic._group, ms, pluses[:n]))
-                        out(f"elastic._group {label}{kind} {cov!r} "
+                        out(f"elastic._group{tag} {label}{kind} {cov!r} "
                             f"depth={depth} n={n}: {group!r}")
 
 
@@ -252,6 +269,14 @@ def _scan_stack(model, cov, count=20):
             for cp in cps]
 
 
+def _order0(ms, pluses):
+    """`elastic._order0` with a fresh zeta cache; a tree from before the
+    cache was an argument takes the plus sides alone."""
+    if "zetas" in inspect.signature(elastic._order0).parameters:
+        return elastic._order0(ms, pluses, {})
+    return elastic._order0(ms, pluses)
+
+
 def dump_order0_stacks(out):
     for label, sampled in _models(random_elastic_model, (0,)):
         for model, kind in ((sampled, ""), (_as_floats(sampled), " floats")):
@@ -271,7 +296,7 @@ def dump_order0_stacks(out):
                     cases = (pluses,)
                 for stack in cases:
                     result = (ms if isinstance(ms, str) else
-                              _attempt(elastic._order0, ms, stack))
+                              _attempt(_order0, ms, stack))
                     out(f"elastic._order0 {label}{kind} {cov!r} "
                         f"n={len(stack)}: {result!r}")
 
