@@ -20,6 +20,7 @@ from .medium import (
     InterfaceGeometry,
     InterfaceModel,
     Regime,
+    SymbolSeries,
     classify_regime,
     derive_lame_jets,
     vertical_wavenumber,
@@ -61,6 +62,7 @@ __all__ = [
     "classify_regime",
     "vertical_wavenumber",
     "derive_lame_jets",
+    "SymbolSeries",
     "AcousticSymbolSeries",
     "forward_symbols",
     "principal_rt",

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import DepthExceeded
 from .jets import (
@@ -70,24 +69,13 @@ from .medium import (
     AcousticSideJet,
     Covector,
     InterfaceModel,
+    SymbolSeries,
     curvature_jets,
     vertical_wavenumber,
 )
 
 
-@dataclass(frozen=True)
-class AcousticSymbolSeries:
-    """Symbol orders at one covector: orders[k] = (J, aR_J, aT_J), J = -k."""
-
-    orders: tuple
-    covector: Covector
-    depth: int
-
-    def reflection(self, order: int) -> complex:
-        return self.orders[-order][1]
-
-    def transmission(self, order: int) -> complex:
-        return self.orders[-order][2]
+AcousticSymbolSeries = SymbolSeries  # the public name of the acoustic series
 
 
 # Per-branch transport data, as coefficient tuples: g (d(a)/dnu = g*a + s)
@@ -286,7 +274,7 @@ def _group_body(depth, share, tau, tol, h, stretch, br_i, br_r, amp_i,
 
 
 def forward_symbols(cov: Covector, model: InterfaceModel, depth: int,
-                    tol: float = GLANCING_TOL) -> AcousticSymbolSeries:
+                    tol: float = GLANCING_TOL) -> SymbolSeries:
     """Full symbol series (aR)_J, (aT)_J, J = 0..-depth, at one covector."""
     if model.is_elastic:
         raise TypeError("acoustic engine requires an acoustic model")
@@ -295,7 +283,7 @@ def forward_symbols(cov: Covector, model: InterfaceModel, depth: int,
     values = forward_series(cov, model.minus, model.plus, model.geometry,
                             depth, tol)
     orders = tuple((-k, aR, aT) for k, (aR, aT) in enumerate(values))
-    return AcousticSymbolSeries(orders=orders, covector=cov, depth=depth)
+    return SymbolSeries(orders=orders, covector=cov, depth=depth)
 
 
 def _impedances_r0(cov: Covector, model: InterfaceModel, tol: float):

@@ -458,10 +458,7 @@ def main(argv=None) -> int:
         _configure_logging()
         _check_numbers(args)
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RegimeError as exc:

@@ -98,7 +98,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,6 +117,7 @@ from .medium import (
     Covector,
     ElasticSideJet,
     InterfaceModel,
+    SymbolSeries,
     curvature_jets,
     derive_lame_jets,
     vertical_wavenumber,
@@ -132,19 +132,7 @@ _WARM = 32  # the call of a class that records its tape (`tape._replay`)
 P, SV, SH = 0, 1, 2  # mode-coefficient slots
 
 
-@dataclass(frozen=True)
-class ElasticSymbolSeries:
-    """orders[k] = (J, R_J, T_J) with 3x3 complex matrices, J = -k."""
-
-    orders: tuple
-    covector: Covector
-    depth: int
-
-    def reflection(self, order: int) -> np.ndarray:
-        return self.orders[-order][1]
-
-    def transmission(self, order: int) -> np.ndarray:
-        return self.orders[-order][2]
+ElasticSymbolSeries = SymbolSeries  # the public name of the elastic series
 
 
 def sh_reflection(cov: Covector, minus: ElasticSideJet, plus: ElasticSideJet,
@@ -809,7 +797,7 @@ def forward_series_elastic(
 
 
 def forward_symbols_elastic(cov: Covector, model: InterfaceModel, depth: int,
-                            tol: float = GLANCING_TOL) -> ElasticSymbolSeries:
+                            tol: float = GLANCING_TOL) -> SymbolSeries:
     """Matrix symbol series R_J, T_J, J = 0..-depth, at one covector."""
     if not model.is_elastic:
         raise TypeError("elastic engine requires an elastic model")
@@ -818,7 +806,7 @@ def forward_symbols_elastic(cov: Covector, model: InterfaceModel, depth: int,
     values = forward_series_elastic(cov, model.minus, model.plus,
                                     model.geometry, depth, tol)
     orders = tuple((-k, r, t) for k, (r, t) in enumerate(values))
-    return ElasticSymbolSeries(orders=orders, covector=cov, depth=depth)
+    return SymbolSeries(orders=orders, covector=cov, depth=depth)
 
 
 def principal_rt_matrices(cov: Covector, model: InterfaceModel,

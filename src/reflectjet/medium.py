@@ -166,6 +166,17 @@ class Covector:
         return Covector(s * self.tau, (s * self.xi[0], s * self.xi[1]))
 
 
+@dataclass(frozen=True)
+class SymbolSeries:
+    """Symbol orders at one covector: orders[k] = (J, R_J, T_J), J = -k,
+    with complex scalars (acoustic) or 3x3 complex matrices acting on
+    (P, SV, SH) mode coefficients (elastic)."""
+
+    orders: tuple
+    covector: Covector
+    depth: int
+
+
 class Regime(enum.Enum):
     HYPERBOLIC = "hyperbolic"
     GLANCING = "glancing"

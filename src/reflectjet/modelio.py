@@ -3,7 +3,9 @@
 Numeric CSV fields use the shortest round-trippable decimal
 representation of binary64 (Python's repr); comment lines start with
 '#'.  All JSON emitted by the CLI validates against the schema files
-shipped in reflectjet/schemas/.
+shipped in reflectjet/schemas/, and a model, from a file or an
+in-process dict, is checked against model.schema.json before it is
+built: the schema decides its shape, and this module only its physics.
 """
 
 from __future__ import annotations
@@ -30,16 +32,7 @@ ELASTIC_HEADER = ["tau", "xi1", "xi2", "order", "row", "col",
 
 
 def _jet_from(obj, field, where):
-    try:
-        coeffs = obj[field]
-    except KeyError:
-        raise ParseError(f"model field '{where}.{field}' is missing") from None
-    if not isinstance(coeffs, list) or not coeffs:
-        raise ParseError(f"model field '{where}.{field}' must be a non-empty array")
-    try:
-        coeffs = [float(c) for c in coeffs]
-    except (TypeError, ValueError):
-        coeffs = [math.nan]
+    coeffs = [float(c) for c in obj[field]]
     if not all(map(math.isfinite, coeffs)):
         raise ParseError(
             f"model field '{where}.{field}' must contain finite numbers"
@@ -49,8 +42,6 @@ def _jet_from(obj, field, where):
 
 def side_from_dict(obj, where):
     """One-sided jets from the model JSON ('cp_jet' absent => acoustic)."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"model field '{where}' must be an object")
     rho = _jet_from(obj, "rho_jet", where)
     cs = _jet_from(obj, "cs_jet", where)
     try:
@@ -62,34 +53,49 @@ def side_from_dict(obj, where):
 
 
 def geometry_from_dict(obj):
-    if obj is None:
-        return InterfaceGeometry()
-    if not isinstance(obj, dict):
-        raise ParseError("model field 'geometry' must be an object")
     try:
         return InterfaceGeometry(float(obj.get("kappa1", 0.0)),
                                  float(obj.get("kappa2", 0.0)))
-    except (TypeError, ValueError):
-        raise ParseError("model field 'geometry' must contain numbers") from None
+    except ValueError:
+        raise ParseError("model field 'geometry' must contain finite "
+                         "numbers") from None
 
 
-def model_from_dict(obj) -> InterfaceModel:
-    if not isinstance(obj, dict):
-        raise ParseError("model JSON must be an object")
-    minus = side_from_dict(obj.get("minus"), "minus")
-    plus = side_from_dict(obj.get("plus"), "plus")
-    geometry = geometry_from_dict(obj.get("geometry"))
-    depth = obj.get("depth")
+def _validated(obj, source):
+    """`obj` checked against the shipped model schema: an unknown or
+    misspelt member would otherwise change the model."""
+    try:
+        schemas.validate(obj, "model")
+    except schemas.SchemaError as exc:
+        raise ParseError(f"{source}: {exc}") from None
+    return obj
+
+
+def _model(obj) -> InterfaceModel:
+    """The model of a schema-valid dict, whose 'plus' the schema leaves
+    optional for the minus-side files of `invert`."""
+    minus = side_from_dict(obj["minus"], "minus")
+    if "plus" not in obj:
+        raise ParseError("model field 'plus' must be an object")
+    plus = side_from_dict(obj["plus"], "plus")
+    geometry = geometry_from_dict(obj.get("geometry", {}))
     try:
         model = InterfaceModel(minus, plus, geometry)
     except Exception as exc:
         raise ParseError(f"inconsistent model: {exc}") from exc
-    if depth is not None and depth != model.depth:
+    depth = obj.get("depth", model.depth)
+    if depth != model.depth:
         raise ParseError(
             f"model field 'depth' ({depth}) disagrees with the jets "
             f"(depth {model.depth})"
         )
     return model
+
+
+def model_from_dict(obj) -> InterfaceModel:
+    """The model of a model-JSON dict, checked against the shipped
+    schema as a model file is."""
+    return _model(_validated(obj, "model"))
 
 
 def model_to_dict(model: InterfaceModel) -> dict:
@@ -103,29 +109,23 @@ def model_to_dict(model: InterfaceModel) -> dict:
 
 
 def _load_json(path):
-    """A model JSON file, checked against the shipped model schema: an
-    unknown or misspelt member would otherwise change the model."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-        schemas.validate(obj, "model")
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
-    except schemas.SchemaError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return obj
 
 
 def load_model(path) -> InterfaceModel:
-    return model_from_dict(_load_json(path))
+    return _model(_validated(_load_json(path), path))
 
 
 def load_minus_side(path):
     """(minus side, geometry) for inversion inputs; 'plus' may be absent."""
-    obj = _load_json(path)
-    minus = side_from_dict(obj.get("minus"), "minus")
-    return minus, geometry_from_dict(obj.get("geometry"))
+    obj = _validated(_load_json(path), path)
+    return (side_from_dict(obj["minus"], "minus"),
+            geometry_from_dict(obj.get("geometry", {})))
 
 
 def _fmt(x) -> str:
@@ -274,6 +274,7 @@ def read_symbol_csv(paths, log=None):
                     dupes += 1
     if dupes and log is not None:
         log.warning("dropped %d duplicated symbol rows", dupes)
+    files = ", ".join(map(str, paths))  # what a merged sample came from
     out = []
     if kind == "acoustic":
         for (tau, xi1, xi2, order), value in scalar.items():
@@ -282,10 +283,10 @@ def read_symbol_csv(paths, log=None):
         for (tau, xi1, xi2, order), value in matrices.items():
             if np.isnan(value.real).any():
                 raise ParseError(
-                    f"incomplete 3x3 matrix at tau={tau}, xi=({xi1},{xi2}), "
-                    f"order {order}"
+                    f"{files}: incomplete 3x3 matrix at tau={tau}, "
+                    f"xi=({xi1},{xi2}), order {order}"
                 )
             out.append(SymbolSample(Covector(tau, (xi1, xi2)), order, value))
     if not out:
-        raise ParseError("symbol CSV contains no data rows")
+        raise ParseError(f"{files}: symbol CSV contains no data rows")
     return SymbolSamples(out), kind

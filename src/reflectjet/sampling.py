@@ -77,19 +77,17 @@ def random_elastic_model(rng: np.random.Generator, depth: int,
     return InterfaceModel(minus, plus, geometry)
 
 
-def hyperbolic_grid(model: InterfaceModel, count: int, tau: float = 1.0,
-                    fraction: float = 0.8):
-    """Equispaced slowness grid in [0, fraction * b_crit] as covectors."""
+def hyperbolic_grid(model: InterfaceModel, count: int, tau: float = 1.0):
+    """Equispaced slowness grid in [0, 0.8 b_crit] as covectors."""
     b_crit = model.critical_slowness()
-    bs = np.linspace(0.0, fraction * b_crit, count)
+    bs = np.linspace(0.0, 0.8 * b_crit, count)
     return [Covector(tau, (float(b) * tau, 0.0)) for b in bs]
 
 
-def cross_grid(model: InterfaceModel, count: int, tau: float = 1.0,
-               fraction: float = 0.8):
+def cross_grid(model: InterfaceModel, count: int, tau: float = 1.0):
     """Slowness grid along the second tangential axis (no normal-incidence
     duplicate); combined with `hyperbolic_grid` it spans the two
     directions curvature recovery needs."""
     b_crit = model.critical_slowness()
-    bs = np.linspace(0.0, fraction * b_crit, count)[1:]
+    bs = np.linspace(0.0, 0.8 * b_crit, count)[1:]
     return [Covector(tau, (0.0, float(b) * tau)) for b in bs]

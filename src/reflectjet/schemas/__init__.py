@@ -1,9 +1,11 @@
-"""Shipped JSON schemas and a small validator for the CLI report formats.
+"""Shipped JSON schemas and a small validator for the model and CLI
+report formats.
 
 The validator covers the subset of JSON Schema the shipped files use
-(type, properties, required, items, additionalProperties, enum,
-patternProperties for the per-order maps).  It exists so emitted
-documents can be checked without an external dependency.
+(type, properties, required, items, minItems, additionalProperties,
+enum, patternProperties for the per-order maps).  It exists so model
+input and emitted documents can be checked without an external
+dependency.
 """
 
 from __future__ import annotations
@@ -60,8 +62,11 @@ def _check(instance, schema, path):
             else:
                 if schema.get("additionalProperties") is False:
                     raise SchemaError(f"{path}: unexpected member '{key}'")
-    elif typ == "array" and "items" in schema:
-        for i, value in enumerate(instance):
+    elif typ == "array":
+        if len(instance) < schema.get("minItems", 0):
+            raise SchemaError(f"{path}: expected at least {schema['minItems']} "
+                              f"item(s), got {len(instance)}")
+        for i, value in enumerate(instance if "items" in schema else ()):
             _check(value, schema["items"], f"{path}[{i}]")
 
 

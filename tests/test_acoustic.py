@@ -202,13 +202,6 @@ def test_depth_exceeded():
         forward_symbols(Covector(1.0, (0.0, 0.0)), CONTRAST, 1)
 
 
-def test_symbol_series_accessors():
-    model = _model([1.0, 0.1], [1.0, 0.2], [1.5, -0.1], [1.2, 0.1])
-    series = forward_symbols(Covector(1.0, (0.2, 0.0)), model, 1)
-    assert series.reflection(0) == series.orders[0][1]
-    assert series.transmission(-1) == series.orders[1][2]
-
-
 def _with_top(side, depth, rho_top, cs_top):
     """`side` at `depth` with its top coefficients replaced."""
     return AcousticSideJet(Jet(side.rho.coeffs[:depth] + (rho_top,)),

@@ -1,6 +1,8 @@
 """Command-line interface: formats, determinism, exit codes, schemas."""
 
 import json
+import math
+import re
 import subprocess
 import sys
 import warnings
@@ -90,6 +92,62 @@ def test_model_json_errors(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+_ELASTIC_PLUS = ELASTIC_MODEL["plus"]
+_MINUS = ACOUSTIC_MODEL["minus"]
+
+# (id, model JSON, what its message names): the physical checks of the
+# model reader, then the shape checks of the shipped schema
+BAD_MODELS = [
+    ("negative_density",
+     dict(ACOUSTIC_MODEL, plus={"rho_jet": [-1.0, 0.0],
+                                "cs_jet": [2.0, 0.6]}), "'plus'"),
+    ("zero_speed",
+     dict(ACOUSTIC_MODEL, minus={"rho_jet": [1.0, 0.3],
+                                 "cs_jet": [0.0, -0.2]}), "'minus'"),
+    ("not_convex",
+     dict(ELASTIC_MODEL, plus=dict(_ELASTIC_PLUS, cp_jet=[1.3])), "'plus'"),
+    # the two sides as a pair: the message names both
+    ("mixed_kinds", {"minus": {"rho_jet": [1.0], "cs_jet": [1.0]},
+                     "plus": _ELASTIC_PLUS}, "both sides"),
+    ("side_depths",
+     dict(ACOUSTIC_MODEL, plus={"rho_jet": [1.0], "cs_jet": [2.0]},
+          depth=0), "both sides"),
+    ("jet_lengths",
+     dict(ACOUSTIC_MODEL, minus=dict(_MINUS, cs_jet=[1.0])), "'minus'"),
+    ("nan_kappa",
+     dict(ACOUSTIC_MODEL, geometry={"kappa1": math.nan}),
+     "'geometry' must contain finite numbers"),
+    ("no_plus", {"minus": _MINUS}, "'plus'"),
+    ("empty_jet",
+     dict(ACOUSTIC_MODEL, plus=dict(_MINUS, cs_jet=[])), "plus.cs_jet"),
+    ("top_level_list", [ACOUSTIC_MODEL], r"\$: expected object"),
+    ("kappa_1", dict(ACOUSTIC_MODEL, geometry={"kappa_1": 0.5}), "kappa_1"),
+    ("cpjet", {side: {"rho_jet": [1.0], "cs_jet": [1.0], "cpjet": [2.0]}
+               for side in ("minus", "plus")}, "cpjet"),
+    ("depth_true", dict(ACOUSTIC_MODEL, depth=True), "depth"),
+    ("bool_coefficient",
+     dict(ACOUSTIC_MODEL, minus=dict(_MINUS, rho_jet=[1.0, True])),
+     r"minus.rho_jet\[1\]"),
+    ("unknown_member", dict(ACOUSTIC_MODEL, depht=1), "depht"),
+]
+
+
+@pytest.mark.parametrize("doc, member", [case[1:] for case in BAD_MODELS],
+                         ids=[case[0] for case in BAD_MODELS])
+def test_bad_model_named_in_file_and_dict(tmp_path, capsys, doc, member):
+    # a model file exits 2 with one line naming the member and writes
+    # nothing; the same dict in-process raises a ParseError naming it
+    out = tmp_path / "x.csv"
+    assert main(["forward", "--model", _write_model(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert re.search(member, err)
+    assert not out.exists()
+    with pytest.raises(ParseError, match=member):
+        model_from_dict(doc)
+
+
 def test_forward_values_and_order(tmp_path):
     model = _write_model(tmp_path, ACOUSTIC_MODEL)
     out = tmp_path / "sym.csv"
@@ -130,6 +188,23 @@ def test_forward_flags_post_critical_rows(tmp_path):
     samples, kind = read_symbol_csv(str(out))
     assert kind == "acoustic"
     assert len(samples.samples) == 1  # flagged row carries no values
+
+
+@pytest.mark.parametrize("doc, grid, skipped", [
+    # cs+ = 2: b = 0.5 is glancing for the plus side
+    (ACOUSTIC_MODEL, "0.1,0.5",
+     "# skipped tau=1.0 xi1=0.5 xi2=0.0 regime=glancing"),
+    # cp- = 2: b = 0.9 is past the minus side's P critical slowness
+    (ELASTIC_MODEL, "0.1,0.9",
+     "# skipped tau=1.0 xi1=0.9 xi2=0.0 regime=evanescent"),
+], ids=["acoustic_glancing", "elastic_evanescent"])
+def test_forward_writes_skipped_rows(tmp_path, doc, grid, skipped):
+    out = tmp_path / "sym.csv"
+    assert main(["forward", "--model", _write_model(tmp_path, doc),
+                 "--out", str(out), "--grid", grid, "--depth", "0"]) == 0
+    assert skipped in out.read_text().splitlines()
+    samples, _ = read_symbol_csv(str(out))
+    assert len(samples.samples) == 1
 
 
 def test_forward_determinism_and_jobs(tmp_path):
@@ -304,6 +379,51 @@ def test_bad_symbol_csv_exit2(tmp_path, capsys, kind, field, value):
     assert not rec.exists()
 
 
+_A_HEAD = "tau,xi1,xi2,order,re_aR,im_aR,re_aT,im_aT\n"
+_E_HEAD = "tau,xi1,xi2,order,row,col,re_R,im_R,re_T,im_T\n"
+
+# (id, the symbol CSVs of one run, the message after the last file's name,
+# as a pattern)
+BAD_SYMBOL_FILES = [
+    ("empty", [""], ": empty symbol CSV"),
+    ("comments_only", ["# a comment\n"], ": empty symbol CSV"),
+    ("unknown_header", ["tau,xi,order\n1,0,0\n"],
+     ": unrecognized symbol CSV header"),
+    ("no_rows", [_A_HEAD], ": symbol CSV contains no data rows"),
+    ("field_count", [_A_HEAD + "1.0,0.0,0.0,0,0.5\n"],
+     ":2: expected 8 fields, got 5"),
+    ("positive_order", [_A_HEAD + "1.0,0.0,0.0,1,0.5,0.0,1.5,0.0\n"],
+     ":2: symbol order must be <= 0"),
+    ("row_outside", [_E_HEAD + "1.0,0.0,0.0,0,4,1,0.5,0.0,1.5,0.0\n"],
+     ":2: row/col must be in 1..3"),
+    ("col_outside", [_E_HEAD + "1.0,0.0,0.0,0,1,0,0.5,0.0,1.5,0.0\n"],
+     ":2: row/col must be in 1..3"),
+    ("incomplete_matrix", [_E_HEAD + "1.0,0.0,0.0,0,1,1,0.5,0.0,1.5,0.0\n"],
+     r": incomplete 3x3 matrix at tau=1.0, xi=\(0.0,0.0\), order 0"),
+    ("mixed_kinds", [_A_HEAD + "1.0,0.0,0.0,0,0.5,0.0,1.5,0.0\n",
+                     _E_HEAD + "1.0,0.0,0.0,0,1,1,0.5,0.0,1.5,0.0\n"],
+     ": mixes elastic data with acoustic"),
+]
+
+
+@pytest.mark.parametrize("texts, message",
+                         [case[1:] for case in BAD_SYMBOL_FILES],
+                         ids=[case[0] for case in BAD_SYMBOL_FILES])
+def test_bad_symbol_files_exit2(tmp_path, capsys, texts, message):
+    # each exits 2 with one line that names the file read last, and
+    # writes no report
+    model = _write_model(tmp_path, ACOUSTIC_MODEL)
+    argv = ["invert", "--model", model, "--out", str(tmp_path / "rec.json")]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"sym{i}.csv"
+        path.write_text(text)
+        argv += ["--symbols", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {re.escape(str(path))}{message}\n", err)
+    assert not (tmp_path / "rec.json").exists()
+
+
 def test_elastic_cli_round_trip(tmp_path):
     model = _write_model(tmp_path, ELASTIC_MODEL, "emodel.json")
     sym = tmp_path / "esym.csv"
@@ -349,6 +469,18 @@ def test_roundtrip_elastic(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["kind"] == "elastic"
     assert max(doc["max_relative_jet_error_per_order"].values()) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["acoustic", "elastic"])
+def test_roundtrip_curved_recovers_kappas(tmp_path, kind):
+    out = tmp_path / "rt.json"
+    assert main(["roundtrip", "--kind", kind, "--curved", "--count", "1",
+                 "--depth", "1", "--grid-count", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["curved"] is True
+    assert doc["max_kappa_error"] <= 1e-10
+    assert len(doc["per_model"]) == 1
+    assert doc["per_model"][0]["kappa_error"] <= 1e-10
 
 
 def test_curvature_check_command(tmp_path):

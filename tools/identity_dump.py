@@ -33,7 +33,11 @@ bit for bit as they were:
   at normal and oblique incidence, with np.float64 and float values,
   and with a glancing plus side among them;
 * the bytes of `reflectjet forward` CSVs and of `reflectjet invert` JSON
-  without `timings`, written in a temporary directory.
+  without `timings`, written in a temporary directory;
+* the exit code and stderr of `reflectjet forward` on model files that
+  break a physical check or the shipped schema, and of `reflectjet
+  invert` on symbol CSVs that the reader rejects, with the temporary
+  directory's path replaced by a fixed token.
 
 An exception is printed as its type and message, so it is compared too.
 A dump takes about 40 s on one core.
@@ -42,7 +46,6 @@ A dump takes about 40 s on one core.
 from __future__ import annotations
 
 import contextlib
-import inspect
 import io
 import json
 import tempfile
@@ -269,14 +272,6 @@ def _scan_stack(model, cov, count=20):
             for cp in cps]
 
 
-def _order0(ms, pluses):
-    """`elastic._order0` with a fresh zeta cache; a tree from before the
-    cache was an argument takes the plus sides alone."""
-    if "zetas" in inspect.signature(elastic._order0).parameters:
-        return elastic._order0(ms, pluses, {})
-    return elastic._order0(ms, pluses)
-
-
 def dump_order0_stacks(out):
     for label, sampled in _models(random_elastic_model, (0,)):
         for model, kind in ((sampled, ""), (_as_floats(sampled), " floats")):
@@ -296,7 +291,7 @@ def dump_order0_stacks(out):
                     cases = (pluses,)
                 for stack in cases:
                     result = (ms if isinstance(ms, str) else
-                              _attempt(_order0, ms, stack))
+                              _attempt(elastic._order0, ms, stack, {}))
                     out(f"elastic._order0 {label}{kind} {cov!r} "
                         f"n={len(stack)}: {result!r}")
 
@@ -344,12 +339,85 @@ def dump_cli(out):
                     rec.unlink()
 
 
+_ACOUSTIC = {"minus": {"rho_jet": [1.0, 0.3], "cs_jet": [1.0, -0.2]},
+             "plus": {"rho_jet": [1.0, -0.5], "cs_jet": [2.0, 0.6]}}
+_ELASTIC = {"minus": {"rho_jet": [1.0], "cs_jet": [1.0], "cp_jet": [2.0]},
+            "plus": {"rho_jet": [1.4], "cs_jet": [1.2], "cp_jet": [2.3]}}
+_MINUS = _ACOUSTIC["minus"]
+
+# model files that break a physical check, then the shipped schema
+BAD_MODELS = (
+    ("negative_density", dict(_ACOUSTIC, plus={"rho_jet": [-1.0, 0.0],
+                                               "cs_jet": [2.0, 0.6]})),
+    ("zero_speed", dict(_ACOUSTIC, minus=dict(_MINUS, cs_jet=[0.0, -0.2]))),
+    ("not_convex", dict(_ELASTIC, plus=dict(_ELASTIC["plus"], cp_jet=[1.3]))),
+    ("mixed_kinds", {"minus": {"rho_jet": [1.0], "cs_jet": [1.0]},
+                     "plus": _ELASTIC["plus"]}),
+    ("side_depths", dict(_ACOUSTIC, plus={"rho_jet": [1.0], "cs_jet": [2.0]})),
+    ("jet_lengths", dict(_ACOUSTIC, minus=dict(_MINUS, cs_jet=[1.0]))),
+    ("nan_kappa", dict(_ACOUSTIC, geometry={"kappa1": float("nan")})),
+    ("depth_disagrees", dict(_ACOUSTIC, depth=3)),
+    ("no_plus", {"minus": _MINUS}),
+    ("empty_jet", dict(_ACOUSTIC, plus=dict(_MINUS, cs_jet=[]))),
+    ("top_level_list", [_ACOUSTIC]),
+    ("kappa_1", dict(_ACOUSTIC, geometry={"kappa_1": 0.5})),
+    ("cpjet", {side: {"rho_jet": [1.0], "cs_jet": [1.0], "cpjet": [2.0]}
+               for side in ("minus", "plus")}),
+    ("depth_true", dict(_ACOUSTIC, depth=True)),
+    ("bool_coefficient", dict(_ACOUSTIC, minus=dict(_MINUS,
+                                                    rho_jet=[1.0, True]))),
+    ("unknown_member", dict(_ACOUSTIC, depht=1)),
+)
+
+_A_HEAD = "tau,xi1,xi2,order,re_aR,im_aR,re_aT,im_aT\n"
+_E_HEAD = "tau,xi1,xi2,order,row,col,re_R,im_R,re_T,im_T\n"
+_A_ROW = "1.0,0.0,0.0,0,0.5,0.0,1.5,0.0\n"
+_E_ROW = "1.0,0.0,0.0,0,1,1,0.5,0.0,1.5,0.0\n"
+
+# the symbol CSVs of one `invert` run that the reader rejects
+BAD_SYMBOLS = (
+    ("empty", [""]),
+    ("comments_only", ["# a comment\n"]),
+    ("unknown_header", ["tau,xi,order\n1,0,0\n"]),
+    ("no_rows", [_A_HEAD]),
+    ("field_count", [_A_HEAD + "1.0,0.0,0.0,0,0.5\n"]),
+    ("positive_order", [_A_HEAD + _A_ROW.replace(",0,", ",1,", 1)]),
+    ("row_outside", [_E_HEAD + "1.0,0.0,0.0,0,4,1,0.5,0.0,1.5,0.0\n"]),
+    ("col_outside", [_E_HEAD + "1.0,0.0,0.0,0,1,0,0.5,0.0,1.5,0.0\n"]),
+    ("incomplete_matrix", [_E_HEAD + _E_ROW]),
+    ("mixed_kinds", [_A_HEAD + _A_ROW, _E_HEAD + _E_ROW]),
+)
+
+
+def dump_bad_input(out):
+    with tempfile.TemporaryDirectory() as tmp:
+        def status(argv):  # the directory as a token, the same on every run
+            return _cli(argv).replace(tmp, "<tmp>")
+
+        root = Path(tmp)
+        model, csv, rec = (root / name
+                           for name in ("model.json", "x.csv", "rec.json"))
+        for name, doc in BAD_MODELS:
+            model.write_text(json.dumps(doc))
+            rc = status(["forward", "--model", str(model), "--out", str(csv)])
+            out(f"forward bad model {name}: {rc} wrote={csv.exists()}")
+        model.write_text(json.dumps(_ACOUSTIC))
+        for name, texts in BAD_SYMBOLS:
+            argv = ["invert", "--model", str(model), "--out", str(rec)]
+            for i, text in enumerate(texts):
+                path = root / f"sym{i}.csv"
+                path.write_text(text)
+                argv += ["--symbols", str(path)]
+            out(f"invert bad symbols {name}: {status(argv)} "
+                f"wrote={rec.exists()}")
+
+
 def main():
     # every float of an array in full: the shortest repr that round-trips
     np.set_printoptions(floatmode="unique")
     for dump in (dump_forward, dump_groups, dump_elastic_groups,
                  dump_recovery, dump_order0, dump_principal,
-                 dump_order0_stacks, dump_cli):
+                 dump_order0_stacks, dump_cli, dump_bad_input):
         dump(print)
 
 
