@@ -224,9 +224,14 @@ def forward_series(
 def _group(minus_side, depth: int, pluses) -> list:
     """`forward_series` at `depth` for each of `pluses`, on a minus side
     built at `depth` or deeper (see the module note)."""
+    return _plus_group(depth, pluses)(minus_side)
+
+
+def _plus_group(depth: int, pluses):
+    """`_group` of `pluses` as a function of the minus side: the checks
+    and truncations of the plus sides run once, here."""
     from .tape import _replay
 
-    cov, tol, h, stretch, br_i, br_r, amp_i = minus_side
     if len({(p.rho.coeffs[:depth], p.cs.coeffs[:depth]) for p in pluses}) > 1:
         raise ValueError("a group's plus sides differ below the top coefficient")
     sides = tuple((p.rho.truncate(depth), p.cs.truncate(depth))
@@ -234,9 +239,13 @@ def _group(minus_side, depth: int, pluses) -> list:
     first = {}  # cs coefficients -> the first plus side with them
     share = tuple(first.setdefault(cs.coeffs, i)
                   for i, (_, cs) in enumerate(sides))
-    return _replay(_group_body, (depth, share),
-                   (cov.tau, tol, h, stretch, br_i, br_r, amp_i, sides),
-                   (len(amp_i), h is None))
+
+    def group(minus_side):
+        cov, tol, h, stretch, br_i, br_r, amp_i = minus_side
+        return _replay(_group_body, (depth, share),
+                       (cov.tau, tol, h, stretch, br_i, br_r, amp_i, sides),
+                       (len(amp_i), h is None))
+    return group
 
 
 def _group_body(depth, share, tau, tol, h, stretch, br_i, br_r, amp_i,

@@ -323,13 +323,14 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
     `order0(samples)` returns their interface values in that order with
     the order-0 residual and condition.  Order -k solves for the k-th
     derivative of every field, and with `geometry=None` order -1 also
-    solves for the principal curvatures, against `run(cov, geometry, k,
-    deepest, pluses)`: the depth-k series at one covector of the base
-    run and the unit perturbations of the design columns.  `deepest` is
-    the deepest order `geometry` serves.  Both engines run `pluses` as
-    one group on one minus side; the acoustic engine builds it once per
-    (covector, geometry) at that depth, the elastic engine once per
-    covector and order, as its check scales read every coefficient.
+    solves for the principal curvatures, against `run(covs, geometry, k,
+    deepest, pluses)`: each plus side's order -k reflections at `covs`
+    as one array, for the base run and the unit perturbations.  `deepest`
+    is the deepest order `geometry` serves.  Both engines run `pluses`
+    as one group on each covector's minus side in turn; the acoustic
+    engine readies the plus sides once per call and builds a minus side
+    once per (covector, geometry) at that depth, the elastic engine once
+    per covector and order, as its check scales read every coefficient.
     """
     samples = _as_samples(samples)
     samples.require_orders(depth)
@@ -339,8 +340,10 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
     n = len(fields)
     # a non-finite or degenerate sample set is rejected before any engine
     # work
-    for k in range(depth + 1):
-        if not all(np.isfinite(s.value).all() for s in samples.at_order(-k)):
+    measured = [np.array([s.value for s in samples.at_order(-k)],
+                         dtype=complex).ravel() for k in range(depth + 1)]
+    for k, values in enumerate(measured):
+        if not np.isfinite(values).all():
             raise InconsistentData(f"a sample at order {-k} is not finite")
     for k in range(1, depth + 1):
         group = samples.at_order(-k)
@@ -370,10 +373,7 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
 
     for k in range(1, depth + 1):
         t_start = time.perf_counter()
-        group = samples.at_order(-k)
-        covs = [s.covector for s in group]
-        measured = np.concatenate(
-            [np.asarray(s.value, dtype=complex).ravel() for s in group])
+        covs = [s.covector for s in samples.at_order(-k)]
         recover_here = geometry is None and k == 1
         deepest = 1 if recover_here else depth
 
@@ -390,16 +390,10 @@ def _recover_jets(samples, minus, depth, geometry, side_type, fields,
         if recover_here:
             runs += [(InterfaceGeometry(1.0, 0.0), pluses[:1]),
                      (InterfaceGeometry(0.0, 1.0), pluses[:1])]
-        per_cov = []
-        for cov in covs:
-            row = []
-            for gm, sides in runs:
-                row += [np.asarray(series[k][0]).ravel()
-                        for series in run(cov, gm, k, deepest, sides)]
-            per_cov.append(row)
-        base, *others = (np.concatenate(col) for col in zip(*per_cov))
+        base, *others = (column for gm, sides in runs
+                         for column in run(covs, gm, k, deepest, sides))
         cols = [other - base for other in others]
-        sol, res, cond = _lstsq_real(cols, measured, base, -k, cond_limit,
+        sol, res, cond = _lstsq_real(cols, measured[k], base, -k, cond_limit,
                                      residual_tol)
         for c, value in zip(coeffs, sol):
             c.append(float(value))
@@ -438,17 +432,28 @@ def acoustic_recover_jets(samples, minus: AcousticSideJet, depth: int,
     """
     minus_sides = {}  # (covector, geometry, deepest) -> minus side
 
-    def run(cov, gm, k, deepest, pluses):
-        ms = (minus_sides.pop((cov, gm, deepest), None)
-              or acoustic._minus_side(cov, minus, gm, deepest, glancing_tol))
-        if k < deepest:  # kept only while a later order needs it
-            minus_sides[cov, gm, deepest] = ms
-        return acoustic._group(ms, k, pluses)
+    def run(covs, gm, k, deepest, pluses):
+        group, groups = acoustic._plus_group(k, pluses), []
+        for cov in covs:
+            ms = minus_sides.pop((cov, gm, deepest), None) or \
+                acoustic._minus_side(cov, minus, gm, deepest, glancing_tol)
+            if k < deepest:  # kept only while a later order needs it
+                minus_sides[cov, gm, deepest] = ms
+            groups.append(group(ms))
+        return _order_columns(groups, k)
 
     return _recover_jets(samples, minus, depth, geometry, AcousticSideJet,
                          ("cs", "rho"),
                          lambda s: _acoustic_order0(s, minus, residual_tol),
                          run, residual_tol, cond_limit)
+
+
+def _order_columns(groups, k):
+    """Per plus side, its order-k reflections in `groups` (one a covector)
+    as one array: (n,) for acoustic data, (9n,) for elastic data."""
+    values = np.array([[series[k][0] for series in group]
+                       for group in groups], dtype=complex)
+    return list(values.swapaxes(0, 1).reshape(len(groups[0]), -1))
 
 
 # --- relative-amplitude mode -------------------------------------------------
@@ -668,9 +673,10 @@ def elastic_recover_jets(samples, minus: ElasticSideJet, depth: int,
             glancing_tol=glancing_tol)
         return (cs0, cp0, rho0), res0, cond0
 
-    def run(cov, gm, k, deepest, pluses):
-        ms = elastic._MinusSide(cov, minus.truncate(k), gm, k, glancing_tol)
-        return elastic._group(ms, pluses)
+    def run(covs, gm, k, deepest, pluses):
+        minus_k = minus.truncate(k)
+        return _order_columns([elastic._group(elastic._MinusSide(
+            cov, minus_k, gm, k, glancing_tol), pluses) for cov in covs], k)
 
     return _recover_jets(samples, minus, depth, geometry, ElasticSideJet,
                          ("cs", "cp", "rho"), order0, run,

@@ -266,9 +266,14 @@ class InterfaceModel:
 
     def __post_init__(self):
         if type(self.minus) is not type(self.plus):
-            raise ValueError("both sides must be acoustic or both elastic")
+            kinds = ["elastic" if isinstance(side, ElasticSideJet)
+                     else "acoustic" for side in (self.minus, self.plus)]
+            raise ValueError("both sides must be acoustic or both elastic "
+                             "(minus {}, plus {})".format(*kinds))
         if self.minus.depth != self.plus.depth:
-            raise ValueError("both sides must share the jet depth")
+            raise ValueError(
+                f"both sides must share the jet depth (minus "
+                f"{self.minus.depth}, plus {self.plus.depth})")
 
     @property
     def depth(self) -> int:

@@ -31,13 +31,20 @@ ELASTIC_HEADER = ["tau", "xi1", "xi2", "order", "row", "col",
                   "re_R", "im_R", "re_T", "im_T"]
 
 
+def _floats(values, member):
+    """`values` as finite floats, or a ParseError naming `member`; a JSON
+    integer may be too large for a float."""
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:
+        floats = [math.inf]
+    if not all(map(math.isfinite, floats)):
+        raise ParseError(f"model field '{member}' must contain finite numbers")
+    return floats
+
+
 def _jet_from(obj, field, where):
-    coeffs = [float(c) for c in obj[field]]
-    if not all(map(math.isfinite, coeffs)):
-        raise ParseError(
-            f"model field '{where}.{field}' must contain finite numbers"
-        )
-    return Jet(coeffs)
+    return Jet(_floats(obj[field], f"{where}.{field}"))
 
 
 def side_from_dict(obj, where):
@@ -53,12 +60,8 @@ def side_from_dict(obj, where):
 
 
 def geometry_from_dict(obj):
-    try:
-        return InterfaceGeometry(float(obj.get("kappa1", 0.0)),
-                                 float(obj.get("kappa2", 0.0)))
-    except ValueError:
-        raise ParseError("model field 'geometry' must contain finite "
-                         "numbers") from None
+    return InterfaceGeometry(*_floats(
+        (obj.get("kappa1", 0.0), obj.get("kappa2", 0.0)), "geometry"))
 
 
 def _validated(obj, source):
@@ -76,13 +79,13 @@ def _model(obj) -> InterfaceModel:
     optional for the minus-side files of `invert`."""
     minus = side_from_dict(obj["minus"], "minus")
     if "plus" not in obj:
-        raise ParseError("model field 'plus' must be an object")
+        raise ParseError("model field 'plus' is missing")
     plus = side_from_dict(obj["plus"], "plus")
     geometry = geometry_from_dict(obj.get("geometry", {}))
     try:
         model = InterfaceModel(minus, plus, geometry)
     except Exception as exc:
-        raise ParseError(f"inconsistent model: {exc}") from exc
+        raise ParseError(f"model field 'plus': {exc}") from exc
     depth = obj.get("depth", model.depth)
     if depth != model.depth:
         raise ParseError(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import by_source, child_env, outcome, replays_only
-from reflectjet import acoustic, tape
+from reflectjet import acoustic, inversion, tape
 from reflectjet.acoustic import (
     _group,
     _minus_side,
@@ -239,6 +239,75 @@ def test_group_checks_its_contract(rng):
                                  plus.cs[2])))
     with pytest.raises(ValueError, match="below the top"):
         _group(ms, 2, [plus, below])
+
+
+def _order_run(minus):
+    """The `run` that `acoustic_recover_jets` hands the recovery driver:
+    one engine call per order and geometry, for all its covectors."""
+    with pytest.MonkeyPatch.context() as patch:
+        # the driver's eighth argument is the `run` it is handed
+        patch.setattr(inversion, "_recover_jets", lambda *args: args[7])
+        return inversion.acoustic_recover_jets([], minus, 0)
+
+
+def _per_order(run, covs, geometry, k, deepest, pluses):
+    """The order-k reflections at each of `covs` from one `run` call."""
+    columns = run(covs, geometry, k, deepest, pluses)
+    return [[complex(c[i]) for c in columns] for i in range(len(covs))]
+
+
+def _per_covector(covs, minus, geometry, k, deepest, pluses):
+    """`_per_order` from a minus side and a group per covector."""
+    return [[complex(s[k][0]) for s in _group(
+        _minus_side(cov, minus, geometry, deepest, GLANCING_TOL), k, pluses)]
+        for cov in covs]
+
+
+@pytest.mark.parametrize("kind", ["float", "float64"])
+@pytest.mark.parametrize("curved", [False, True])
+def test_order_run_keeps_each_covectors_bits(rng, curved, kind):
+    # the recovery's one engine call per order gives every plus side's
+    # reflection at every covector with the bits of that covector's own
+    # group: depths 1-4, tops of -0.0 and 1.0, minus sides built at the
+    # order's depth and deeper
+    model = random_acoustic_model(rng, 4, curved=curved)
+    minus, plus = _typed(model.minus, kind), _typed(model.plus, kind)
+    covs = hyperbolic_grid(model, 3) + cross_grid(model, 3)
+    run = _order_run(minus)
+    for depth in range(1, 5):
+        pluses = [_with_top(plus, depth, r, c)
+                  for r, c in ((-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0))]
+        for deepest in sorted({depth, 4}):
+            args = (model.geometry, depth, deepest, pluses)
+            result = outcome(_per_order, run, covs, *args)
+            assert result.startswith("[[")
+            assert result == outcome(_per_covector, covs, minus, *args)
+
+
+def test_order_run_raises_the_first_covectors_error():
+    # covector by covector: the first covector that fails raises its
+    # error, whether its minus side fails or its plus sides do
+    model = _model([1.0, 0.3, -0.2], [1.0, -0.2, 0.1],
+                   [1.2, -0.5, 0.4], [2.0, 0.6, -0.3])
+    pluses = [_with_top(model.plus, 2, r, c)
+              for r, c in ((-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0))]
+    ok, past_minus, past_plus, glancing = (
+        Covector(1.0, xi) for xi in ((0.3, 0.0), (1.2, 0.0), (0.7, 0.0),
+                                     (0.0, 1.0)))
+    errors = []
+    for covs in ([ok, past_minus, past_plus], [ok, past_plus, past_minus],
+                 [past_plus, ok], [ok, glancing, past_plus]):
+        for deepest in (2, 3):
+            minus = model.minus if deepest == 2 else AcousticSideJet(
+                Jet([1.0, 0.3, -0.2, 0.1]), Jet([1.0, -0.2, 0.1, 0.2]))
+            args = (InterfaceGeometry(), 2, deepest, pluses)
+            result = outcome(_per_order, _order_run(minus), covs, *args)
+            assert result == outcome(_per_covector, covs, minus, *args)
+            errors.append(result)
+    # per list: the minus side's speed 1 or the plus sides' speed 2
+    assert [e.split(" for ")[1][:7] for e in errors[::2]] == [
+        "speed 1", "speed 2", "speed 2", "speed 1"]
+    assert errors[6].startswith("GlancingError: ")
 
 
 # --- tapes ---------------------------------------------------------------

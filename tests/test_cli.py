@@ -129,6 +129,13 @@ BAD_MODELS = [
      dict(ACOUSTIC_MODEL, minus=dict(_MINUS, rho_jet=[1.0, True])),
      r"minus.rho_jet\[1\]"),
     ("unknown_member", dict(ACOUSTIC_MODEL, depht=1), "depht"),
+    # JSON integers that the schema accepts but a float cannot hold
+    ("big_rho",
+     dict(ACOUSTIC_MODEL, plus={"rho_jet": [10 ** 400, -0.5],
+                                "cs_jet": [2.0, 0.6]}),
+     r"'plus\.rho_jet' must contain finite numbers"),
+    ("big_kappa", dict(ACOUSTIC_MODEL, geometry={"kappa1": 10 ** 400}),
+     "'geometry' must contain finite numbers"),
 ]
 
 
@@ -146,6 +153,47 @@ def test_bad_model_named_in_file_and_dict(tmp_path, capsys, doc, member):
     assert not out.exists()
     with pytest.raises(ParseError, match=member):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("mixed_kinds", "model field 'plus': both sides must be acoustic or both "
+                    "elastic (minus acoustic, plus elastic)"),
+    ("side_depths", "model field 'plus': both sides must share the jet depth "
+                    "(minus 1, plus 0)"),
+    ("no_plus", "model field 'plus' is missing"),
+], ids=["mixed_kinds", "side_depths", "no_plus"])
+def test_pair_checks_name_the_member_and_values(tmp_path, capsys, case,
+                                                message):
+    # the checks of the two sides as a pair name the plus side and, where
+    # there are some, the two values that disagree
+    doc = next(d for name, d, _ in BAD_MODELS if name == case)
+    assert main(["forward", "--model", _write_model(tmp_path, doc),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ParseError) as info:
+        model_from_dict(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("member, doc", [
+    ("minus.cs_jet", {"minus": dict(_MINUS, cs_jet=[1.0, -10 ** 400])}),
+    ("geometry", {"minus": _MINUS, "geometry": {"kappa2": 10 ** 400}}),
+], ids=["minus_cs_jet", "geometry"])
+def test_invert_minus_side_too_large_exit2(tmp_path, capsys, member, doc):
+    # a minus-side file whose integer a float cannot hold exits 2 and
+    # names the member, as a non-finite number does
+    model = _write_model(tmp_path, ACOUSTIC_MODEL)
+    sym = tmp_path / "sym.csv"
+    assert main(["forward", "--model", model, "--out", str(sym),
+                 "--grid", "0,0.15,0.3"]) == 0
+    capsys.readouterr()
+    rec = tmp_path / "rec.json"
+    assert main(["invert", "--model", _write_model(tmp_path, doc, "m.json"),
+                 "--symbols", str(sym), "--out", str(rec)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: model field '{member}' must contain finite "
+                   "numbers\n")
+    assert not rec.exists()
 
 
 def test_forward_values_and_order(tmp_path):

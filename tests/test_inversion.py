@@ -216,6 +216,31 @@ def test_minus_side_built_once_per_covector_and_order(rng, monkeypatch):
     assert builds == expected
     assert max_rel_err(report.plus.rho, model.plus.rho) <= 1e-7
 
+    # order -2 on a grid that shares only normal incidence and its two
+    # ends with the grid of orders 0 and -1: a minus side of a shared
+    # covector is built once and reused, every other one built once
+    covs2 = two_direction_grid(model, 50)
+    assert len(set(covs) & set(covs2)) == 3
+    two_grids = SymbolSamples(
+        [s for s in samples.samples if s.order > -2]
+        + [s for s in _acoustic_samples(model, covs2, 2).samples
+           if s.order == -2])
+    builds.clear()
+    report = acoustic_recover_jets(two_grids, model.minus, 2,
+                                   geometry=model.geometry)
+    assert builds == {(cov, model.geometry, 2): 1
+                      for cov in set(covs) | set(covs2)}
+    assert max_rel_err(report.plus.rho, model.plus.rho) <= 1e-7
+    builds.clear()
+    report = acoustic_recover_jets(two_grids, model.minus, 2, geometry=None)
+    recovered = InterfaceGeometry(*report.kappas)
+    assert all(builds[cov, recovered, 2] == 1 for cov in covs2)
+    assert all(builds[cov, gm, 1] == 1 for cov in covs
+               for gm in (InterfaceGeometry(), InterfaceGeometry(1.0, 0.0),
+                          InterfaceGeometry(0.0, 1.0)))
+    assert sum(builds.values()) == 3 * len(covs) + len(covs2)
+    assert max_rel_err(report.plus.rho, model.plus.rho) <= 1e-7
+
 
 def test_non_finite_sample_rejected_before_engine_work(rng, monkeypatch):
     # a NaN or infinite value passes no residual test, so it is rejected

@@ -21,7 +21,8 @@ bit for bit as they were:
   where some steps fail and others pass, so the error a group reports
   is compared too;
 * the `repr` of recovery reports without `timings`, with the geometry
-  known and recovered;
+  known and recovered, from samples on one grid and from samples whose
+  odd orders sit on a grid of one more slowness than the even orders';
 * the `repr` of `elastic_recover_order0` results, the order-0 `cp`
   scan among them, for several seeds, and for data whose P-P entry no
   `cp` matches (`NoRoot`);
@@ -35,9 +36,10 @@ bit for bit as they were:
 * the bytes of `reflectjet forward` CSVs and of `reflectjet invert` JSON
   without `timings`, written in a temporary directory;
 * the exit code and stderr of `reflectjet forward` on model files that
-  break a physical check or the shipped schema, and of `reflectjet
-  invert` on symbol CSVs that the reader rejects, with the temporary
-  directory's path replaced by a fixed token.
+  break a physical check or the shipped schema or hold an integer too
+  large for a float, and of `reflectjet invert` on symbol CSVs that the
+  reader rejects, with the temporary directory's path replaced by a
+  fixed token.
 
 An exception is printed as its type and message, so it is compared too.
 A dump takes about 40 s on one core.
@@ -217,6 +219,18 @@ def _dump_elastic_groups(out, depths, tag):
                             f"depth={depth} n={n}: {group!r}")
 
 
+def _two_grid_samples(forward, model, count):
+    """Samples of the even orders on `_grid(model, count)` and of the odd
+    orders on `_grid(model, count + 1)`; the two grids share their ends."""
+    out = []
+    for parity in (0, 1):
+        for cov in _grid(model, count + parity):
+            out += [SymbolSample(cov, j, r)
+                    for j, r, _ in forward(cov, model, model.depth).orders
+                    if -j % 2 == parity]
+    return SymbolSamples(out)
+
+
 def dump_recovery(out):
     cases = ((acoustic.forward_symbols, acoustic_recover_jets,
               random_acoustic_model, range(1, 5), 8),
@@ -224,13 +238,16 @@ def dump_recovery(out):
               random_elastic_model, range(1, 3), 4))
     for forward, recover, make, depths, count in cases:
         for label, model in _models(make, depths):
-            samples = SymbolSamples.from_acoustic_series(
+            one_grid = SymbolSamples.from_acoustic_series(
                 [forward(c, model, model.depth) for c in _grid(model, count)])
-            for geometry in (model.geometry, None):
-                known = geometry is not None
-                report = _report(recover, samples, model.minus, model.depth,
-                                 geometry)
-                out(f"{recover.__name__} {label} known={known}: {report}")
+            two_grids = _two_grid_samples(forward, model, count)
+            for samples, tag in ((one_grid, ""), (two_grids, " two grids")):
+                for geometry in (model.geometry, None):
+                    known = geometry is not None
+                    report = _report(recover, samples, model.minus,
+                                     model.depth, geometry)
+                    out(f"{recover.__name__}{tag} {label} known={known}: "
+                        f"{report}")
 
 
 def dump_order0(out):
@@ -345,7 +362,8 @@ _ELASTIC = {"minus": {"rho_jet": [1.0], "cs_jet": [1.0], "cp_jet": [2.0]},
             "plus": {"rho_jet": [1.4], "cs_jet": [1.2], "cp_jet": [2.3]}}
 _MINUS = _ACOUSTIC["minus"]
 
-# model files that break a physical check, then the shipped schema
+# model files that break a physical check, then the shipped schema, then
+# hold an integer too large for a float
 BAD_MODELS = (
     ("negative_density", dict(_ACOUSTIC, plus={"rho_jet": [-1.0, 0.0],
                                                "cs_jet": [2.0, 0.6]})),
@@ -367,6 +385,9 @@ BAD_MODELS = (
     ("bool_coefficient", dict(_ACOUSTIC, minus=dict(_MINUS,
                                                     rho_jet=[1.0, True]))),
     ("unknown_member", dict(_ACOUSTIC, depht=1)),
+    ("big_rho", dict(_ACOUSTIC, plus={"rho_jet": [10 ** 400, -0.5],
+                                      "cs_jet": [2.0, 0.6]})),
+    ("big_kappa", dict(_ACOUSTIC, geometry={"kappa1": 10 ** 400})),
 )
 
 _A_HEAD = "tau,xi1,xi2,order,re_aR,im_aR,re_aT,im_aT\n"
