@@ -44,70 +44,86 @@ log = logging.getLogger("reflectjet.cli")
 TOLERANCE_NAMES = ("glancing", "residual", "condition")
 
 
-def _default_tols():
-    return {
-        "glancing": medium.GLANCING_TOL,
-        "residual": medium.RESIDUAL_TOL,
-        "condition": medium.CONDITION_LIMIT,
-    }
+def _check(value, ok, text, rule):
+    """`value`, or the error that argparse reports as "argument --NAME:
+    'TEXT' RULE": each option is parsed and checked by its `type`."""
+    if not ok:
+        raise argparse.ArgumentTypeError(f"{text!r} {rule}")
+    return value
 
 
-def _parse_tols(pairs):
-    tols = _default_tols()
-    for pair in pairs or ():
-        name, _, value = pair.partition("=")
-        if name not in tols or not value:
-            raise ParseError(
-                f"--tol expects NAME=VALUE with NAME in {TOLERANCE_NAMES}"
-            )
+def _number(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    return _check(value, math.isfinite(value), text, "is not a finite number")
+
+
+def _at_least(least):
+    def parse(text):
         try:
-            tols[name] = float(value)
+            value = int(text)
         except ValueError:
-            raise ParseError(f"--tol {pair}: value is not a number") from None
-        # a zero glancing band is meaningful; a zero bound elsewhere is not
-        in_range = tols[name] >= 0.0 if name == "glancing" else tols[name] > 0.0
-        if not (math.isfinite(tols[name]) and in_range):
-            raise ParseError(f"--tol {pair}: value must be finite and "
-                             f"{'>= 0' if name == 'glancing' else '> 0'}")
-    return tols
+            value = least - 1
+        return _check(value, value >= least, text,
+                      f"is not an integer >= {least}")
+    return parse
 
 
-def _parse_grid(spec_text):
-    try:
-        values = [float(v) for v in spec_text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ParseError(f"--grid {spec_text!r}: values must be numbers") from None
-    if not values:
-        raise ParseError("--grid needs at least one slowness value")
-    if not all(math.isfinite(v) for v in values):
-        raise ParseError(f"--grid {spec_text!r}: values must be finite")
-    return values
+def _nonzero(text):
+    value = _number(text)
+    return _check(value, value != 0.0, text, "is zero")
 
 
-def _parse_direction(text):
-    try:
-        dx, dy = (float(v) for v in text.split(","))
-    except ValueError:
-        raise ParseError("--direction expects 'dx,dy'") from None
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        raise ParseError("--direction components must be finite")
-    norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        raise ParseError("--direction must be nonzero")
-    return dx / norm, dy / norm
+def _step(text):
+    """The oracle's step as the Fraction it runs on."""
+    step = Fraction(_number(text)).limit_denominator(10 ** 9)
+    return _check(step, step != 0, text,
+                  "rounds to 0 at denominators <= 10**9")
+
+
+def _grid(text):
+    values = [_number(v) for v in text.split(",") if v.strip()]
+    return _check(values, values, text, "has no slowness value")
+
+
+def _direction(text):
+    """The unit vector along 'dx,dy'."""
+    values = [_number(v) for v in text.split(",")]
+    norm = math.hypot(*values)
+    _check(None, len(values) == 2 and norm != 0.0, text,
+           "is not a nonzero 'dx,dy'")
+    return values[0] / norm, values[1] / norm
+
+
+def _spectra(text):
+    spectra = [tuple(_number(v) for v in chunk.split(","))
+               for chunk in text.split(";") if chunk.strip()]
+    return _check(spectra, spectra, text, "has no 'k1,k2' chunk")
+
+
+def _tol(text):
+    """(NAME, VALUE): a zero glancing band is meaningful, a zero bound
+    elsewhere is not."""
+    name, _, value = text.partition("=")
+    _check(None, name in TOLERANCE_NAMES, text,
+           f"is not NAME=VALUE with NAME in {TOLERANCE_NAMES}")
+    value, glancing = _number(value), name == "glancing"
+    return _check((name, value), value >= 0.0 if glancing else value > 0.0,
+                  text, f"must be {'>= 0' if glancing else '> 0'}")
 
 
 def _grid_covectors(args, model):
     if args.grid is not None:
-        b_values = _parse_grid(args.grid)
+        b_values = args.grid
     else:
         import numpy as np
 
         b_crit = model.critical_slowness()
         b_values = list(np.linspace(0.0, 0.8 * b_crit, 8))
-    direction = _parse_direction(args.direction)
-    return [medium.Covector(args.tau, (b * args.tau * direction[0],
-                                       b * args.tau * direction[1]))
+    dx, dy = args.direction
+    return [medium.Covector(args.tau, (b * args.tau * dx, b * args.tau * dy))
             for b in sorted(b_values)]
 
 
@@ -143,11 +159,11 @@ def _forward_one(payload):
 
 
 def cmd_forward(args):
-    tols = _parse_tols(args.tol)
     model = modelio.load_model(args.model)
     depth = model.depth if args.depth is None else args.depth
     covs = _grid_covectors(args, model)
-    payloads = [(model, cov, depth, tols["glancing"]) for cov in covs]
+    glancing = dict(args.tol)["glancing"]
+    payloads = [(model, cov, depth, glancing) for cov in covs]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -181,13 +197,13 @@ def _recover(kind, samples, minus, depth, geometry, tols):
 
 
 def cmd_invert(args):
-    tols = _parse_tols(args.tol)
     minus, geometry = modelio.load_minus_side(args.model)
     samples, kind = modelio.read_symbol_csv(args.symbols, log=log)
     orders = samples.orders()
     depth = -min(orders) if args.depth is None else args.depth
     report = _recover(kind, samples, minus, depth,
-                      geometry if args.known_geometry else None, tols)
+                      geometry if args.known_geometry else None,
+                      dict(args.tol))
     doc = report.to_dict()
     doc["kind"] = kind
     doc["depth"] = depth
@@ -244,7 +260,7 @@ def cmd_roundtrip(args):
 
     from . import sampling
 
-    tols = _parse_tols(args.tol)
+    tols = dict(args.tol)
     rng = np.random.default_rng(args.seed)
     per_model = []
     order_max = {}
@@ -299,31 +315,10 @@ def cmd_roundtrip(args):
     return 0
 
 
-def _parse_spectra(text):
-    spectra = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            kappas = tuple(float(v) for v in chunk.split(","))
-        except ValueError:
-            raise ParseError(
-                f"--spectra chunk {chunk!r}: values must be numbers"
-            ) from None
-        if not kappas:
-            raise ParseError("--spectra chunk is empty")
-        spectra.append(kappas)
-    if not spectra:
-        raise ParseError("--spectra needs at least one 'k1,k2' chunk")
-    return spectra
-
-
 def cmd_curvature_check(args):
     rows = []
     worst = 0.0
-    step = Fraction(args.step).limit_denominator(10 ** 9)
-    for kappas in _parse_spectra(args.spectra):
+    for kappas in args.spectra:
         spec = CurvatureSpectrum(kappas)
         for order in range(args.max_order + 1):
             row = {"kappas": list(kappas), "order": order}
@@ -331,7 +326,7 @@ def cmd_curvature_check(args):
             try:
                 oracle = float(richardson_derivative(
                     lambda s: rational_curvature_profile(spec, s),
-                    Fraction(0), order, step))
+                    Fraction(0), order, args.step))
             except ReflectJetError as exc:
                 row["error"] = f"{type(exc).__name__}: {exc}"
                 rows.append(row)
@@ -346,21 +341,6 @@ def cmd_curvature_check(args):
     return 0
 
 
-def _check_numbers(args):
-    """Reject the numeric options of `args` that no command can use,
-    before any work."""
-    for name, least in (("depth", 0), ("max_order", 0), ("jobs", 1),
-                        ("count", 1), ("grid_count", 1)):
-        value = getattr(args, name, None)
-        if value is not None and value < least:
-            raise ParseError(f"--{name.replace('_', '-')} {value}: "
-                             f"must be >= {least}")
-    for name in ("tau", "step"):
-        value = getattr(args, name, 1.0)
-        if not math.isfinite(value) or value == 0.0:
-            raise ParseError(f"--{name} {value}: must be finite and nonzero")
-
-
 def _write_json(path, doc):
     text = json.dumps(doc, indent=2, sort_keys=True)
     if path == "-":
@@ -370,8 +350,19 @@ def _write_json(path, doc):
             fh.write(text + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as ParseError, which `main` reports in one line."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    # the defaults come first: a later --tol pair overrides an earlier one
+    tol = dict(action="append", type=_tol, metavar="NAME=VALUE", default=[
+        ("glancing", medium.GLANCING_TOL), ("residual", medium.RESIDUAL_TOL),
+        ("condition", medium.CONDITION_LIMIT)])
+    parser = _Parser(
         prog="reflectjet",
         description="Interface reflection/transmission symbol series and "
                     "jet recovery for acoustic and isotropic elastic waves.",
@@ -382,16 +373,16 @@ def build_parser():
                                          "slowness grid, emit CSV")
     fwd.add_argument("--model", required=True)
     fwd.add_argument("--out", required=True)
-    fwd.add_argument("--depth", type=int, default=None,
+    fwd.add_argument("--depth", type=_at_least(0), default=None,
                      help="symbol depth K (default: model depth)")
-    fwd.add_argument("--grid", default=None,
+    fwd.add_argument("--grid", type=_grid, default=None,
                      help="comma-separated slowness values b = |xi'|/tau "
                           "(default: 8 values over [0, 0.8 b_crit])")
-    fwd.add_argument("--tau", type=float, default=1.0)
-    fwd.add_argument("--direction", default="1,0",
+    fwd.add_argument("--tau", type=_nonzero, default=1.0)
+    fwd.add_argument("--direction", type=_direction, default="1,0",
                      help="tangential direction dx,dy of the grid covectors")
-    fwd.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    fwd.add_argument("--jobs", type=int, default=1)
+    fwd.add_argument("--tol", **tol)
+    fwd.add_argument("--jobs", type=_at_least(1), default=1)
     fwd.set_defaults(func=cmd_forward)
 
     inv = sub.add_parser("invert", help="recover plus-side jets from a "
@@ -402,12 +393,12 @@ def build_parser():
     inv.add_argument("--symbols", required=True, action="append",
                      help="symbol CSV (repeatable; files are merged)")
     inv.add_argument("--out", required=True)
-    inv.add_argument("--depth", type=int, default=None,
+    inv.add_argument("--depth", type=_at_least(0), default=None,
                      help="recovery depth (default: deepest order present)")
     inv.add_argument("--known-geometry", action="store_true",
                      help="treat the model JSON's geometry as known instead "
                           "of recovering the curvatures")
-    inv.add_argument("--tol", action="append", metavar="NAME=VALUE")
+    inv.add_argument("--tol", **tol)
     inv.set_defaults(func=cmd_invert)
 
     rt = sub.add_parser("roundtrip", help="forward then invert random models "
@@ -416,24 +407,24 @@ def build_parser():
                     help="round-trip this model instead of random ones")
     rt.add_argument("--kind", choices=("acoustic", "elastic"),
                     default="acoustic")
-    rt.add_argument("--depth", type=int, default=2)
+    rt.add_argument("--depth", type=_at_least(0), default=2)
     rt.add_argument("--seed", type=int, default=42)
-    rt.add_argument("--count", type=int, default=5)
-    rt.add_argument("--grid-count", type=int, default=8)
-    rt.add_argument("--tau", type=float, default=1.0)
+    rt.add_argument("--count", type=_at_least(1), default=5)
+    rt.add_argument("--grid-count", type=_at_least(1), default=8)
+    rt.add_argument("--tau", type=_nonzero, default=1.0)
     rt.add_argument("--curved", action="store_true",
                     help="random curvatures; recover them in the inversion")
-    rt.add_argument("--tol", action="append", metavar="NAME=VALUE")
+    rt.add_argument("--tol", **tol)
     rt.add_argument("--out", default="-")
     rt.set_defaults(func=cmd_roundtrip)
 
     cc = sub.add_parser("curvature-check",
                         help="mean-curvature derivative formulas vs the "
                              "parallel-surface finite-difference oracle")
-    cc.add_argument("--spectra", required=True,
+    cc.add_argument("--spectra", type=_spectra, required=True,
                     help="semicolon-separated curvature pairs 'k1,k2;k1,k2'")
-    cc.add_argument("--max-order", type=int, default=4)
-    cc.add_argument("--step", type=float, default=1e-3)
+    cc.add_argument("--max-order", type=_at_least(0), default=4)
+    cc.add_argument("--step", type=_step, default="1e-3")
     cc.add_argument("--out", default="-")
     cc.set_defaults(func=cmd_curvature_check)
     return parser
@@ -453,10 +444,9 @@ def _configure_logging():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _configure_logging()
-        _check_numbers(args)
         return args.func(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -601,17 +601,6 @@ _CHECK_KEYS = (("I", "P"), ("I", "S"), ("R", "P"), ("R", "S"),
                ("T", "P"), ("T", "S"))
 
 
-class _ElasticRun:
-    """One plus side on a minus side: its transmitted contexts, with the
-    round-off yardstick of its cascade checks."""
-
-    def __init__(self, ms: _MinusSide, plus: ElasticSideJet, zetas: dict):
-        self.ctx = dict(ms.ctx)
-        self.ctx.update(_side_ctxs(ms.cov, plus, ms.kt, ms.stretch, ms.h,
-                                   ms.depth, ms.tol, ("T",), zetas))
-        self.op_scale = max(ctx.op_scale for ctx in self.ctx.values())
-
-
 def _interface(ms: _MinusSide, tops):
     """The 6x6 interface matrices whose transmitted columns are `tops`
     (one `_interface_columns` result each) and their order-0 solutions,
@@ -704,17 +693,19 @@ def _group(ms: _MinusSide, pluses) -> list:
             for p in pluses}) > 1:
         raise ValueError("a group's plus sides differ below the top coefficient")
     zetas = {}
-    runs = [_ElasticRun(ms, p, zetas) for p in pluses]
+    # the transmitted (P, S) contexts of each plus side, and the round-off
+    # yardstick of its cascade checks
+    ts = [tuple(_side_ctxs(ms.cov, p, ms.kt, ms.stretch, ms.h, K, ms.tol,
+                           ("T",), zetas).values()) for p in pluses]
+    op_scales = [max(c.op_scale for c in (*ms.ctx.values(), *t)) for t in ts]
     # the plus sides share coefficient 0, so one interface serves the group
-    (m6,), (sol,) = _interface(ms, [_ctx_columns(runs[0].ctx["T", "P"],
-                                                 runs[0].ctx["T", "S"])])
+    (m6,), (sol,) = _interface(ms, [_ctx_columns(*ts[0])])
     s_inv = np.linalg.inv(ms.S["R"]), np.linalg.inv(m6[:3, 3:])
     # the branches of the columns (P, SV, SH): one incident and one
     # reflected per column, shared by the runs, and a transmitted one per
     # column of each run, run by run
     inc, ref = (_branches((ms.ctx[b, "P"], ms.ctx[b, "S"])) for b in "IR")
-    tra = [b for run in runs
-           for b in _branches((run.ctx["T", "P"], run.ctx["T", "S"]))]
+    tra = [b for t in ts for b in _branches(t)]
     cq = [c % 3 for c in range(len(tra))]
     alpha, x = np.eye(3, dtype=complex), sol.T[cq]
     vals = np.zeros((6 + len(tra), 3), dtype=complex)
@@ -727,7 +718,7 @@ def _group(ms: _MinusSide, pluses) -> list:
             for c, b in enumerate(tra):
                 parts = inc[c % 3].step, ref[c % 3].step, b.step
                 amp_scale = max(0.0, *(s for p in parts for s in p[1]))
-                floor = 1e-12 * amp_scale * runs[c // 3].op_scale
+                floor = 1e-12 * amp_scale * op_scales[c // 3]
                 try:
                     for key, check in zip(_CHECK_KEYS, (k for p in parts
                                                         for k in p[2])):
@@ -767,7 +758,7 @@ def _group(ms: _MinusSide, pluses) -> list:
     # column (run, q) of each order's stacks is the run's [:, q]
     mats = [[np.ascontiguousarray(a.reshape(-1, 3, 3).swapaxes(1, 2))
              for a in order] for order in orders]
-    return [[(r[i], t[i]) for r, t in mats] for i in range(len(runs))]
+    return [[(r[i], t[i]) for r, t in mats] for i in range(len(ts))]
 
 
 def forward_series_elastic(

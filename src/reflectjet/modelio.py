@@ -205,8 +205,7 @@ def read_symbol_csv(paths, log=None):
     if isinstance(paths, (str, bytes)) or hasattr(paths, "__fspath__"):
         paths = [paths]
     kind = None
-    scalar = {}
-    matrices = {}
+    cells = {}  # (tau, xi1, xi2, order) -> {(row, col): reflection}
     dupes = 0
     for path in paths:
         with open(path, newline="") as fh:
@@ -249,27 +248,19 @@ def read_symbol_csv(paths, log=None):
                     )
                 for field in header[-2:]:  # the transmission: checked, unused
                     _parse_float(field, vals[field], path, line_no)
-                key = (tau, xi1, xi2, order)
-                if this_kind == "acoustic":
-                    value = complex(
-                        _parse_float("re_aR", vals["re_aR"], path, line_no),
-                        _parse_float("im_aR", vals["im_aR"], path, line_no))
-                    kept = scalar.setdefault(key, value)
-                else:
-                    row_i = _parse_int("row", vals["row"], path, line_no) - 1
-                    col_i = _parse_int("col", vals["col"], path, line_no) - 1
-                    if not (0 <= row_i < 3 and 0 <= col_i < 3):
+                cell = (1, 1)  # an acoustic row is a 1x1 matrix
+                if this_kind == "elastic":
+                    cell = tuple(_parse_int(f, vals[f], path, line_no)
+                                 for f in ("row", "col"))
+                    if not all(1 <= i <= 3 for i in cell):
                         raise ParseError(
                             f"{path}:{line_no}: row/col must be in 1..3"
                         )
-                    value = complex(
-                        _parse_float("re_R", vals["re_R"], path, line_no),
-                        _parse_float("im_R", vals["im_R"], path, line_no))
-                    entry = matrices.setdefault(
-                        key, np.full((3, 3), np.nan, dtype=complex))
-                    kept = entry[row_i, col_i]
-                    if math.isnan(kept.real):
-                        kept = entry[row_i, col_i] = value
+                re_f, im_f = header[-4:-2]  # the reflection
+                value = complex(_parse_float(re_f, vals[re_f], path, line_no),
+                                _parse_float(im_f, vals[im_f], path, line_no))
+                kept = cells.setdefault((tau, xi1, xi2, order), {}).setdefault(
+                    cell, value)
                 if kept is not value:  # a duplicated row
                     if kept != value:
                         raise ParseError(f"{path}:{line_no}: duplicated "
@@ -279,17 +270,18 @@ def read_symbol_csv(paths, log=None):
         log.warning("dropped %d duplicated symbol rows", dupes)
     files = ", ".join(map(str, paths))  # what a merged sample came from
     out = []
-    if kind == "acoustic":
-        for (tau, xi1, xi2, order), value in scalar.items():
-            out.append(SymbolSample(Covector(tau, (xi1, xi2)), order, value))
-    else:
-        for (tau, xi1, xi2, order), value in matrices.items():
-            if np.isnan(value.real).any():
-                raise ParseError(
-                    f"{files}: incomplete 3x3 matrix at tau={tau}, "
-                    f"xi=({xi1},{xi2}), order {order}"
-                )
-            out.append(SymbolSample(Covector(tau, (xi1, xi2)), order, value))
+    for (tau, xi1, xi2, order), entries in cells.items():
+        if kind == "acoustic":
+            value = entries[1, 1]
+        elif len(entries) == 9:
+            value = np.array([[entries[r, c] for c in (1, 2, 3)]
+                              for r in (1, 2, 3)], dtype=complex)
+        else:
+            raise ParseError(
+                f"{files}: incomplete 3x3 matrix at tau={tau}, "
+                f"xi=({xi1},{xi2}), order {order}"
+            )
+        out.append(SymbolSample(Covector(tau, (xi1, xi2)), order, value))
     if not out:
         raise ParseError(f"{files}: symbol CSV contains no data rows")
     return SymbolSamples(out), kind

@@ -26,6 +26,7 @@ from reflectjet.medium import (
     GLANCING_TOL,
     AcousticSideJet,
     Covector,
+    ElasticSideJet,
     InterfaceGeometry,
     InterfaceModel,
     vertical_wavenumber,
@@ -481,3 +482,35 @@ def test_long_tape_replays_across_chunks():
     for xs in ((0.1, 0.2, 0.3, 0.4), (0.1, 0.2, 0.3, 0.6),
                (0.1, 0.2, 0.3, 0.4)):
         assert repr(tape._replay(source, (), (xs,), ())) == repr(source(xs))
+
+
+_ELASTIC_SIDE = ElasticSideJet(Jet([1.0, 0.1]), Jet([1.0, 0.1]),
+                               Jet([2.0, 0.1]))
+_ELASTIC_MODEL = InterfaceModel(_ELASTIC_SIDE, _ELASTIC_SIDE)
+_COV = Covector(1.0, (0.3, 0.0))
+
+def _deep(side):
+    """`side` with a zero first derivative."""
+    return AcousticSideJet(Jet([side.rho[0], 0.0]), Jet([side.cs[0], 0.0]))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: forward_series(_COV, CONTRAST.minus, CONTRAST.plus, None, -1),
+     "ValueError: depth must be non-negative"),
+    (lambda: forward_series(_COV, CONTRAST.minus, _deep(CONTRAST.plus), None,
+                            1),
+     "DepthExceeded: symbol depth 1 exceeds model depth 0"),
+    (lambda: forward_series(_COV, _deep(CONTRAST.minus), CONTRAST.plus, None,
+                            1),
+     "DepthExceeded: symbol depth 1 exceeds model depth 0"),
+    (lambda: forward_symbols(_COV, _ELASTIC_MODEL, 0),
+     "TypeError: acoustic engine requires an acoustic model"),
+    (lambda: principal_rt(_COV, _ELASTIC_MODEL),
+     "TypeError: acoustic engine requires an acoustic model"),
+    (lambda: flux_residual(_COV, _ELASTIC_MODEL),
+     "TypeError: acoustic engine requires an acoustic model"),
+])
+def test_engine_rejects_bad_depth_and_kind(call, error):
+    # a negative depth, a side shallower than the depth asked for, and an
+    # elastic model, each named before any engine work
+    assert outcome(call) == error

@@ -644,6 +644,17 @@ def test_bad_log_level_exit2(tmp_path, monkeypatch, capsys):
     ["forward", "--jobs", "0"],
     ["curvature-check", "--spectra", "1,1", "--max-order", "-1"],
     ["roundtrip", "--count", "0"],
+    ["curvature-check", "--spectra", "nan,1"],
+    ["curvature-check", "--spectra", "1e400,1"],
+    ["curvature-check", "--spectra", "1,1;nan"],
+    ["curvature-check", "--spectra", ";"],
+    ["curvature-check", "--spectra", "1,abc"],
+    ["forward", "--grid", "a"],
+    ["forward", "--grid", ","],
+    ["forward", "--direction", "1"],
+    ["forward", "--direction", "0,0"],
+    ["forward", "--tol", "residual=abc"],
+    ["curvature-check", "--spectra", "1,1", "--step", "1e-300"],
 ])
 def test_bad_numeric_options_exit2(tmp_path, capsys, argv):
     # each is rejected with one message line, not a traceback and not a
@@ -656,6 +667,24 @@ def test_bad_numeric_options_exit2(tmp_path, capsys, argv):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["forward", "--model", "model.json"],
+     "error: the following arguments are required: --out"),
+    (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+    # an option is checked before any file is read
+    (["forward", "--model", "missing.json", "--out", "x.csv", "--grid", "a"],
+     "error: argument --grid: 'a'"),
+])
+def test_usage_errors_exit2_in_one_line(tmp_path, monkeypatch, capsys, argv,
+                                        message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 DEPTH2_MODEL = {

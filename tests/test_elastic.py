@@ -250,6 +250,12 @@ def _floats(side):
                             for j in (side.rho, side.cs, side.cp)))
 
 
+def _transmitted(ms, plus):
+    """The transmitted contexts of `plus` on the minus side `ms`."""
+    return elastic._side_ctxs(ms.cov, plus, ms.kt, ms.stretch, ms.h,
+                              ms.depth, ms.tol, ("T",), {})
+
+
 @pytest.mark.parametrize("curved", [False, True])
 def test_value_columns_equal_kernel_columns(rng, curved):
     # the columns built from value scalars carry the bits, signed zeros
@@ -263,9 +269,9 @@ def test_value_columns_equal_kernel_columns(rng, curved):
         minus, plus = convert(model.minus), convert(model.plus)
         ms = elastic._MinusSide(cov, minus, model.geometry, depth,
                                 GLANCING_TOL)
-        run = elastic._ElasticRun(ms, plus, {})
+        ctx = {**ms.ctx, **_transmitted(ms, plus)}
         for branch in "IRT":
-            ctx_p, ctx_s = run.ctx[branch, "P"], run.ctx[branch, "S"]
+            ctx_p, ctx_s = ctx[branch, "P"], ctx[branch, "S"]
             want = [repr(a.tolist()) for a in _kernel_columns(ctx_p, ctx_s)]
             got = [repr(a.tolist()) for a in np.array(elastic._ctx_columns(
                 ctx_p, ctx_s)).reshape(2, 3, 3).swapaxes(1, 2)]
@@ -277,7 +283,8 @@ def test_value_columns_equal_kernel_columns(rng, curved):
 
 def test_order0_errors_are_the_sources(rng):
     # a glancing, an evanescent and a non-convex plus side stop the stack
-    # with the error building its run gives, the first of them winning
+    # with the error building its transmitted contexts gives, the first
+    # of them winning
     model = random_elastic_model(rng, 0)
     b = 0.5 * model.critical_slowness()
     ms = elastic._MinusSide(Covector(1.0, (b, 0.0)), model.minus, None, 0,
@@ -286,7 +293,7 @@ def test_order0_errors_are_the_sources(rng):
     bad = [ElasticSideJet(rho, cs, Jet([1.0 / b])),
            ElasticSideJet(rho, cs, Jet([1.1 / b])),
            ElasticSideJet(Jet([1e-200]), Jet([1e-100]), Jet([1.0]))]
-    errors = [outcome(elastic._ElasticRun, ms, p, {}) for p in bad]
+    errors = [outcome(_transmitted, ms, p) for p in bad]
     assert [e.split(":")[0] for e in errors] == [
         "GlancingError", "EvanescentError", "ConvexityViolation"]
     for error, first in zip(errors, bad):
@@ -304,6 +311,31 @@ def test_depth_cap_and_model_depth():
     shallow = InterfaceModel(side.truncate(0), side.truncate(0))
     with pytest.raises(DepthExceeded):
         forward_symbols_elastic(Covector(1.0, (0.1, 0.0)), shallow, 1)
+
+
+_ACOUSTIC_MODEL = InterfaceModel(AcousticSideJet(Jet([1.0]), Jet([1.0])),
+                                 AcousticSideJet(Jet([1.0]), Jet([2.0])))
+_SIDE0 = ElasticSideJet(Jet([1.0]), Jet([1.0]), Jet([2.0]))
+_SIDE1 = ElasticSideJet(Jet([1.0, 0.0]), Jet([1.0, 0.0]), Jet([2.0, 0.0]))
+_COV = Covector(1.0, (0.3, 0.0))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: forward_series_elastic(_COV, _SIDE0, _SIDE0, None, -1),
+     "ValueError: depth must be non-negative"),
+    (lambda: forward_series_elastic(_COV, _SIDE0, _SIDE1, None, 1),
+     "DepthExceeded: symbol depth 1 exceeds model depth 0"),
+    (lambda: forward_series_elastic(_COV, _SIDE1, _SIDE0, None, 1),
+     "DepthExceeded: symbol depth 1 exceeds model depth 0"),
+    (lambda: forward_symbols_elastic(_COV, _ACOUSTIC_MODEL, 0),
+     "TypeError: elastic engine requires an elastic model"),
+    (lambda: principal_rt_matrices(_COV, _ACOUSTIC_MODEL),
+     "TypeError: elastic engine requires an elastic model"),
+])
+def test_engine_rejects_bad_depth_and_kind(call, error):
+    # a negative depth, a side shallower than the depth asked for, and an
+    # acoustic model, each named before any engine work
+    assert outcome(call) == error
 
 
 def test_mode_converted_evanescent_rejected():
@@ -464,9 +496,8 @@ def test_stacked_numpy_forms_keep_the_one_column_bits(rng):
             cov = Covector(1.0, (frac * b_crit, 0.3 * frac * b_crit))
             ms = elastic._MinusSide(cov, model.minus, model.geometry, 1,
                                     GLANCING_TOL)
-            run = elastic._ElasticRun(ms, model.plus, {})
             m6 = elastic._interface(ms, [elastic._ctx_columns(
-                run.ctx["T", "P"], run.ctx["T", "S"])])[0][0]
+                *_transmitted(ms, model.plus).values())])[0][0]
             rhs = rng.standard_normal((6, 12)) + 1j * rng.standard_normal(
                 (6, 12))
             multi = np.linalg.solve(m6, rhs)

@@ -1,14 +1,15 @@
 """Reconstruction: closed-form order 0, linearized jet recovery, relative
 amplitudes, elastic recovery, and the curvature factorization."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import max_rel_err, two_direction_grid
+from conftest import max_rel_err, outcome, two_direction_grid
 
-from reflectjet import acoustic, elastic
+from reflectjet import acoustic, elastic, inversion
 from reflectjet.acoustic import forward_symbols
 from reflectjet.elastic import (
     forward_symbols_elastic,
@@ -527,8 +528,9 @@ def _scan_pluses(monkeypatch, samples, minus):
 def _scalar_interface(ms, plus):
     """The 6x6 matrix of one plus side, its condition number and its
     order-0 solution, each from a call on that matrix alone."""
-    run = elastic._ElasticRun(ms, plus, {})
-    top = elastic._ctx_columns(run.ctx["T", "P"], run.ctx["T", "S"])
+    ctx = elastic._side_ctxs(ms.cov, plus, ms.kt, ms.stretch, ms.h, ms.depth,
+                             ms.tol, ("T",), {})
+    top = elastic._ctx_columns(ctx["T", "P"], ctx["T", "S"])
     m6 = elastic._interface(ms, [top])[0][0]
     return np.linalg.cond(m6), np.linalg.solve(m6, ms.order0_rhs)
 
@@ -660,3 +662,90 @@ def test_elastic_report_order0_diagnostics(rng):
     assert report.conditions[0] != 1.0
     assert report.conditions[0] >= 1.0
 
+
+
+# --- input checks -------------------------------------------------------------
+
+
+def _fit_reflections(b_values, q_sq, mu_minus=1.0, cs_minus=1.0):
+    """The reflections R whose order-0 fit data q^2 = (L mu- xi3I)^2 are
+    `q_sq`, with L = (1 - R) / (1 + R)."""
+    lams = [math.sqrt(q2) / (mu_minus * math.sqrt(1.0 / cs_minus ** 2 - b * b))
+            for b, q2 in zip(b_values, q_sq)]
+    return [(1.0 - lam) / (1.0 + lam) for lam in lams]
+
+
+def _one_order_minus_one(model):
+    """Depth-1 samples with order -1 at one slowness only."""
+    covs = hyperbolic_grid(model, 4)
+    samples = _acoustic_samples(model, covs, 1).samples
+    return SymbolSamples([s for s in samples
+                          if s.order == 0 or s.covector is covs[0]])
+
+
+def _sh_only(b_values, minus, cs_plus):
+    """Order-0 elastic samples whose SH entry comes from a plus side with
+    rho = 1 and speed `cs_plus` (every other entry 0), the fit data q^2 =
+    A - B b^2 with B = mu+^2 and A = B / cs+^2."""
+    mu_plus = cs_plus ** 2
+    q_sq = [mu_plus ** 2 * (1.0 / cs_plus ** 2 - b * b) for b in b_values]
+    mu_minus = minus.rho[0] * minus.cs[0] ** 2
+    out = []
+    for b, r in zip(b_values, _fit_reflections(b_values, q_sq, mu_minus,
+                                               minus.cs[0])):
+        value = np.zeros((3, 3), dtype=complex)
+        value[2, 2] = r
+        out.append(SymbolSample(Covector(1.0, (b, 0.0)), 0, value))
+    return SymbolSamples(out)
+
+
+def _one_bad_entry(model):
+    """Order-0 elastic samples with one entry off, outside the SH entry
+    and the P-P entry of the sample the cp root scan probes."""
+    samples = list(_elastic_samples(model, hyperbolic_grid(model, 4),
+                                    0).samples)
+    last = samples[-1]
+    value = np.array(last.value)
+    value[0, 1] += 0.1
+    samples[-1] = SymbolSample(last.covector, 0, value)
+    return SymbolSamples(samples)
+
+
+_E_MINUS = ElasticSideJet(Jet([1.0]), Jet([0.5]), Jet([1.0]))
+_E_MODEL0 = random_elastic_model(np.random.default_rng(7), 0)
+_A_MODEL1 = random_acoustic_model(np.random.default_rng(7), 1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: inversion._order0_fit([0.1, 0.2], [1.0, 0.5], 1.0, 1.0, 1e-8),
+     "InconsistentData: order-0 reflection |R| = 1 >= 1 is outside the "
+     "hyperbolic regime"),
+    (lambda: inversion._order0_fit([0.1, 1.5], [0.5, 0.5], 1.0, 1.0, 1e-8),
+     "InconsistentData: sample slowness b=1.5 is post-critical for the "
+     "minus side"),
+    (lambda: inversion._order0_fit(  # q^2 = 1 + b^2: B < 0
+        [0.1, 0.3, 0.5], _fit_reflections([0.1, 0.3, 0.5], [1.01, 1.09, 1.25]),
+        1.0, 1.0, 1e-8),
+     "InconsistentData: order-0 fit produced a non-physical impedance"),
+    (lambda: inversion._order0_fit(  # the fitted line crosses 0 before b^2
+        [0.1, 0.5, 0.8], _fit_reflections([0.1, 0.5, 0.8], [1.0, 0.2, 0.01]),
+        1.0, 1.0, 1.0),
+     "InconsistentData: recovered plus-side speed is post-critical for the "
+     "sample grid"),
+    (lambda: acoustic_recover_jets(_one_order_minus_one(_A_MODEL1),
+                                   _A_MODEL1.minus, 1,
+                                   geometry=_A_MODEL1.geometry),
+     "DegenerateAngles: order -1 needs >= 2 distinct |b| samples"),
+    (lambda: elastic_recover_order0(_sh_only([0.9, 0.95], _E_MINUS, 1.0),
+                                    _E_MINUS),
+     "NoRoot: no admissible plus-side compressional speed: the sample grid "
+     "is post-critical for every convex cp"),
+    # the cp root of the probe's P-P entry does not explain every entry
+    (lambda: elastic_recover_order0(_one_bad_entry(_E_MODEL0),
+                                    _E_MODEL0.minus),
+     "InconsistentData: order-0 elastic matrices disagree with the "
+     "recovered parameters (misfit "),
+])
+def test_recovery_rejects_inconsistent_input(call, error):
+    # each error is raised by its own check, with its own message
+    assert outcome(call).startswith(error)

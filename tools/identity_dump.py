@@ -39,7 +39,12 @@ bit for bit as they were:
   break a physical check or the shipped schema or hold an integer too
   large for a float, and of `reflectjet invert` on symbol CSVs that the
   reader rejects, with the temporary directory's path replaced by a
-  fixed token.
+  fixed token;
+* the exit code and stderr of the CLI on rejected options, malformed
+  option values, usage errors and a missing model file named beside a
+  malformed `--grid`, with the same token.  An exception that escapes
+  the CLI's `main`, `SystemExit` among them, is printed in the exit
+  code's place, so trees whose `main` raises on these can be dumped too.
 
 An exception is printed as its type and message, so it is compared too.
 A dump takes about 40 s on one core.
@@ -317,7 +322,10 @@ def _cli(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        rc = cli_main(argv)
+        try:
+            rc = cli_main(argv)
+        except (Exception, SystemExit) as exc:
+            rc = f"raised {type(exc).__name__}: {exc}"
     return f"exit {rc} {err.getvalue()!r}"
 
 
@@ -410,6 +418,59 @@ BAD_SYMBOLS = (
 )
 
 
+# options that the CLI rejects; each `forward` one runs with a model file
+# and an output path
+BAD_OPTIONS = (
+    ["forward", "--depth", "-1"],
+    ["forward", "--tau", "0"],
+    ["forward", "--tau", "nan"],
+    ["forward", "--grid", "nan"],
+    ["forward", "--grid", "0,inf"],
+    ["forward", "--grid", "a"],
+    ["forward", "--grid", ","],
+    ["forward", "--direction", "nan,1"],
+    ["forward", "--direction", "1"],
+    ["forward", "--direction", "0,0"],
+    ["forward", "--tol", "glancing=-1"],
+    ["forward", "--tol", "glancing=nan"],
+    ["forward", "--tol", "residual=0"],
+    ["forward", "--tol", "residual=abc"],
+    ["forward", "--tol", "root=1e-12"],
+    ["forward", "--jobs", "0"],
+    ["roundtrip", "--depth", "-1"],
+    ["roundtrip", "--grid-count", "0"],
+    ["roundtrip", "--count", "0"],
+    ["curvature-check", "--spectra", "1,1", "--step", "0"],
+    ["curvature-check", "--spectra", "1,1", "--step", "1e-300"],
+    ["curvature-check", "--spectra", "1,1", "--max-order", "-1"],
+    ["curvature-check", "--spectra", "nan,1"],
+    ["curvature-check", "--spectra", "1e400,1"],
+    ["curvature-check", "--spectra", "1,1;nan"],
+    ["curvature-check", "--spectra", ";"],
+    ["curvature-check", "--spectra", "1,abc"],
+)
+
+
+def dump_bad_options(out):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        model, csv = root / "model.json", root / "x.csv"
+        model.write_text(json.dumps(_ACOUSTIC))
+        for argv in BAD_OPTIONS:
+            if argv[0] == "forward":
+                argv = argv[:1] + ["--model", str(model), "--out",
+                                   str(csv)] + argv[1:]
+            status = _cli(argv).replace(tmp, "<tmp>")
+            out(f"bad option {argv[0]} {argv[-2:]}: {status} "
+                f"wrote={csv.exists()}")
+        for argv in (["forward", "--model", str(model)], ["bogus"],
+                     ["forward", "--model", str(root / "missing.json"),
+                      "--out", str(csv), "--grid", "a"]):
+            status = _cli(argv).replace(tmp, "<tmp>")
+            out(f"usage {argv[0]} {argv[-1].replace(tmp, '<tmp>')}: "
+                f"{status}")
+
+
 def dump_bad_input(out):
     with tempfile.TemporaryDirectory() as tmp:
         def status(argv):  # the directory as a token, the same on every run
@@ -438,7 +499,8 @@ def main():
     np.set_printoptions(floatmode="unique")
     for dump in (dump_forward, dump_groups, dump_elastic_groups,
                  dump_recovery, dump_order0, dump_principal,
-                 dump_order0_stacks, dump_cli, dump_bad_input):
+                 dump_order0_stacks, dump_cli, dump_bad_input,
+                 dump_bad_options):
         dump(print)
 
 
