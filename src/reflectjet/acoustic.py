@@ -38,8 +38,9 @@ does not touch) and `_group`, which runs plus sides on it.  A jet's
 coefficient m comes from coefficients <= m by the same operations at any
 length, so a minus side built deeper serves every lower depth with the
 same bits.  A group's plus sides must agree below their top coefficients
-(else ValueError); then their orders 0..-(depth-1) agree, and they share
-the reflected amplitude jets and, per distinct cs jet, cs^2 and zeta.
+in bits and types (else ValueError); then their orders 0..-(depth-1)
+agree.  Each runs on the first plus side's coefficients below the top,
+so the tape makes each operation they share once.
 Each half replays a tape (`reflectjet.tape`) of its body's scalar
 operations.  A class key holds the depth, the depth the minus side was
 built at, flat or curved, the number of plus sides and which share a cs
@@ -52,6 +53,7 @@ a miss the body runs and raises its own error.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import namedtuple
 
 from .errors import DepthExceeded
@@ -63,7 +65,7 @@ from .jets import (
     jet_scale,
     jet_sqrt,
 )
-from .jets import _leibniz_terms
+from .jets import _jet, _leibniz_terms
 from .medium import (
     GLANCING_TOL,
     AcousticSideJet,
@@ -227,17 +229,25 @@ def _group(minus_side, depth: int, pluses) -> list:
     return _plus_group(depth, pluses)(minus_side)
 
 
+def _exact(coeffs):
+    """`coeffs` as a key that tells apart bits, signs of zero and scalar
+    types, which == does not."""
+    return array("d", coeffs).tobytes(), *map(type, coeffs)
+
+
 def _plus_group(depth: int, pluses):
     """`_group` of `pluses` as a function of the minus side: the checks
     and truncations of the plus sides run once, here."""
     from .tape import _replay
 
-    if len({(p.rho.coeffs[:depth], p.cs.coeffs[:depth]) for p in pluses}) > 1:
+    if len(pluses) > 1 and len({
+            _exact(p.rho.coeffs[:depth] + p.cs.coeffs[:depth])
+            for p in pluses}) > 1:
         raise ValueError("a group's plus sides differ below the top coefficient")
     sides = tuple((p.rho.truncate(depth), p.cs.truncate(depth))
                   for p in pluses)
     first = {}  # cs coefficients -> the first plus side with them
-    share = tuple(first.setdefault(cs.coeffs, i)
+    share = tuple(first.setdefault(_exact(cs.coeffs), i)
                   for i, (_, cs) in enumerate(sides))
 
     def group(minus_side):
@@ -250,32 +260,32 @@ def _plus_group(depth: int, pluses):
 
 def _group_body(depth, share, tau, tol, h, stretch, br_i, br_r, amp_i,
                 sides):
-    """`_group`'s series of the plus sides' (rho, cs) jets in `sides`;
-    plus side i shares cs^2 and zeta with plus side share[i]."""
+    """`_group`'s series of the plus sides' (rho, cs) jets in `sides`, each
+    run on the first one's coefficients below the top and its own top
+    coefficients, the cs one taken from plus side share[i]."""
     h_coeffs = h.coeffs if h is not None else None
     mu_m = br_i.mu[0]
-    zetas = {}   # first plus side with these cs coefficients -> (cs^2, zeta)
-    amp_r = []   # reflected amplitude jets, filled on the first run
+    rho_1, cs_1 = sides[0]
     out = []
-    for (rho, cs), first in zip(sides, share):
-        if first not in zetas:
-            cs2 = jet_mul(cs, cs)
-            zetas[first] = cs2, _zeta_jet(cs[0], cs2, tau, stretch, tol)
-        br_t = _branch_state(rho, *zetas[first], h, depth)
+    for (rho, _), first in zip(sides, share):
+        rho = _jet(rho_1.coeffs[:depth] + rho.coeffs[depth:])
+        cs = _jet(cs_1.coeffs[:depth] + sides[first][1].coeffs[depth:])
+        cs2 = jet_mul(cs, cs)
+        br_t = _branch_state(rho, cs2, _zeta_jet(cs[0], cs2, tau, stretch,
+                                                 tol), h, depth)
         mu_p = br_t.mu[0]
         denom = mu_m * br_i.zeta0 + mu_p * br_t.zeta0
         r0 = (mu_m * br_i.zeta0 - mu_p * br_t.zeta0) / denom
-        amp_r = amp_r or [_fill(complex(r0), br_r, None, depth)]
+        amp_r = _fill(complex(r0), br_r, None, depth)
         amp_t = _fill(complex(1.0 + r0), br_t, None, depth)
         series = [(complex(r0), complex(1.0 + r0))]
         for k in range(1, depth + 1):
             d = depth - k
             s_t = _wave_operator_source(br_t, amp_t, h_coeffs, d)
-            jump = mu_m * (amp_i[k - 1][1] + amp_r[k - 1][1]) - mu_p * amp_t[1]
+            jump = mu_m * (amp_i[k - 1][1] + amp_r[1]) - mu_p * amp_t[1]
             val = -1j * jump / denom
-            if len(amp_r) == k:
-                s_r = _wave_operator_source(br_r, amp_r[-1], h_coeffs, d)
-                amp_r.append(_fill(val, br_r, s_r, d))
+            s_r = _wave_operator_source(br_r, amp_r, h_coeffs, d)
+            amp_r = _fill(val, br_r, s_r, d)
             amp_t = _fill(val, br_t, s_t, d)
             series.append((val, val))
         out.append(series)

@@ -123,8 +123,15 @@ def _grid_covectors(args, model):
         b_crit = model.critical_slowness()
         b_values = list(np.linspace(0.0, 0.8 * b_crit, 8))
     dx, dy = args.direction
-    return [medium.Covector(args.tau, (b * args.tau * dx, b * args.tau * dy))
-            for b in sorted(b_values)]
+    covs = []
+    for b in sorted(b_values):
+        xi = (b * args.tau * dx, b * args.tau * dy)
+        if not all(map(math.isfinite, xi)):
+            raise ParseError(f"argument --grid: slowness {b:.6g} at --tau "
+                             f"{args.tau:.6g} gives a covector that is not "
+                             "finite")
+        covs.append(medium.Covector(args.tau, xi))
+    return covs
 
 
 def _forward_one(payload):
@@ -408,7 +415,7 @@ def build_parser():
     rt.add_argument("--kind", choices=("acoustic", "elastic"),
                     default="acoustic")
     rt.add_argument("--depth", type=_at_least(0), default=2)
-    rt.add_argument("--seed", type=int, default=42)
+    rt.add_argument("--seed", type=_at_least(0), default=42)
     rt.add_argument("--count", type=_at_least(1), default=5)
     rt.add_argument("--grid-count", type=_at_least(1), default=8)
     rt.add_argument("--tau", type=_nonzero, default=1.0)

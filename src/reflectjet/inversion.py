@@ -430,14 +430,18 @@ def acoustic_recover_jets(samples, minus: AcousticSideJet, depth: int,
     two extra unknowns, which needs samples in at least two tangential
     directions (see the module note on identifiability).
     """
+    samples = _as_samples(samples)
     minus_sides = {}  # (covector, geometry, deepest) -> minus side
 
     def run(covs, gm, k, deepest, pluses):
+        # a minus side is kept only while a later order samples its covector
+        later = {s.covector for j in range(k + 1, deepest + 1)
+                 for s in samples._by_order.get(-j, ())}
         group, groups = acoustic._plus_group(k, pluses), []
         for cov in covs:
             ms = minus_sides.pop((cov, gm, deepest), None) or \
                 acoustic._minus_side(cov, minus, gm, deepest, glancing_tol)
-            if k < deepest:  # kept only while a later order needs it
+            if cov in later:
                 minus_sides[cov, gm, deepest] = ms
             groups.append(group(ms))
         return _order_columns(groups, k)

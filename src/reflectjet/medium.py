@@ -78,6 +78,9 @@ class ElasticSideJet:
             raise ValueError("density must be positive at the interface")
         if not self.cs[0] > 0:
             raise ValueError("shear speed must be positive at the interface")
+        if not self.cp[0] > 0:
+            raise ValueError(
+                "compressional speed must be positive at the interface")
         # Equivalent at the interface to mu > 0 and 3*lambda + 2*mu > 0.
         if not self.cp[0] ** 2 > (4.0 / 3.0) * self.cs[0] ** 2:
             raise ConvexityViolation(

@@ -10,7 +10,9 @@ most `_CHUNK` lines, each calling the next, that apply the same operators
 to the same operands in the same order (`_fold` writes a value used once
 into its use, with the parentheses precedence needs) and return the jets,
 tuples and lists the function did: constants enter as objects, never as
-text, so a replay gives the function's bits.  A replay takes only the
+text, so a replay gives the function's bits.  An operation or comparison
+that repeats one already logged on the same recorded values returns the
+earlier value and logs no line (value numbering).  A replay takes only the
 jets and scalars the recording read; a class keeps a tape per types of
 those.  A comparison is logged as a guard; when a replayed guard
 disagrees, the function runs on the real values.  Reading a `_Var` as a
@@ -121,7 +123,7 @@ class _Recording:
 
     def __init__(self):
         self.lines, self.numbers, self.read = [], itertools.count(), set()
-        self.consts, self.namespace = {}, {"_Miss": _Miss}
+        self.consts, self.namespace, self.seen = {}, {"_Miss": _Miss}, {}
 
     def var(self, value):
         var = _Var()
@@ -145,12 +147,15 @@ class _Recording:
                 needs.append(need)
                 a = a.v
             values.append(a)
-        value = fn(*values)
+        key = expr, *uses
+        if key in self.seen:  # made before, on the same values
+            return self.seen[key]
+        value = self.seen[key] = fn(*values)
         if not shape[0]:  # a guard
             test = f"not ({expr})" if value else f"({expr})"
             self.lines.append((None, f"if {test}: raise _Miss", uses, needs, 0))
             return value
-        var = self.var(value)
+        var = self.seen[key] = self.var(value)
         self.lines.append((var.n, expr, uses, needs, shape[0]))
         return var
 

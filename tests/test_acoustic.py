@@ -240,6 +240,19 @@ def test_group_checks_its_contract(rng):
                                  plus.cs[2])))
     with pytest.raises(ValueError, match="below the top"):
         _group(ms, 2, [plus, below])
+    # members run on the first one's coefficients below the top, so those
+    # must agree in bits, signs of zero and scalar types, not only by ==
+    rho0 = float(plus.rho[0])
+
+    def side(value, slope):
+        return AcousticSideJet(Jet((value, slope, plus.rho[2])), plus.cs)
+
+    zero = side(rho0, 0.0)
+    for other in (side(rho0, -0.0), side(np.float64(rho0), 0.0)):
+        for pair in ([zero, other], [other, zero]):
+            with pytest.raises(ValueError, match="below the top"):
+                _group(ms, 2, pair)
+    assert repr(_group(ms, 2, [zero, zero])) == repr(2 * _group(ms, 2, [zero]))
 
 
 def _order_run(minus):
@@ -445,6 +458,77 @@ def test_folded_tape_keeps_precedence(monkeypatch):
     monkeypatch.setattr(tape, "_TAPES", {})
     for xs in ((1.5, 0.7, 2.25), (0.1, 0.2, 0.3)):
         assert repr(tape._replay(source, (), xs, ())) == repr(source(*xs))
+
+
+def test_recording_logs_a_repeated_operation_once():
+    # an operation or guard on the values of an earlier one returns its
+    # value and logs no line; the same values under other numbers, or
+    # another operation on them, log their own
+    rec = tape._Recording()
+    a, b, b_again = rec.var(1.5), rec.var(2.5), rec.var(2.5)
+    product = a * b
+    assert a * b is product
+    assert (a < b) is (a < b) is True
+    assert len(rec.lines) == 2
+    assert a * b_again is not product and b * a is not product
+    assert (a < b_again) is True
+    assert len(rec.lines) == 5
+
+
+def _repeating(a, b):
+    """A body that repeats operations and a comparison."""
+    ratio = a / b if a < b else b / a
+    again = a / b if a < b else b / a
+    return [ratio, again, ratio * again - a / b, -(a * b) + a * b]
+
+
+def test_value_numbered_tape_keeps_the_sources_bits(monkeypatch):
+    monkeypatch.setattr(tape, "_TAPES", {})
+    for xs in ((1.5, 2.5), (-0.0, 3.0), (0.1, 0.7), (np.float64(0.3), 0.9)):
+        assert (repr(tape._replay(_repeating, (), xs, ()))
+                == repr(_repeating(*xs)))
+
+
+def test_value_numbered_guard_that_disagrees_runs_the_body(monkeypatch):
+    # the repeated comparison is one guard; when it disagrees, the body
+    # runs on the real values and gives its own result
+    monkeypatch.setattr(tape, "_TAPES", {})
+    bodies = []
+
+    def source(a, b):
+        bodies.append(type(a).__name__)
+        return _repeating(a, b)
+
+    for xs in ((1.5, 2.5), (1.5, 2.25), (2.5, 1.5)):
+        assert repr(tape._replay(source, (), xs, ())) == repr(_repeating(*xs))
+    assert bodies == ["_Var", "float"]
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_group_records_each_shared_operation_once(rng, monkeypatch, curved):
+    # a group's members agree below their top coefficients, so its tape
+    # makes their shared operations once: the two members beside the
+    # first record fewer lines together than a group of one does
+    model = random_acoustic_model(rng, 4, curved=curved)
+    cov = Covector(1.0, (0.3 * model.critical_slowness(), 0.0))
+    lines = []
+    real = tape._Recording.compile
+
+    def counted(self, *args):
+        lines.append(len(self.lines))
+        return real(self, *args)
+
+    monkeypatch.setattr(tape._Recording, "compile", counted)
+    for depth in range(1, 5):
+        ms = _minus_side(cov, model.minus, model.geometry, depth,
+                         GLANCING_TOL)
+        pluses = [_with_top(model.plus, depth, r, c)
+                  for r, c in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0))]
+        for members in (pluses[:1], pluses):
+            monkeypatch.setattr(tape, "_TAPES", {})
+            _group(ms, depth, members)
+        one, three = lines[-2:]
+        assert three < 2 * one
 
 
 def test_acoustic_recording_loads_no_elastic_engine():

@@ -106,6 +106,9 @@ BAD_MODELS = [
                                  "cs_jet": [0.0, -0.2]}), "'minus'"),
     ("not_convex",
      dict(ELASTIC_MODEL, plus=dict(_ELASTIC_PLUS, cp_jet=[1.3])), "'plus'"),
+    ("negative_cp",
+     dict(ELASTIC_MODEL, plus={"rho_jet": [1.5], "cs_jet": [1.3],
+                               "cp_jet": [-3.0]}), "'plus'"),
     # the two sides as a pair: the message names both
     ("mixed_kinds", {"minus": {"rho_jet": [1.0], "cs_jet": [1.0]},
                      "plus": _ELASTIC_PLUS}, "both sides"),
@@ -655,6 +658,8 @@ def test_bad_log_level_exit2(tmp_path, monkeypatch, capsys):
     ["forward", "--direction", "0,0"],
     ["forward", "--tol", "residual=abc"],
     ["curvature-check", "--spectra", "1,1", "--step", "1e-300"],
+    ["roundtrip", "--seed", "-1"],
+    ["forward", "--grid", "1e300", "--tau", "1e300"],
 ])
 def test_bad_numeric_options_exit2(tmp_path, capsys, argv):
     # each is rejected with one message line, not a traceback and not a

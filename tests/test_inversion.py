@@ -1,6 +1,7 @@
 """Reconstruction: closed-form order 0, linearized jet recovery, relative
 amplitudes, elastic recovery, and the curvature factorization."""
 
+import inspect
 import math
 from collections import Counter
 
@@ -226,14 +227,34 @@ def test_minus_side_built_once_per_covector_and_order(rng, monkeypatch):
         [s for s in samples.samples if s.order > -2]
         + [s for s in _acoustic_samples(model, covs2, 2).samples
            if s.order == -2])
+    # and a minus side is held only while a later order samples its
+    # covector: after each engine call, the recovery's `run` holds the
+    # three shared ones after order -1 and none at the end
+    held = []
+    driver = inversion._recover_jets
+
+    def watched(*args):
+        run = args[7]
+        sides = inspect.getclosurevars(run).nonlocals["minus_sides"]
+
+        def counted_run(*call):
+            columns = run(*call)
+            held.append(len(sides))
+            return columns
+        return driver(*args[:7], counted_run, *args[8:])
+
+    monkeypatch.setattr(inversion, "_recover_jets", watched)
     builds.clear()
     report = acoustic_recover_jets(two_grids, model.minus, 2,
                                    geometry=model.geometry)
     assert builds == {(cov, model.geometry, 2): 1
                       for cov in set(covs) | set(covs2)}
+    assert held == [3, 0]
     assert max_rel_err(report.plus.rho, model.plus.rho) <= 1e-7
     builds.clear()
+    held.clear()
     report = acoustic_recover_jets(two_grids, model.minus, 2, geometry=None)
+    assert held == [0, 0, 0, 0]
     recovered = InterfaceGeometry(*report.kappas)
     assert all(builds[cov, recovered, 2] == 1 for cov in covs2)
     assert all(builds[cov, gm, 1] == 1 for cov in covs

@@ -41,8 +41,9 @@ bit for bit as they were:
   reader rejects, with the temporary directory's path replaced by a
   fixed token;
 * the exit code and stderr of the CLI on rejected options, malformed
-  option values, usage errors and a missing model file named beside a
-  malformed `--grid`, with the same token.  An exception that escapes
+  option values, a grid whose covectors overflow, usage errors and a
+  missing model file named beside a malformed `--grid`, with the same
+  token.  An exception that escapes
   the CLI's `main`, `SystemExit` among them, is printed in the exit
   code's place, so trees whose `main` raises on these can be dumped too.
 
@@ -371,7 +372,7 @@ _ELASTIC = {"minus": {"rho_jet": [1.0], "cs_jet": [1.0], "cp_jet": [2.0]},
 _MINUS = _ACOUSTIC["minus"]
 
 # model files that break a physical check, then the shipped schema, then
-# hold an integer too large for a float
+# hold an integer too large for a float, then have a negative cp
 BAD_MODELS = (
     ("negative_density", dict(_ACOUSTIC, plus={"rho_jet": [-1.0, 0.0],
                                                "cs_jet": [2.0, 0.6]})),
@@ -396,6 +397,8 @@ BAD_MODELS = (
     ("big_rho", dict(_ACOUSTIC, plus={"rho_jet": [10 ** 400, -0.5],
                                       "cs_jet": [2.0, 0.6]})),
     ("big_kappa", dict(_ACOUSTIC, geometry={"kappa1": 10 ** 400})),
+    ("negative_cp", dict(_ELASTIC, plus={"rho_jet": [1.5], "cs_jet": [1.3],
+                                         "cp_jet": [-3.0]})),
 )
 
 _A_HEAD = "tau,xi1,xi2,order,re_aR,im_aR,re_aT,im_aT\n"
@@ -448,6 +451,8 @@ BAD_OPTIONS = (
     ["curvature-check", "--spectra", "1,1;nan"],
     ["curvature-check", "--spectra", ";"],
     ["curvature-check", "--spectra", "1,abc"],
+    ["roundtrip", "--seed", "-1"],
+    ["forward", "--grid", "1e300", "--tau", "1e300"],
 )
 
 
