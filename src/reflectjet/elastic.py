@@ -102,9 +102,11 @@ from collections import namedtuple
 import numpy as np
 
 from . import tape
+from .acoustic import _exact
 from .errors import CascadeIncompatible, DepthExceeded, SingularInterfaceSystem
 from .jets import (
     Jet,
+    _jet,
     constant_jet,
     jet_derivative,
     jet_inv,
@@ -471,7 +473,7 @@ def _interface_columns(kt0, lam0, mu0, zeta_p, zeta_s):
     inv_s = 1.0 / math.exp(0.5 * math.log(zeta_s * zeta_s + kt0 * kt0))
     kz, zn = kt0 * inv_s, complex(zeta_s * inv_s)
     p = (complex(kt0 * inv_p), 0j, complex(zeta_p * inv_p))
-    sv, sh = (zn, 0j, complex(-kz) if kz else 0j), (0j, 1 + 0j, 0j)
+    sv, sh = (zn, 0j, complex(-kz) if kz != 0 else 0j), (0j, 1 + 0j, 0j)
     k, lam0, mu0, z = complex(kt0), complex(lam0), complex(mu0), complex(zeta_s)
     return (*p, *sv, *sh, *_traction_phase(k, complex(zeta_p), lam0, mu0, p),
             *_traction_phase(k, z, lam0, mu0, sv),
@@ -535,65 +537,120 @@ def _fill_body(channel, d, ctxs, ws, vals, last):
             for ctx, w, a in zip(ctxs, ws, last)]
 
 
-def _zeta_jets(cov: Covector, side: ElasticSideJet, stretch, depth: int,
-               tol: float, zetas: dict):
-    """The P and S zeta jets of one side, each speed's regime checked
-    first; `zetas` caches the zeta jet of each speed jet across calls."""
-    modes = []
-    for speed in (side.cp, side.cs):
-        c = speed.truncate(depth)
-        zeta = zetas.get(c.coeffs)
-        if zeta is None:
-            vertical_wavenumber(cov, speed[0], tol)
-            radicand = jet_scale(jet_inv(jet_mul(c, c)), cov.tau * cov.tau)
-            zeta = zetas[c.coeffs] = jet_sqrt(radicand - stretch)
-        modes.append(zeta)
-    return modes
+_Side = namedtuple("_Side", "rho cs cp")  # a side's jets, for `derive_lame_jets`
 
 
-def _side_ctxs(cov: Covector, side: ElasticSideJet, kt, stretch, h,
-               depth: int, tol: float, branches, zetas: dict):
-    """Mode contexts of the named branches ("I", "R", "T") on one side;
-    the reflected branch carries the negated vertical wavenumber, and
-    `zetas` is `_zeta_jets`'s cache."""
-    rho = side.rho.truncate(depth)
-    lam, mu = derive_lame_jets(side.truncate(depth))
-    modes = _zeta_jets(cov, side, stretch, depth, tol, zetas)
-    jets = (kt, rho, lam, mu, *modes)
-    zeros = tuple(not c for j in jets for c in j.coeffs)  # for `_nz`
-    ctxs = tape._replay(_side_body, (branches,), (cov.tau, h, *jets),
-                        (depth, h is None, zeros), _WARM)
-    return dict(zip([(b, m) for b in branches for m in "PS"], ctxs))
+def _zeta_jet(tau, tol, xi_norm, xi, speed: Jet, stretch: Jet) -> Jet:
+    """The vertical-wavenumber jet of the speed jet `speed` along the
+    normal.  Its regime is checked first, by `classify_regime`'s
+    arithmetic on the covector (tau, xi), |xi'| = `xi_norm`, which a tape
+    records as a guard; a speed that fails raises in
+    `vertical_wavenumber`."""
+    c0 = speed[0]
+    scale = tau ** 2 / c0 ** 2 if c0 > 0 else 0.0
+    if not scale - xi_norm ** 2 > tol * scale:
+        vertical_wavenumber(Covector(tau, xi), c0, tol)
+    radicand = jet_scale(jet_inv(jet_mul(speed, speed)), tau * tau)
+    return jet_sqrt(radicand - stretch)
 
 
-def _side_body(branches, tau, h, kt, rho, lam, mu, zeta_p, zeta_s):
-    return [_mode_ctx(kt, jet_scale(zeta, -1.0) if branch == "R" else zeta,
-                      rho, lam, mu, h, mode, tau)
-            for branch in branches
-            for mode, zeta in (("P", zeta_p), ("S", zeta_s))]
+def _lame_zetas(tau, tol, xi_norm, xi, stretch, side: _Side):
+    """The lambda, mu, P zeta and S zeta jets of one side, each check in
+    the order the side's jets are made."""
+    lam, mu = derive_lame_jets(side)
+    return (lam, mu, *(_zeta_jet(tau, tol, xi_norm, xi, speed, stretch)
+                       for speed in (side.cp, side.cs)))
+
+
+def _signed(zeta, branch):
+    """The vertical-wavenumber jet of `branch`: the reflected one is
+    negated."""
+    return jet_scale(zeta, -1.0) if branch == "R" else zeta
+
+
+def _side_ctxs(cov: Covector, sides, kt, stretch, h, depth: int, tol: float,
+               branches):
+    """The mode contexts of the named branches ("I", "R", "T") on each of
+    `sides`, by (branch, mode), and the interface columns of those
+    branches on the first side, from one tape of `_sides_body`."""
+    jets = tuple(tuple(j.truncate(depth) for j in (s.rho, s.cs, s.cp))
+                 for s in sides)
+    # what the `_nz` tests read: the zero coefficients of the inputs
+    zeros = tuple(not c for j in (kt, stretch, *jets[0]) for c in j.coeffs)
+    zeros += tuple(not j[depth] for side in jets[1:] for j in side)
+    cols, ctxs = tape._replay(
+        _sides_body, (branches, depth),
+        (cov.tau, tol, cov.xi_norm, cov.xi, h, kt, stretch, jets),
+        (h is None, zeros), _WARM)
+    keys = [(b, m) for b in branches for m in "PS"]
+    return cols, [dict(zip(keys, c)) for c in ctxs]
+
+
+def _sides_body(branches, depth, tau, tol, xi_norm, xi, h, kt, stretch,
+                sides):
+    """`_side_ctxs` of the (rho, cs, cp) jets in `sides`, each run on the
+    first one's coefficients below the top and its own top coefficients,
+    so a tape makes each operation they share once."""
+    first, ctxs = sides[0], []
+    for side in sides:
+        side = _Side(*(_jet(a.coeffs[:depth] + b.coeffs[depth:])
+                       for a, b in zip(first, side)))
+        lam, mu, *zetas = _lame_zetas(tau, tol, xi_norm, xi, stretch, side)
+        ctxs.append([_mode_ctx(kt, _signed(zeta, branch), side.rho, lam, mu,
+                               h, mode, tau)
+                     for branch in branches
+                     for mode, zeta in zip("PS", zetas)])
+    return [_ctx_columns(*ctxs[0][i:i + 2])
+            for i in range(0, len(ctxs[0]), 2)], ctxs
+
+
+def _order0_columns(ms, branches, rho, cs, cp):
+    """The interface columns of the named branches of a side with the
+    interface values `rho`, `cs`, `cp` on the minus side `ms`, from one
+    tape of `_columns_body`: no jet or mode context is made."""
+    return tape._replay(_columns_body, (branches,),
+                        (ms.cov.tau, ms.tol, ms.xi_norm, ms.cov.xi, ms.kt[0],
+                         ms.stretch[0], rho, cs, cp), not ms.kt[0], _WARM)
+
+
+def _columns_body(branches, tau, tol, xi_norm, xi, kt0, stretch0, rho, cs,
+                  cp):
+    """`_order0_columns`: the depth-0 jets of `_sides_body`, whose values
+    are those of the jets at any depth, and their columns."""
+    side = _Side(*(_jet((v,)) for v in (rho, cs, cp)))
+    lam, mu, *zetas = _lame_zetas(tau, tol, xi_norm, xi, _jet((stretch0,)),
+                                  side)
+    return [_interface_columns(kt0, lam[0], mu[0],
+                               *(_signed(zeta, branch)[0] for zeta in zetas))
+            for branch in branches]
 
 
 class _MinusSide:
     """The part of one covector's run that the plus side does not touch:
-    the curvature jets, the incident and reflected contexts, their
-    interface columns and the order-0 right-hand side.  `_group` runs any
-    number of plus sides on it."""
+    the curvature jets, the incident and reflected contexts (at depth
+    >= 1), their interface columns and the order-0 right-hand side.
+    `_group` runs any number of plus sides on it."""
 
     def __init__(self, cov: Covector, minus: ElasticSideJet, geometry,
                  depth: int, tol: float):
         self.cov, self.depth, self.tol = cov, depth, tol
+        self.xi_norm = cov.xi_norm
         self.h, self.stretch = curvature_jets(cov, geometry, depth)
         if self.stretch[0] > 0.0:
             self.kt = jet_sqrt(self.stretch)
         else:
             self.kt = constant_jet(0.0, depth)  # normal incidence: q vanishes
-        self.ctx = _side_ctxs(cov, minus, self.kt, self.stretch, self.h,
-                              depth, tol, ("I", "R"), {})
+        if depth:
+            cols, (self.ctx,) = _side_ctxs(cov, [minus], self.kt,
+                                           self.stretch, self.h, depth, tol,
+                                           ("I", "R"))
+        else:
+            cols = _order0_columns(self, ("I", "R"), minus.rho[0],
+                                   minus.cs[0], minus.cp[0])
         self.S, self.T = {}, {}
-        for branch in ("I", "R"):
-            self.S[branch], self.T[branch] = np.array(_ctx_columns(
-                self.ctx[branch, "P"], self.ctx[branch, "S"])).reshape(
-                    2, 3, 3).swapaxes(1, 2)
+        for branch, c in zip("IR", cols):
+            self.S[branch], self.T[branch] = np.array(c).reshape(
+                2, 3, 3).swapaxes(1, 2)
         self.order0_rhs = np.vstack([self.S["I"], self.T["I"]])
 
 
@@ -601,39 +658,58 @@ _CHECK_KEYS = (("I", "P"), ("I", "S"), ("R", "P"), ("R", "S"),
                ("T", "P"), ("T", "S"))
 
 
-def _interface(ms: _MinusSide, tops):
+def _interface(mss, tops):
     """The 6x6 interface matrices whose transmitted columns are `tops`
-    (one `_interface_columns` result each) and their order-0 solutions,
-    as stacks.  One condition check and one solve serve the stack: numpy
-    runs LAPACK on each matrix alone, so each result has the bits of a
-    call on that matrix alone.  The first singular matrix raises."""
-    m6 = np.zeros((len(tops), 6, 6), dtype=complex)
-    m6[:, :3, :3] = -ms.S["R"]
-    m6[:, 3:, :3] = -ms.T["R"]
+    (one `_interface_columns` result each) on the minus sides `mss` (one
+    for every top, or one per top), and their order-0 solutions, as
+    stacks.  One solve of [rhs | I] serves the stack: numpy runs LAPACK
+    on each matrix alone, and each column of a multi-column solve has the
+    bits of its one-column solve.  The first singular matrix raises.
+
+    The condition check reads the inverse X that the solve gives.
+    cond_2(A) <= ||A||_F ||A^-1||_F, and partial pivoting gives
+    ||XA - I|| <= c n u rho ||X|| ||A|| (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., ch. 14), c a small constant, n = 6,
+    u = 1.1e-16 and a growth factor rho <= 2^(n-1).  So when
+    ||A||_F ||X||_F <= 1e-3 _COND_LIMIT = 1e9, XA is within 2e-5 of I,
+    ||A^-1||_F <= ||X||_F / (1 - 2e-5), and cond_2(A) < 1.0001e9, which
+    the SVD computes to about u cond_2(A) relative (the bound's factor
+    1e-3 covers both roundings with room): no matrix the SVD loop would
+    reject passes.  Otherwise, a non-finite or singular matrix included,
+    the SVD loop runs and raises as before."""
+    n = len(tops)
+    m6 = np.zeros((n, 6, 6), dtype=complex)
+    m6[:, :3, :3] = [-ms.S["R"] for ms in mss]
+    m6[:, 3:, :3] = [-ms.T["R"] for ms in mss]
     m6[:, :, 3:] = np.array(tops, dtype=complex).reshape(
         -1, 2, 3, 3).swapaxes(2, 3).reshape(-1, 6, 3)
+    rhs = np.broadcast_to(np.array([ms.order0_rhs for ms in mss]), (n, 6, 3))
+    try:
+        full = np.linalg.solve(m6, np.concatenate(
+            [rhs, np.broadcast_to(np.eye(6), (n, 6, 6))], axis=2))
+        inv = full[:, :, 3:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = ((m6.real ** 2 + m6.imag ** 2).sum(axis=(1, 2))
+                     * (inv.real ** 2 + inv.imag ** 2).sum(axis=(1, 2)))
+        if (bound <= (1e-3 * _COND_LIMIT) ** 2).all():  # squared norms
+            return m6, np.ascontiguousarray(full[:, :, :3])
+    except np.linalg.LinAlgError:
+        pass
     for cond in np.linalg.cond(m6):
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularInterfaceSystem(
                 f"elastic interface system is singular (cond={cond:.3e})",
                 condition=cond,
             )
-    rhs = np.broadcast_to(ms.order0_rhs, (len(tops), 6, 3))
     return m6, np.linalg.solve(m6, rhs)
 
 
-def _order0(ms: _MinusSide, pluses, zetas: dict) -> list:
-    """Order-0 (R0, T0) of each of `pluses` on a depth-0 minus side,
-    without mode contexts, the solver's zeros keeping their signs;
-    `zetas` is `_zeta_jets`'s cache, kept across calls on `ms`."""
-    tops = []
-    for plus in pluses:
-        lam, mu = derive_lame_jets(plus.truncate(ms.depth))
-        zeta_p, zeta_s = _zeta_jets(ms.cov, plus, ms.stretch, ms.depth,
-                                    ms.tol, zetas)
-        tops.append(_interface_columns(ms.kt[0], lam[0], mu[0], zeta_p[0],
-                                       zeta_s[0]))
-    _, sol = _interface(ms, tops)
+def _order0(ms: _MinusSide, sides) -> list:
+    """Order-0 (R0, T0) of each plus side of `sides`, a (rho, cs, cp)
+    triple of interface values each, on a depth-0 minus side, the
+    solver's zeros keeping their signs."""
+    _, sol = _interface([ms], [_order0_columns(ms, ("T",), *side)[0]
+                               for side in sides])
     return [(x[:3], x[3:]) for x in sol]
 
 
@@ -683,82 +759,124 @@ def _step_values(rows):
     return v[0] + v[1], trac
 
 
-def _group(ms: _MinusSide, pluses) -> list:
-    """`forward_series_elastic` for each of `pluses` on the minus side
-    `ms` (see the module note on groups)."""
-    K = ms.depth
+def _group(mss, pluses) -> list:
+    """`forward_series_elastic` for each of `pluses` on each of the minus
+    sides `mss`, built at one depth, as one list per minus side (see the
+    module note on groups)."""
+    K = mss[0].depth
     if K == 0:  # adding 0.0 turns the solver's -0.0 into +0.0
-        return [[(r + 0.0, t + 0.0)] for r, t in _order0(ms, pluses, {})]
-    if len({(p.rho.coeffs[:K], p.cs.coeffs[:K], p.cp.coeffs[:K])
-            for p in pluses}) > 1:
+        sides = [(p.rho[0], p.cs[0], p.cp[0]) for p in pluses]
+        return [[[(r + 0.0, t + 0.0)] for r, t in _order0(ms, sides)]
+                for ms in mss]
+    if len(pluses) > 1 and len({_exact(p.rho.coeffs[:K] + p.cs.coeffs[:K]
+                                       + p.cp.coeffs[:K])
+                                for p in pluses}) > 1:
         raise ValueError("a group's plus sides differ below the top coefficient")
-    zetas = {}
+    if len(mss) == 1:
+        return _runs(mss, pluses)
+    try:
+        return _runs(mss, pluses)
+    except Exception:
+        # minus side by minus side, the first one's error is raised
+        return [_runs([ms], pluses)[0] for ms in mss]
+
+
+def _stack(mats):
+    """The 3x3 matrices `mats` as one stack with their memory layout, so
+    that a batched matmul takes the path, and the bits, of each alone."""
+    return np.array([m.T for m in mats]).swapaxes(1, 2)
+
+
+def _runs(mss, pluses) -> list:
+    """`_group` on depth >= 1 minus sides, each order's numpy work one
+    stacked call over all of them.  With more than one minus side an
+    incompatible cascade raises at once; `_group` then runs them one by
+    one."""
+    K, n = mss[0].depth, len(mss)
     # the transmitted (P, S) contexts of each plus side, and the round-off
-    # yardstick of its cascade checks
-    ts = [tuple(_side_ctxs(ms.cov, p, ms.kt, ms.stretch, ms.h, K, ms.tol,
-                           ("T",), zetas).values()) for p in pluses]
-    op_scales = [max(c.op_scale for c in (*ms.ctx.values(), *t)) for t in ts]
-    # the plus sides share coefficient 0, so one interface serves the group
-    (m6,), (sol,) = _interface(ms, [_ctx_columns(*ts[0])])
-    s_inv = np.linalg.inv(ms.S["R"]), np.linalg.inv(m6[:3, 3:])
-    # the branches of the columns (P, SV, SH): one incident and one
-    # reflected per column, shared by the runs, and a transmitted one per
-    # column of each run, run by run
-    inc, ref = (_branches((ms.ctx[b, "P"], ms.ctx[b, "S"])) for b in "IR")
-    tra = [b for t in ts for b in _branches(t)]
-    cq = [c % 3 for c in range(len(tra))]
-    alpha, x = np.eye(3, dtype=complex), sol.T[cq]
-    vals = np.zeros((6 + len(tra), 3), dtype=complex)
-    error, orders, nq = None, [], len(inc)
+    # yardstick of its cascade checks; the plus sides share coefficient 0,
+    # so one interface per minus side serves them
+    tops, tra, op_scales = [], [], []
+    for ms in mss:
+        cols, ctxs = _side_ctxs(ms.cov, pluses, ms.kt, ms.stretch, ms.h, K,
+                                ms.tol, ("T",))
+        ts = [tuple(c.values()) for c in ctxs]
+        tops.append(cols[0])
+        op_scales.append([max(c.op_scale for c in (*ms.ctx.values(), *t))
+                          for t in ts])
+        # a transmitted branch per column (P, SV, SH) of each run
+        tra.append([b for t in ts for b in _branches(t)])
+    m6, sol = _interface(mss, tops)
+    s_i, t_i = (_stack([ms.S["I"] for ms in mss]),
+                _stack([ms.T["I"] for ms in mss]))
+    s_inv = (np.linalg.inv(np.array([ms.S["R"] for ms in mss]))[:, None],
+             np.linalg.inv(m6[:, :3, 3:])[:, None])
+    # one incident and one reflected branch per column, shared by the runs
+    inc, ref = ([_branches((ms.ctx[b, "P"], ms.ctx[b, "S"])) for ms in mss]
+                for b in "IR")
+    cq = [c % 3 for c in range(len(tra[0]))]
+    alpha = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
+    x = sol.swapaxes(1, 2)[:, cq]
+    vals = np.zeros((n, 6 + len(cq), 3), dtype=complex)
+    error, orders, nq = None, [], 3
     for step in range(K + 1):
         d = K - step
         if step:
-            for b in inc + ref + tra:
+            for b in (b for i in range(n) for b in inc[i] + ref[i] + tra[i]):
                 b.step = _branch_particular(b.ctxs, b.amps, b.channel, d)
-            for c, b in enumerate(tra):
-                parts = inc[c % 3].step, ref[c % 3].step, b.step
-                amp_scale = max(0.0, *(s for p in parts for s in p[1]))
-                floor = 1e-12 * amp_scale * op_scales[c // 3]
-                try:
-                    for key, check in zip(_CHECK_KEYS, (k for p in parts
-                                                        for k in p[2])):
-                        _check_compatible(key, check, floor)
-                except CascadeIncompatible as exc:
-                    # columns run one by one would stop here: the columns
-                    # before keep running, as a failure of theirs comes
-                    # first, and this one and those after drop out
-                    error = exc
-                    del inc[c:], ref[c:], tra[c:], cq[c:]
-                    break
-            if not tra:
+            for i in range(n):
+                for c, b in enumerate(tra[i]):
+                    parts = inc[i][c % 3].step, ref[i][c % 3].step, b.step
+                    amp_scale = max(0.0, *(s for p in parts for s in p[1]))
+                    floor = 1e-12 * amp_scale * op_scales[i][c // 3]
+                    try:
+                        for key, check in zip(_CHECK_KEYS, (
+                                k for p in parts for k in p[2])):
+                            _check_compatible(key, check, floor)
+                    except CascadeIncompatible as exc:
+                        if n > 1:
+                            raise
+                        # columns run one by one would stop here: the
+                        # columns before keep running, as a failure of
+                        # theirs comes first, and this one and those
+                        # after drop out
+                        error = exc
+                        del inc[0][c:], ref[0][c:], tra[0][c:], cq[c:]
+                        break
+            if not tra[0]:
                 raise error
-            nq = len(inc)
-            vals, trac = _step_values(inc + ref + tra)
+            nq = len(inc[0])
+            vals, trac = (a.reshape(n, -1, 3) for a in _step_values(
+                [b for i in range(n) for b in inc[i] + ref[i] + tra[i]]))
             # the trace of the incident field vanishes below the principal
             # order
-            alpha = np.linalg.solve(ms.S["I"], -vals[:nq].T).T.copy()
-            s_a, t_a = (np.matmul(m, alpha[:, :, None])[:, :, 0]
-                        for m in (ms.S["I"], ms.T["I"]))
+            alpha = np.linalg.solve(s_i, -vals[:, :nq].swapaxes(1, 2)).swapaxes(
+                1, 2).copy()
+            s_a, t_a = (np.matmul(m[:, None], alpha[:, :, :, None])[..., 0]
+                        for m in (s_i, t_i))
             # the incident displacement (u_I)_J at the interface, zero by
             # construction but kept explicit, and the incident traction,
             # each with the reflected branch's share added
-            disp = vals[:nq] + s_a + vals[nq:2 * nq]
-            trac_ir = trac[:nq] + t_a + trac[nq:2 * nq]
-            rhs = np.concatenate([disp[cq] - vals[2 * nq:],
-                                  trac_ir[cq] - trac[2 * nq:]], axis=1)
-            x = np.linalg.solve(m6, rhs.T).T
-        val_r, val_t = vals[nq:2 * nq, :, None], vals[2 * nq:, :, None]
-        orders.append((x[:, :3] + np.matmul(s_inv[0], val_r)[cq, :, 0],
-                       x[:, 3:] + np.matmul(s_inv[1], val_t)[:, :, 0]))
+            disp = vals[:, :nq] + s_a + vals[:, nq:2 * nq]
+            trac_ir = trac[:, :nq] + t_a + trac[:, nq:2 * nq]
+            rhs = np.concatenate([disp[:, cq] - vals[:, 2 * nq:],
+                                  trac_ir[:, cq] - trac[:, 2 * nq:]], axis=2)
+            x = np.linalg.solve(m6, rhs.swapaxes(1, 2)).swapaxes(1, 2)
+        val_r, val_t = vals[:, nq:2 * nq, :, None], vals[:, 2 * nq:, :, None]
+        orders.append((x[:, :, :3] + np.matmul(s_inv[0], val_r)[..., 0][:, cq],
+                       x[:, :, 3:] + np.matmul(s_inv[1], val_t)[..., 0]))
         if step < K:
-            for b, v in zip(inc + ref + tra, [*alpha, *x[:nq, :3], *x[:, 3:]]):
-                _branch_fill(b.ctxs, b.step[0], v, b.channel, b.amps, d)
+            for i in range(n):
+                for b, v in zip(inc[i] + ref[i] + tra[i],
+                                [*alpha[i], *x[i, :nq, :3], *x[i, :, 3:]]):
+                    _branch_fill(b.ctxs, b.step[0], v, b.channel, b.amps, d)
     if error is not None:
         raise error
     # column (run, q) of each order's stacks is the run's [:, q]
-    mats = [[np.ascontiguousarray(a.reshape(-1, 3, 3).swapaxes(1, 2))
+    mats = [[np.ascontiguousarray(a.reshape(n, -1, 3, 3).swapaxes(2, 3))
              for a in order] for order in orders]
-    return [[(r[i], t[i]) for r, t in mats] for i in range(len(ts))]
+    return [[[(r[i, j], t[i, j]) for r, t in mats]
+             for j in range(len(pluses))] for i in range(n)]
 
 
 def forward_series_elastic(
@@ -784,7 +902,7 @@ def forward_series_elastic(
         raise DepthExceeded(
             f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
         )
-    return _group(_MinusSide(cov, minus, geometry, depth, tol), [plus])[0]
+    return _group([_MinusSide(cov, minus, geometry, depth, tol)], [plus])[0][0]
 
 
 def forward_symbols_elastic(cov: Covector, model: InterfaceModel, depth: int,

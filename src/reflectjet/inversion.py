@@ -52,6 +52,7 @@ from .medium import (  # the tolerances are re-exported
     Covector,
     ElasticSideJet,
     InterfaceGeometry,
+    check_elastic_side,
     side_to_dict,
 )
 
@@ -604,18 +605,18 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
             "is post-critical for every convex cp"
         )
 
-    # one minus side per sample, with its cache of zeta jets, serves every
-    # cp that the scan, the root search and the misfit try; `_order0`
-    # builds each cp's columns from its values
+    # one minus side per sample serves every cp that the scan, the root
+    # search and the misfit try; `_order0` builds each cp's columns from
+    # its values, after the checks a plus side of them would make
     minus0 = minus.truncate(0)
-    minus_sides = [(elastic._MinusSide(s.covector, minus0, None, 0,
-                                       glancing_tol), {}) for s in group]
+    minus_sides = [elastic._MinusSide(s.covector, minus0, None, 0,
+                                      glancing_tol) for s in group]
 
-    rho_jet, cs_jet = Jet([rho_plus]), Jet([cs_plus])
-
-    def forward_r(cps, side):
-        pluses = [ElasticSideJet(rho_jet, cs_jet, Jet([cp])) for cp in cps]
-        return [r for r, _ in elastic._order0(side[0], pluses, side[1])]
+    def forward_r(cps, ms):
+        sides = [(rho_plus, cs_plus, cp) for cp in cps]
+        for side in sides:
+            check_elastic_side(*side, side)
+        return [r for r, _ in elastic._order0(ms, sides)]
 
     # smallest |b|: P-P entry is monotone in impedance there
     probe = minus_sides[0]
@@ -679,8 +680,16 @@ def elastic_recover_jets(samples, minus: ElasticSideJet, depth: int,
 
     def run(covs, gm, k, deepest, pluses):
         minus_k = minus.truncate(k)
-        return _order_columns([elastic._group(elastic._MinusSide(
-            cov, minus_k, gm, k, glancing_tol), pluses) for cov in covs], k)
+        mss = []
+        for cov in covs:
+            try:
+                mss.append(elastic._MinusSide(cov, minus_k, gm, k,
+                                              glancing_tol))
+            except Exception:
+                if mss:  # an earlier covector's error comes first
+                    elastic._group(mss, pluses)
+                raise
+        return _order_columns(elastic._group(mss, pluses), k)
 
     return _recover_jets(samples, minus, depth, geometry, ElasticSideJet,
                          ("cs", "cp", "rho"), order0, run,

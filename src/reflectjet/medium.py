@@ -74,22 +74,8 @@ class ElasticSideJet:
     def __post_init__(self):
         if not (self.rho.depth == self.cs.depth == self.cp.depth):
             raise ValueError("rho, cs, cp jets must share a depth")
-        if not self.rho[0] > 0:
-            raise ValueError("density must be positive at the interface")
-        if not self.cs[0] > 0:
-            raise ValueError("shear speed must be positive at the interface")
-        if not self.cp[0] > 0:
-            raise ValueError(
-                "compressional speed must be positive at the interface")
-        # Equivalent at the interface to mu > 0 and 3*lambda + 2*mu > 0.
-        if not self.cp[0] ** 2 > (4.0 / 3.0) * self.cs[0] ** 2:
-            raise ConvexityViolation(
-                f"cp^2 = {self.cp[0]**2:.6g} must exceed (4/3) cs^2 = "
-                f"{(4.0/3.0)*self.cs[0]**2:.6g}"
-            )
-        coeffs = self.rho.coeffs + self.cs.coeffs + self.cp.coeffs
-        if not all(map(math.isfinite, coeffs)):
-            raise ValueError("rho, cs and cp jets must be finite")
+        check_elastic_side(self.rho[0], self.cs[0], self.cp[0],
+                           self.rho.coeffs + self.cs.coeffs + self.cp.coeffs)
 
     @property
     def depth(self) -> int:
@@ -106,6 +92,25 @@ class ElasticSideJet:
         return ElasticSideJet(
             self.rho.truncate(depth), self.cs.truncate(depth), self.cp.truncate(depth)
         )
+
+
+def check_elastic_side(rho, cs, cp, coeffs):
+    """`ElasticSideJet`'s checks of the interface values `rho`, `cs`, `cp`
+    and of its coefficients `coeffs`, in its order."""
+    if not rho > 0:
+        raise ValueError("density must be positive at the interface")
+    if not cs > 0:
+        raise ValueError("shear speed must be positive at the interface")
+    if not cp > 0:
+        raise ValueError("compressional speed must be positive at the interface")
+    # Equivalent at the interface to mu > 0 and 3*lambda + 2*mu > 0.
+    if not cp ** 2 > (4.0 / 3.0) * cs ** 2:
+        raise ConvexityViolation(
+            f"cp^2 = {cp**2:.6g} must exceed (4/3) cs^2 = "
+            f"{(4.0/3.0)*cs**2:.6g}"
+        )
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError("rho, cs and cp jets must be finite")
 
 
 def side_to_dict(side) -> dict:
@@ -155,6 +160,11 @@ class Covector:
         object.__setattr__(self, "xi", (float(self.xi[0]), float(self.xi[1])))
         if not all(map(math.isfinite, (self.tau,) + self.xi)):
             raise ValueError("tau and xi must be finite")
+        # the hash that `dataclass` would compute on every call, once
+        object.__setattr__(self, "_hash", hash((self.tau, self.xi)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def xi_norm(self) -> float:

@@ -1,5 +1,7 @@
 """Command-line interface: formats, determinism, exit codes, schemas."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -8,6 +10,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import child_env
 from reflectjet import elastic, schemas
@@ -754,3 +758,93 @@ def test_extreme_numbers_exit3(tmp_path, capsys, model, argv, message):
     assert err.startswith("error: ") and message in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+# --- searched input -----------------------------------------------------------
+
+_ODD = (0.0, -0.0, -1.0, 1e-300, 1e300, math.inf, -math.inf, math.nan,
+        10 ** 400)
+
+
+@st.composite
+def _cli_cases(draw):
+    """A model file's contents, each value in range but at most one, and
+    the options of a `forward` run and a `roundtrip` run on it."""
+    elastic_model = draw(st.booleans())
+    depth = draw(st.integers(0, 2))
+    ranges = {"rho_jet": (0.5, 2.0), "cs_jet": (0.5, 1.5),
+              "cp_jet": (1.8, 3.0)}
+    fields = list(ranges)[:3 if elastic_model else 2]
+    doc = {side: {f: [draw(st.floats(*ranges[f]) if k == 0 else
+                           st.floats(-1.0, 1.0)) for k in range(depth + 1)]
+                  for f in fields} for side in ("minus", "plus")}
+    if draw(st.booleans()):
+        doc["geometry"] = {k: draw(st.floats(-1.0, 1.0))
+                           for k in ("kappa1", "kappa2")}
+    if draw(st.booleans()):  # one value out of range
+        side = doc[draw(st.sampled_from(["minus", "plus"]))]
+        jet = side[draw(st.sampled_from(fields))]
+        jet[draw(st.integers(0, depth))] = draw(st.sampled_from(_ODD))
+    forward = []
+    if draw(st.booleans()):
+        grid = draw(st.lists(st.floats(0.0, 1.2), min_size=1, max_size=6))
+        forward += ["--grid", ",".join(map(repr, grid))]
+    forward += draw(st.sampled_from(
+        [[], ["--tau", "-2.0"], ["--tau", "1e-200"], ["--tau", "1e300"],
+         ["--direction", "0.6,0.8"], ["--depth", "1"]]))
+    roundtrip = ["--grid-count", str(draw(st.integers(2, 6)))]
+    return doc, forward, roundtrip
+
+
+def _cli(argv):
+    """`main`'s exit code, or the exception it raised, and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+            io.StringIO()):
+        try:
+            code = main(argv)
+        except BaseException as exc:  # noqa: B036 - the search reports it
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, err.getvalue()
+
+
+_PR_INPUTS = (  # the three inputs that exited 1 with a traceback before
+    (dict(ELASTIC_MODEL, plus={"rho_jet": [1.5], "cs_jet": [1.3],
+                               "cp_jet": [-3.0]}), [], []),
+    (ACOUSTIC_MODEL, ["--grid", "1e300", "--tau", "1e300"], []),
+    (ACOUSTIC_MODEL, [], ["--seed", "-1"]),
+)
+
+
+@example(case=_PR_INPUTS[0])
+@example(case=_PR_INPUTS[1])
+@example(case=_PR_INPUTS[2])
+@settings(derandomize=True, max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(case=_cli_cases())
+def test_cli_exits_cleanly_on_searched_input(tmp_path, case):
+    # `forward` on a searched model file, `invert` on each CSV it writes,
+    # and `roundtrip` on the model, one job each: every run exits 0, 2 or
+    # 3 without raising, and a failing one writes one `error:` line
+    doc, forward, roundtrip = case
+    model, csv, out = (str(tmp_path / name)
+                       for name in ("model.json", "s.csv", "out.json"))
+    with open(model, "w") as fh:
+        fh.write(json.dumps(doc))
+    runs = [["forward", "--model", model, "--out", csv, "--jobs", "1",
+             *forward]]
+    runs.append(["roundtrip", "--model", model, "--count", "1", "--out", out,
+                 *roundtrip])
+    for argv in runs:
+        code, err = _cli(argv)
+        assert code in (0, 2, 3), (argv, code, err)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        elif argv[0] == "forward":
+            for known in ([], ["--known-geometry"]):
+                code, err = _cli(["invert", "--model", model, "--symbols", csv,
+                                  "--out", out, *known])
+                assert code in (0, 2, 3), (known, code, err)
+                assert not code or (err.startswith("error: ")
+                                    and err.count("\n") == 1), err

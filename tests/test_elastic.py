@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import by_source, child_env, outcome, replays_only
-from reflectjet import elastic, tape
+from reflectjet import elastic, inversion, tape
 from reflectjet.acoustic import forward_series, forward_symbols
 from reflectjet.elastic import (
     ELASTIC_DEPTH_CAP,
@@ -23,7 +23,12 @@ from reflectjet.elastic import (
     principal_rt_matrices,
     sh_reflection,
 )
-from reflectjet.errors import CascadeIncompatible, DepthExceeded, EvanescentError
+from reflectjet.errors import (
+    CascadeIncompatible,
+    DepthExceeded,
+    EvanescentError,
+    SingularInterfaceSystem,
+)
 from reflectjet.inversion import SymbolSamples, elastic_recover_jets
 from reflectjet.jets import Jet
 from reflectjet.medium import (
@@ -126,12 +131,12 @@ def test_every_check_runs_in_every_channel(rng, monkeypatch):
     ms = elastic._MinusSide(cov, model.minus, None, 2, GLANCING_TOL)
     for _ in range(2):
         keys.clear()
-        elastic._group(ms, [model.plus])[0]
+        elastic._group([ms], [model.plus])[0][0]
         # 3 columns (P, SV, SH) times steps 1 and 2
         assert keys == list(elastic._CHECK_KEYS) * 3 * 2
     # so does every member of a group that shares the reflected cascade
     keys.clear()
-    elastic._group(ms, _unit_group(model.plus, 2))
+    elastic._group([ms], _unit_group(model.plus, 2))
     assert keys == list(elastic._CHECK_KEYS) * 3 * 2 * 4
 
 
@@ -252,8 +257,8 @@ def _floats(side):
 
 def _transmitted(ms, plus):
     """The transmitted contexts of `plus` on the minus side `ms`."""
-    return elastic._side_ctxs(ms.cov, plus, ms.kt, ms.stretch, ms.h,
-                              ms.depth, ms.tol, ("T",), {})
+    return elastic._side_ctxs(ms.cov, [plus], ms.kt, ms.stretch, ms.h,
+                              ms.depth, ms.tol, ("T",))[1][0]
 
 
 @pytest.mark.parametrize("curved", [False, True])
@@ -269,7 +274,10 @@ def test_value_columns_equal_kernel_columns(rng, curved):
         minus, plus = convert(model.minus), convert(model.plus)
         ms = elastic._MinusSide(cov, minus, model.geometry, depth,
                                 GLANCING_TOL)
-        ctx = {**ms.ctx, **_transmitted(ms, plus)}
+        # the minus side builds no contexts at depth 0
+        incident = elastic._side_ctxs(cov, [minus], ms.kt, ms.stretch, ms.h,
+                                      depth, GLANCING_TOL, ("I", "R"))[1][0]
+        ctx = {**incident, **_transmitted(ms, plus)}
         for branch in "IRT":
             ctx_p, ctx_s = ctx[branch, "P"], ctx[branch, "S"]
             want = [repr(a.tolist()) for a in _kernel_columns(ctx_p, ctx_s)]
@@ -281,10 +289,16 @@ def test_value_columns_equal_kernel_columns(rng, curved):
                         repr(ms.T[branch].tolist())] == want
 
 
-def test_order0_errors_are_the_sources(rng):
+def _values(side):
+    return side.rho[0], side.cs[0], side.cp[0]
+
+
+def test_order0_errors_are_the_sources(rng, monkeypatch):
     # a glancing, an evanescent and a non-convex plus side stop the stack
     # with the error building its transmitted contexts gives, the first
-    # of them winning
+    # of them winning, whether the candidates come as values (the cp
+    # scan) or as plus sides (a depth-0 group), and whether their class
+    # runs its body or has recorded its tape
     model = random_elastic_model(rng, 0)
     b = 0.5 * model.critical_slowness()
     ms = elastic._MinusSide(Covector(1.0, (b, 0.0)), model.minus, None, 0,
@@ -296,9 +310,54 @@ def test_order0_errors_are_the_sources(rng):
     errors = [outcome(_transmitted, ms, p) for p in bad]
     assert [e.split(":")[0] for e in errors] == [
         "GlancingError", "EvanescentError", "ConvexityViolation"]
-    for error, first in zip(errors, bad):
-        for then in bad:
-            assert outcome(elastic._order0, ms, [good, first, then], {}) == error
+    for replayed in (False, True):
+        if replayed:
+            monkeypatch.setattr(tape, "_TAPES", {})
+            monkeypatch.setattr(tape, "_CALLS", collections.Counter())
+            monkeypatch.setattr(elastic, "_WARM", 1)
+            elastic._order0(ms, [_values(good)])  # the class records
+        for error, first in zip(errors, bad):
+            for then in bad:
+                sides = [good, first, then]
+                assert outcome(elastic._order0, ms,
+                               [_values(p) for p in sides]) == error
+                assert outcome(elastic._group, [ms], sides) == error
+    assert any(key[0] is elastic._columns_body and tape._miss not in runs.values()
+               for key, (_, runs) in tape._TAPES.items())
+
+
+@pytest.mark.parametrize("replayed", [False, True])
+def test_value_scalar_columns_equal_context_columns(rng, monkeypatch,
+                                                    replayed):
+    # the depth-0 unit builds a side's columns from its values alone,
+    # with the bits, signed zeros included, of `_ctx_columns` on the
+    # contexts `_side_ctxs` builds: float and np.float64 values, normal
+    # incidence (kt = 0), tau < 0 and a curved stretch, on the unit's
+    # body and on its tape
+    if replayed:
+        monkeypatch.setattr(tape, "_TAPES", {})
+        monkeypatch.setattr(tape, "_CALLS", collections.Counter())
+        monkeypatch.setattr(elastic, "_WARM", 1)
+    model = random_elastic_model(rng, 0)
+    b_crit = model.critical_slowness()
+    covs = (Covector(1.0), Covector(1.0, (0.5 * b_crit, 0.3 * b_crit)),
+            Covector(-2.0, (0.0, -1.6 * b_crit)))
+    kts = set()
+    for kind, cov, geometry in itertools.product(
+            ("float", "float64"), covs, (None, InterfaceGeometry(0.7, -0.4))):
+        minus, plus = _typed(model.minus, kind), _typed(model.plus, kind)
+        ms = elastic._MinusSide(cov, minus, geometry, 0, GLANCING_TOL)
+        assert not hasattr(ms, "ctx")
+        kts.add(ms.kt[0] == 0.0)
+        for _ in range(2):  # recorded, then replayed
+            for side, branches in ((minus, ("I", "R")), (plus, ("T",))):
+                ctx = elastic._side_ctxs(cov, [side], ms.kt, ms.stretch,
+                                         ms.h, 0, GLANCING_TOL, branches)[1][0]
+                want = [repr(elastic._ctx_columns(ctx[b, "P"], ctx[b, "S"]))
+                        for b in branches]
+                got = elastic._order0_columns(ms, branches, *_values(side))
+                assert [repr(c) for c in got] == want
+    assert kts == {False, True}
 
 
 def test_depth_cap_and_model_depth():
@@ -385,8 +444,8 @@ def test_group_equals_separate_runs(rng, curved):
             cov = Covector(1.0, (0.8 * frac * b_crit, 0.6 * frac * b_crit))
             ms = elastic._MinusSide(cov, model.minus, geometry, depth,
                                     GLANCING_TOL)
-            group = elastic._group(ms, pluses)
-            separate = [elastic._group(ms, [p])[0] for p in pluses]
+            group = elastic._group([ms], pluses)[0]
+            separate = [elastic._group([ms], [p])[0][0] for p in pluses]
             fresh = [forward_series_elastic(cov, model.minus, p, geometry,
                                             depth) for p in pluses]
             assert (repr([_as_lists(s) for s in group])
@@ -403,7 +462,7 @@ def test_group_rejects_plus_sides_differing_below_top(rng):
     cp[1] = math.nextafter(cp[1], math.inf)  # one ulp off below the top
     pluses[1] = ElasticSideJet(pluses[1].rho, pluses[1].cs, Jet(cp))
     with pytest.raises(ValueError, match="below the top"):
-        elastic._group(ms, pluses)
+        elastic._group([ms], pluses)
 
 
 @pytest.mark.parametrize("curved", [False, True])
@@ -422,8 +481,8 @@ def test_reused_minus_side_changes_nothing(rng, curved):
         ms = elastic._MinusSide(cov, model.minus, geometry, depth,
                                 GLANCING_TOL)
         for plus in others:
-            elastic._group(ms, [plus])[0]
-        reused = elastic._group(ms, [model.plus])[0]
+            elastic._group([ms], [plus])[0][0]
+        reused = elastic._group([ms], [model.plus])[0][0]
         assert _as_lists(reused) == _as_lists(fresh)
 
 
@@ -437,10 +496,10 @@ def test_incident_incompatibility_raises_fresh_and_reused(rng, monkeypatch):
         return forward_series_elastic(cov, model.minus, model.plus, None, 1)
 
     def reused():
-        return elastic._group(ms, [model.plus])[0]
+        return elastic._group([ms], [model.plus])[0][0]
 
     def group():
-        return elastic._group(ms2, _unit_group(model.plus, 2))
+        return elastic._group([ms2], _unit_group(model.plus, 2))
 
     with monkeypatch.context() as patch:
         # a negative relative tolerance: no right-hand side is compatible
@@ -455,6 +514,10 @@ def test_incident_incompatibility_raises_fresh_and_reused(rng, monkeypatch):
         fresh()
     with pytest.raises(CascadeIncompatible, match="incident P-mode"):
         reused()  # a reused minus side after a passing run still checks
+
+
+def _one_covector(ms, pluses):
+    return elastic._group([ms], pluses)[0]
 
 
 @pytest.mark.parametrize("rtol", [-1e-11, -3e-12])
@@ -473,44 +536,232 @@ def test_group_raises_its_first_failing_members_error(monkeypatch, rtol):
             cov = Covector(1.0, (frac * b_crit, 0.2 * frac * b_crit))
             ms = elastic._MinusSide(cov, model.minus, model.geometry, 2,
                                     GLANCING_TOL)
-            alone = [outcome(elastic._group, ms, [p]) for p in pluses]
+            alone = [outcome(_one_covector, ms, [p]) for p in pluses]
             failed = [a for a in alone if not a.startswith("[")]
             want = failed[0] if failed else "[%s]" % ", ".join(
                 a[1:-1] for a in alone)
-            assert outcome(elastic._group, ms, pluses) == want
+            assert outcome(_one_covector, ms, pluses) == want
+
+
+def _elastic_order_run(minus):
+    """The `run` that `elastic_recover_jets` hands the recovery driver:
+    one engine call per order and geometry, for all its covectors."""
+    with pytest.MonkeyPatch.context() as patch:
+        # the driver's eighth argument is the `run` it is handed
+        patch.setattr(inversion, "_recover_jets", lambda *args: args[7])
+        return elastic_recover_jets([], minus, 0)
+
+
+def _per_order(run, covs, geometry, k, pluses):
+    """The order-k reflections at each of `covs` from one `run` call."""
+    columns = run(covs, geometry, k, k, pluses)
+    return [[c[9 * i:9 * i + 9].tolist() for c in columns]
+            for i in range(len(covs))]
+
+
+def _per_covector(covs, minus, geometry, k, pluses):
+    """`_per_order` from a minus side and a group per covector."""
+    return [[s[k][0].ravel().tolist() for s in elastic._group([
+        elastic._MinusSide(cov, minus.truncate(k), geometry, k,
+                           GLANCING_TOL)], pluses)[0]] for cov in covs]
+
+
+@pytest.mark.parametrize("rtol", [None, -1e-11])
+@pytest.mark.parametrize("curved", [False, True])
+def test_order_run_keeps_each_covectors_bits(rng, monkeypatch, curved, rtol):
+    # the recovery's one engine call per order gives every plus side's
+    # reflection at every covector with the bits of that covector's own
+    # group, at depths 1 and 2; at a tolerance where some steps fail and
+    # others pass, it raises the error of the first covector that fails
+    if rtol is not None:
+        monkeypatch.setattr(elastic, "_COMPAT_RTOL", rtol)
+    model = random_elastic_model(rng, 2, curved=curved)
+    covs = hyperbolic_grid(model, 5)
+    run = _elastic_order_run(model.minus)
+    alone = []
+    for depth in (1, 2):
+        pluses = _unit_group(model.plus, depth, (-0.0, 1.0))
+        args = (model.geometry, depth, pluses)
+        result = outcome(_per_order, run, covs, *args)
+        assert result == outcome(_per_covector, covs, model.minus, *args)
+        alone.append([outcome(_per_covector, [cov], model.minus, *args)[:2]
+                      for cov in covs])
+    if rtol is None:
+        assert {a for order in alone for a in order} == {"[["}
+    else:  # the first covector passes, and a later one fails
+        assert any(a[0] == "[[" and "Ca" in a for a in alone)
+
+
+def test_order_run_raises_the_first_covectors_error():
+    # covector by covector: the first covector that fails raises its
+    # error, whether its minus side fails or its plus sides do; the
+    # minus side is faster than the plus side in cp and slower in cs
+    minus = ElasticSideJet(Jet([1.0, 0.3]), Jet([1.3, -0.2]),
+                           Jet([2.2, 0.1]))
+    plus = ElasticSideJet(Jet([1.2, -0.5]), Jet([1.0, 0.6]), Jet([2.6, 0.2]))
+    pluses = _unit_group(plus, 1)
+    ok, past_minus, past_plus, glancing = (
+        Covector(1.0, xi) for xi in ((0.3, 0.0), (0.8, 0.0), (0.42, 0.0),
+                                     (0.0, 1.0 / 2.2)))
+    run = _elastic_order_run(minus)
+    errors = []
+    for covs in ([ok, past_minus, past_plus], [ok, past_plus, past_minus],
+                 [past_plus, ok], [ok, glancing, past_plus]):
+        args = (InterfaceGeometry(), 1, pluses)
+        result = outcome(_per_order, run, covs, *args)
+        assert result == outcome(_per_covector, covs, minus, *args)
+        errors.append(result)
+    # per list: the minus side's cp 2.2 or the plus sides' cp 2.6
+    assert [e.split(" for ")[1][:9] for e in errors] == [
+        "speed 2.2", "speed 2.6", "speed 2.6", "speed 2.2"]
+    assert errors[3].startswith("GlancingError: ")
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_transmitted_group_records_each_shared_operation_once(
+        rng, monkeypatch, curved):
+    # a group's plus sides agree below their top coefficients, so the one
+    # tape of their transmitted contexts makes their shared operations
+    # once: a group of three records fewer than twice the lines of a
+    # group of one, and each member of a group of four gets the contexts
+    # of its own build
+    model = random_elastic_model(rng, 2, curved=curved)
+    cov = Covector(1.0, (0.3 * model.critical_slowness(), 0.1))
+    lines = []
+    real = tape._Recording.compile
+
+    def counted(self, *args):
+        lines.append(len(self.lines))
+        return real(self, *args)
+
+    monkeypatch.setattr(tape._Recording, "compile", counted)
+    monkeypatch.setattr(elastic, "_WARM", 1)
+    for depth in (1, 2):
+        ms = elastic._MinusSide(cov, model.minus, model.geometry, depth,
+                                GLANCING_TOL)
+        pluses = _unit_group(model.plus, depth)
+
+        def build(members):
+            return elastic._side_ctxs(cov, members, ms.kt, ms.stretch, ms.h,
+                                      depth, GLANCING_TOL, ("T",))
+
+        counts = []
+        for members in (pluses[:1], pluses[:3]):
+            monkeypatch.setattr(tape, "_TAPES", {})
+            monkeypatch.setattr(tape, "_CALLS", collections.Counter())
+            del lines[:]
+            group = build(members)
+            counts.append(lines[0])
+        assert counts[1] < 2 * counts[0]
+        group = build(pluses)
+        separate = [build([p]) for p in pluses]
+        assert repr(group[1]) == repr([ctxs for _, (ctxs,) in separate])
+        assert all(repr(cols) == repr(group[0]) for cols, _ in separate)
+
+
+def _svd_loop(m6):
+    """The condition check the certified bound stands in for."""
+    for cond in np.linalg.cond(m6):
+        if not np.isfinite(cond) or cond > elastic._COND_LIMIT:
+            raise SingularInterfaceSystem(
+                f"elastic interface system is singular (cond={cond:.3e})",
+                condition=cond)
+    return "passes"
+
+
+def _verdict(call, *args):
+    """The outcome of `call`, with the condition of its error."""
+    try:
+        call(*args)
+    except Exception as exc:
+        return (f"{type(exc).__name__}: {exc}",
+                repr(getattr(exc, "condition", None)))
+    return "passes"
+
+
+def test_condition_check_gives_the_svd_loops_verdict(rng, monkeypatch):
+    # the certified bound skips the SVD only where the SVD would pass: a
+    # matrix just above the limit, one holding a NaN and an exactly
+    # singular one each give the error, message and condition of the SVD
+    # loop, the first in the stack winning, and a stack that passes gets
+    # the bits of a solve of its right-hand side alone
+    model = random_elastic_model(rng, 0)
+    cov = Covector(1.0, (0.4 * model.critical_slowness(), 0.0))
+    ms = elastic._MinusSide(cov, model.minus, None, 0, GLANCING_TOL)
+    good = elastic._order0_columns(ms, ("T",), *_values(model.plus))[0]
+    other = elastic._order0_columns(ms, ("T",), model.plus.rho[0],
+                                    model.plus.cs[0],
+                                    1.1 * model.plus.cp[0])[0]
+    nan = (complex("nan"),) + good[1:]
+    singular = (0j,) * 3 + good[3:9] + (0j,) * 3 + good[12:]
+    cond = np.linalg.cond(elastic._interface([ms], [other])[0][0])
+    stacks = ([good, other], [good, nan], [good, singular],
+              [singular, nan], [nan, singular], [other, good])
+    for limit in (elastic._COND_LIMIT, math.nextafter(cond, 0.0)):
+        monkeypatch.setattr(elastic, "_COND_LIMIT", limit)
+        for tops in stacks:
+            m6 = elastic._interface([ms], [good] * len(tops))[0]
+            m6[:, :, 3:] = np.array(tops).reshape(-1, 2, 3, 3).swapaxes(
+                2, 3).reshape(-1, 6, 3)
+            want = _verdict(_svd_loop, m6)
+            assert _verdict(elastic._interface, [ms], tops) == want
+            if want == "passes":
+                sol = elastic._interface([ms], tops)[1]
+                assert repr(sol.tolist()) == repr(np.linalg.solve(
+                    m6, ms.order0_rhs).tolist())
+    assert _verdict(_svd_loop, m6) == _verdict(
+        elastic._interface, [ms], [other]) != "passes"
 
 
 def test_stacked_numpy_forms_keep_the_one_column_bits(rng):
-    # a group's stacked steps rest on three numpy facts, checked here on
-    # the engine's own 6x6 matrices: each column of a multi-column solve
-    # has the bits of its one-column solve, a batched matmul has the
-    # matrix-vector bits, and a stacked elementwise product has each
-    # row's bits
+    # a group's stacked steps rest on these numpy facts, checked here on
+    # the engine's own 6x6 matrices of one covector and of a stack of
+    # them: each column of a multi-column solve has the bits of its
+    # one-column solve, each matrix of a stacked solve or inverse the bits
+    # of its own call, a batched matmul (one matrix, or one per covector
+    # in the engine's layout) the matrix-vector bits, and a stacked
+    # elementwise product each row's bits
     def bits(a):
         return np.ascontiguousarray(a).view(np.float64).tolist()
 
     for curved in (False, True):
         model = random_elastic_model(rng, 1, curved=curved)
         b_crit = model.critical_slowness()
-        for frac in (0.0, 0.5, 0.95):
-            cov = Covector(1.0, (frac * b_crit, 0.3 * frac * b_crit))
-            ms = elastic._MinusSide(cov, model.minus, model.geometry, 1,
-                                    GLANCING_TOL)
-            m6 = elastic._interface(ms, [elastic._ctx_columns(
-                *_transmitted(ms, model.plus).values())])[0][0]
-            rhs = rng.standard_normal((6, 12)) + 1j * rng.standard_normal(
-                (6, 12))
+        mss = [elastic._MinusSide(Covector(1.0, (f * b_crit, 0.3 * f * b_crit)),
+                                  model.minus, model.geometry, 1,
+                                  GLANCING_TOL) for f in (0.0, 0.5, 0.95)]
+        m6s = elastic._interface(mss, [elastic._ctx_columns(
+            *_transmitted(ms, model.plus).values()) for ms in mss])[0]
+        rhss = rng.standard_normal((3, 6, 12)) + 1j * rng.standard_normal(
+            (3, 6, 12))
+        vecss = rhss.swapaxes(1, 2).copy().reshape(3, -1, 3)
+        for ms, m6, rhs, vecs in zip(mss, m6s, rhss, vecss):
             multi = np.linalg.solve(m6, rhs)
             for j in range(12):
                 assert bits(multi[:, j]) == bits(
                     np.linalg.solve(m6, rhs[:, j].copy()))
-            vecs = rhs.T.copy().reshape(-1, 3)
             for mat in (ms.S["I"], ms.T["I"], np.linalg.inv(m6[:3, 3:])):
                 batched = np.matmul(mat, vecs[:, :, None])[:, :, 0]
                 assert bits(batched) == bits([mat @ v for v in vecs])
             stacked = vecs[:12] * vecs[12:]
             assert bits(stacked) == bits(
                 [a.copy() * b.copy() for a, b in zip(vecs[:12], vecs[12:])])
+        # across the covectors
+        assert bits(np.linalg.solve(m6s, rhss)) == bits(
+            [np.linalg.solve(m6, rhs) for m6, rhs in zip(m6s, rhss)])
+        blocks = m6s[:, :3, 3:]
+        assert bits(np.linalg.inv(blocks)) == bits(
+            [np.linalg.inv(b) for b in blocks])
+        for mats in ([ms.S["I"] for ms in mss], [ms.T["I"] for ms in mss],
+                     np.linalg.inv(blocks)):
+            stack = elastic._stack(mats) if isinstance(mats, list) else mats
+            batched = np.matmul(stack[:, None], vecss[:, :, :, None])[..., 0]
+            assert bits(batched) == bits([[mat @ v for v in vecs] for mat, vecs
+                                          in zip(mats, vecss)])
+        flat = vecss.reshape(-1, 3)
+        half = len(flat) // 2
+        assert bits(flat[:half] * flat[half:]) == bits(
+            [a.copy() * b.copy() for a, b in zip(flat[:half], flat[half:])])
 
 
 def test_engine_calls_retain_nothing(rng):
@@ -570,7 +821,7 @@ def _group_lists(cov, minus, geometry, depth, pluses):
     """A fresh minus side's group, as lists: every bit, signed zeros
     included, shows in their repr."""
     ms = elastic._MinusSide(cov, minus, geometry, depth, GLANCING_TOL)
-    return [_as_lists(s) for s in elastic._group(ms, pluses)]
+    return [_as_lists(s) for s in elastic._group([ms], pluses)[0]]
 
 
 @pytest.fixture
@@ -622,8 +873,8 @@ def test_tape_key_holds_absent_kernel_jets(rng, fresh_tapes):
     vals = np.array([1.0, 0.5, 0.0], dtype=complex)
 
     def cascade(kt):
-        ctx = elastic._side_ctxs(cov, model.minus, kt, stretch, None, 2,
-                                 GLANCING_TOL, ("I",), {})
+        ctx = elastic._side_ctxs(cov, [model.minus], kt, stretch, None, 2,
+                                 GLANCING_TOL, ("I",))[1][0]
         ctxs = (ctx["I", "P"], ctx["I", "S"])
         amps, ws, steps = ([], []), (elastic._ABSENT,) * 2, []
         for d in (2, 1, 0):

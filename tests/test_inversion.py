@@ -42,6 +42,7 @@ from reflectjet.medium import (
     ElasticSideJet,
     InterfaceGeometry,
     InterfaceModel,
+    check_elastic_side,
 )
 from reflectjet.sampling import (
     cross_grid,
@@ -530,14 +531,14 @@ def test_scan_roots_counts_exact_zeros_at_both_ends():
 
 
 def _scan_pluses(monkeypatch, samples, minus):
-    """The probe minus side and the plus sides of the order-0 cp scan,
-    recorded from its one stacked call."""
+    """The probe minus side and the plus sides, (rho, cs, cp) triples, of
+    the order-0 cp scan, recorded from its one stacked call."""
     calls = []
     real = elastic._order0
 
-    def record(ms, pluses, zetas):
-        calls.append((ms, list(pluses)))
-        return real(ms, pluses, zetas)
+    def record(ms, sides):
+        calls.append((ms, list(sides)))
+        return real(ms, sides)
 
     with monkeypatch.context() as patch:
         patch.setattr(elastic, "_order0", record)
@@ -546,14 +547,52 @@ def _scan_pluses(monkeypatch, samples, minus):
     return calls[0]
 
 
-def _scalar_interface(ms, plus):
-    """The 6x6 matrix of one plus side, its condition number and its
-    order-0 solution, each from a call on that matrix alone."""
-    ctx = elastic._side_ctxs(ms.cov, plus, ms.kt, ms.stretch, ms.h, ms.depth,
-                             ms.tol, ("T",), {})
+def _scalar_interface(ms, side):
+    """The 6x6 matrix of one plus side, a (rho, cs, cp) triple, its
+    condition number and its order-0 solution, each from a call on that
+    matrix alone, the columns from the side's mode contexts."""
+    plus = ElasticSideJet(*(Jet([v]) for v in side))
+    ctx = elastic._side_ctxs(ms.cov, [plus], ms.kt, ms.stretch, ms.h,
+                             ms.depth, ms.tol, ("T",))[1][0]
     top = elastic._ctx_columns(ctx["T", "P"], ctx["T", "S"])
-    m6 = elastic._interface(ms, [top])[0][0]
+    m6 = elastic._interface([ms], [top])[0][0]
     return np.linalg.cond(m6), np.linalg.solve(m6, ms.order0_rhs)
+
+
+@pytest.mark.parametrize("values", [
+    (1.1, 0.9, 1.8), (0.0, 0.9, 1.8), (1.1, -0.9, 1.8), (1.1, 0.9, 0.0),
+    (1.1, 0.9, -1.8), (1.1, 0.9, 1.0), (1.1, 0.9, math.nan),
+    (1.1, 0.9, math.inf), (math.inf, 0.9, 1.8), (1.1, math.nan, 1.8),
+    (np.float64(1.1), np.float64(0.9), np.float64(1.0))])
+def test_cp_candidates_get_the_side_checks(monkeypatch, values):
+    # the cp scan hands `_order0` values, not plus sides: each candidate
+    # gets the checks a plus side of its values makes (positive, convex,
+    # finite) as scalar tests, with the same error, and none reaches
+    # `_order0` unchecked
+    def side():
+        return ElasticSideJet(*(Jet([v]) for v in values)) and "checked"
+
+    def check():
+        return check_elastic_side(*values, values) or "checked"
+
+    assert outcome(check) == outcome(side)
+    model = random_elastic_model(np.random.default_rng(5), 0)
+    samples = _elastic_samples(model, hyperbolic_grid(model, 5), 0)
+    checked, handed = [], []
+    real_check, real_order0 = inversion.check_elastic_side, elastic._order0
+
+    def record_check(*args):
+        checked.append(args[:3])
+        return real_check(*args)
+
+    def record_order0(ms, sides):
+        handed.extend(sides)
+        return real_order0(ms, sides)
+
+    monkeypatch.setattr(inversion, "check_elastic_side", record_check)
+    monkeypatch.setattr(elastic, "_order0", record_order0)
+    elastic_recover_order0(samples, model.minus)
+    assert len(handed) > 96 and checked == handed
 
 
 def test_cp_scan_stacked_equals_scalar(monkeypatch):
@@ -561,7 +600,7 @@ def test_cp_scan_stacked_equals_scalar(monkeypatch):
     samples = _elastic_samples(model, hyperbolic_grid(model, 5), 0)
     probe, pluses = _scan_pluses(monkeypatch, samples, model.minus)
     meas = np.asarray(samples.at_order(0)[0].value, dtype=complex)
-    stacked = elastic._order0(probe, pluses, {})
+    stacked = elastic._order0(probe, pluses)
     for plus, (r0, t0) in zip(pluses, stacked):
         _, sol = _scalar_interface(probe, plus)
         assert repr(r0.tolist()) == repr(sol[:3].tolist())

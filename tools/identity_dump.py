@@ -40,6 +40,14 @@ bit for bit as they were:
   large for a float, and of `reflectjet invert` on symbol CSVs that the
   reader rejects, with the temporary directory's path replaced by a
   fixed token;
+* the `repr` of `elastic._interface` on the depth-0 stacks of the scan
+  (its solutions, or its error with the condition it carries) under a
+  ladder of condition limits from the shipped one down to 3, which the
+  stacks' matrices cross;
+* the `repr` of the elastic recovery's order runs, one engine call for
+  all covectors of an order, on unit groups at depths 1 and 2, flat and
+  curved, on a grid and on the grid with a covector past the critical
+  slowness among them, at the shipped cascade tolerance and at -1e-11;
 * the exit code and stderr of the CLI on rejected options, malformed
   option values, a grid whose covectors overflow, usage errors and a
   missing model file named beside a malformed `--grid`, with the same
@@ -54,6 +62,7 @@ A dump takes about 40 s on one core.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
 import tempfile
@@ -61,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reflectjet import acoustic, elastic
+from reflectjet import acoustic, elastic, inversion
 from reflectjet.cli import main as cli_main
 from reflectjet.inversion import (
     SymbolSample,
@@ -198,6 +207,40 @@ def _elastic_group_pluses(plus, depth):
             for tops in ELASTIC_TOPS]
 
 
+def _group(ms, pluses):
+    """`elastic._group` of `pluses` on the one minus side `ms`, on a tree
+    whose `_group` takes a list of minus sides or one."""
+    if "mss" in inspect.signature(elastic._group).parameters:
+        return elastic._group([ms], pluses)[0]
+    return elastic._group(ms, pluses)
+
+
+def _order0(ms, pluses):
+    """`elastic._order0` of the plus sides `pluses`, on a tree whose
+    `_order0` takes (rho, cs, cp) values or plus sides and a cache."""
+    if "sides" in inspect.signature(elastic._order0).parameters:
+        return elastic._order0(ms, [(p.rho[0], p.cs[0], p.cp[0])
+                                    for p in pluses])
+    return elastic._order0(ms, pluses, {})
+
+
+def _interface(ms, pluses):
+    """`elastic._interface` of the depth-0 plus sides `pluses` on the
+    minus side `ms`, each transmitted column from the side's contexts."""
+    tops = []
+    for plus in pluses:
+        if "sides" in inspect.signature(elastic._side_ctxs).parameters:
+            ctx = elastic._side_ctxs(ms.cov, [plus], ms.kt, ms.stretch, ms.h,
+                                     0, ms.tol, ("T",))[1][0]
+        else:
+            ctx = elastic._side_ctxs(ms.cov, plus, ms.kt, ms.stretch, ms.h,
+                                     0, ms.tol, ("T",), {})
+        tops.append(elastic._ctx_columns(ctx["T", "P"], ctx["T", "S"]))
+    if "mss" in inspect.signature(elastic._interface).parameters:
+        return elastic._interface([ms], tops)
+    return elastic._interface(ms, tops)
+
+
 def dump_elastic_groups(out):
     rtol = elastic._COMPAT_RTOL
     try:
@@ -220,7 +263,7 @@ def _dump_elastic_groups(out, depths, tag):
                                   model.geometry, depth, GLANCING_TOL)
                     for n in range(1, 5):
                         group = (ms if isinstance(ms, str) else
-                                 _attempt(elastic._group, ms, pluses[:n]))
+                                 _attempt(_group, ms, pluses[:n]))
                         out(f"elastic._group{tag} {label}{kind} {cov!r} "
                             f"depth={depth} n={n}: {group!r}")
 
@@ -314,9 +357,82 @@ def dump_order0_stacks(out):
                     cases = (pluses,)
                 for stack in cases:
                     result = (ms if isinstance(ms, str) else
-                              _attempt(elastic._order0, ms, stack, {}))
+                              _attempt(_order0, ms, stack))
                     out(f"elastic._order0 {label}{kind} {cov!r} "
                         f"n={len(stack)}: {result!r}")
+
+
+# the condition limits of the `_interface` ladder: the shipped one, then
+# limits that the scan stacks' matrices cross
+COND_LADDER = (None, 1e6, 1e3, 100.0, 30.0, 10.0, 3.0)
+
+
+def dump_interface_ladder(out):
+    limit = elastic._COND_LIMIT
+    try:
+        for label, sampled in _models(random_elastic_model, (0,)):
+            for model, kind in ((sampled, ""), (_as_floats(sampled),
+                                                " floats")):
+                b_crit = model.critical_slowness()
+                for cov in (Covector(1.0), Covector(1.0, (0.3 * b_crit,
+                                                          0.4 * b_crit))):
+                    ms = elastic._MinusSide(cov, model.minus, model.geometry,
+                                            0, GLANCING_TOL)
+                    stack = _scan_stack(model, cov)
+                    for ladder in COND_LADDER:
+                        elastic._COND_LIMIT = limit if ladder is None \
+                            else ladder
+                        result = _attempt(_interface, ms, stack)
+                        if not isinstance(result, str):
+                            result = repr(result[1])
+                        else:  # with the condition the error carries
+                            result += repr(_condition(_interface, ms, stack))
+                        out(f"elastic._interface {label}{kind} {cov!r} "
+                            f"limit={elastic._COND_LIMIT!r}: {result}")
+    finally:
+        elastic._COND_LIMIT = limit
+
+
+def _condition(func, *args):
+    try:
+        func(*args)
+    except Exception as exc:
+        return getattr(exc, "condition", None)
+    return None
+
+
+def _order_run(minus):
+    """The `run` that `elastic_recover_jets` hands the recovery driver."""
+    real = inversion._recover_jets
+    inversion._recover_jets = lambda *args: args[7]
+    try:
+        return elastic_recover_jets([], minus, 0)
+    finally:
+        inversion._recover_jets = real
+
+
+def dump_order_runs(out):
+    rtol = elastic._COMPAT_RTOL
+    try:
+        for tol in (rtol, -1e-11):
+            elastic._COMPAT_RTOL = tol
+            tag = "" if tol == rtol else f" rtol={tol}"
+            for label, sampled in _models(random_elastic_model, (2,)):
+                for model, kind in ((sampled, ""), (_as_floats(sampled),
+                                                    " floats")):
+                    covs = _grid(model, 4)
+                    b_crit = model.critical_slowness()
+                    past = Covector(1.0, (1.01 * b_crit, 0.0))
+                    run = _order_run(model.minus)
+                    for depth in (1, 2):
+                        pluses = _elastic_group_pluses(model.plus, depth)
+                        for grid in (covs, covs[:3] + [past] + covs[3:]):
+                            result = _attempt(run, grid, model.geometry,
+                                              depth, depth, pluses)
+                            out(f"elastic order run{tag} {label}{kind} "
+                                f"depth={depth} n={len(grid)}: {result!r}")
+    finally:
+        elastic._COMPAT_RTOL = rtol
 
 
 def _cli(argv):
@@ -505,7 +621,7 @@ def main():
     for dump in (dump_forward, dump_groups, dump_elastic_groups,
                  dump_recovery, dump_order0, dump_principal,
                  dump_order0_stacks, dump_cli, dump_bad_input,
-                 dump_bad_options):
+                 dump_bad_options, dump_interface_ladder, dump_order_runs):
         dump(print)
 
 
