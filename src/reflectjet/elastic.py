@@ -23,29 +23,45 @@ ride along exactly in the jet coefficients.
 The plus side enters only through the transmitted branch and the 6x6
 system, so a run has two halves.  `_MinusSide` holds what the
 covector, minus side, geometry, depth and tolerance fix: the curvature
-jets, the incident and reflected mode contexts, their interface columns
-and the order-0 right-hand side.  `_group` runs plus sides on it,
-sharing each distinct speed jet's zeta jet.  `_interface_columns`
-builds every branch's interface columns from value scalars, and
-`_order0`, the one solve of a depth-0 interface, needs no mode
-contexts: each plus side's columns come from its values, and one
-stacked condition check and solve serve them.  A depth-0 group is
-`_order0`'s matrices plus 0.0.  A jet's coefficient m comes from
-coefficients <= m by the same operations at any length, so plus sides
-that agree below their top coefficients (else ValueError) agree in
-every value that does not reach the top: at depth >= 1 a group's runs
-share the interface (the 6x6 matrix, its check and solve, the inverse
-columns) and the incident and reflected cascades.  A group runs its
-orders step-major: each order runs the particular steps of every column
-(P, SV, SH) of every run, then their numpy work as stacked calls, one
-6x6 solve of all their right-hand sides among them.  numpy gives each
-column of a multi-column solve, each item of a batched matmul and each
+jets, the incident and reflected mode contexts (at depth >= 1), their
+interface columns and the order-0 right-hand side.  `_group` runs plus
+sides on minus sides.  Order 0 needs no mode context: a jet's value
+coefficient is the same at any length, so `_order0_columns` builds a
+side's interface columns from its interface values (rho, cs, cp) alone,
+by the Lame, zeta and column code run on depth-0 jets, and `_order0`
+takes the cp root scan's candidates as such values; one stacked
+condition check and solve serve them.  A depth-0 group is `_order0`'s
+matrices plus 0.0.  A jet's coefficient m comes from coefficients <= m
+by the same operations at any length, so plus sides that agree below
+their top coefficients, in bits, signs of zero and scalar types (else
+ValueError), agree in every value that does not reach the top: at
+depth >= 1 a group's runs share the interface (the 6x6 matrix, its
+check and solve, the inverse columns) and the incident and reflected
+cascades, and their transmitted contexts are made on the first plus
+side's coefficients below the top.  A group runs its orders
+step-major: each order runs the particular steps of every column (P,
+SV, SH) of every run on every minus side, then their numpy work as
+stacked calls over all minus sides, one 6x6 solve per minus side of
+all its right-hand sides among them.  numpy gives each matrix of a
+stacked solve or inverse, each column of a multi-column solve, each
+item of a batched matmul (in the layout of the matrix alone) and each
 row of an elementwise product the bits it has alone (a 2-D matmul would
 not), so every output keeps the bits of a separate run.  Every
 compatibility check of every branch still runs in every run, because
 its bound depends on the plus side through the run's amplitude and
-operator scales, and a group raises the error that running its columns
-one by one, run by run, raises first.
+operator scales.  A group on one minus side raises the error that
+running its columns one by one, run by run, raises first; on several,
+a failure of any runs them again one by one, so the first minus side's
+error is raised.
+
+The 6x6 condition check reads the inverse that one solve of
+[rhs | I] gives: ||A||_F ||A^-1||_F bounds cond_2(A), and where the
+computed bound is at most 1e-3 `_COND_LIMIT` for every matrix of a
+stack, the rounding of the computed inverse and of an SVD cannot put a
+matrix past the limit, so no SVD runs.  Otherwise, a non-finite or
+singular matrix included, `np.linalg.cond` runs matrix by matrix and
+the first one past the limit raises, as the SVD loop always did (see
+`_interface`).
 
 The cascade leaves out what is zero by construction.  In the rotated
 frame the P kernel and the SV kernel have no middle component and the
@@ -69,19 +85,27 @@ and in `principal_rt_matrices`, but not in the raw `_order0` stack,
 which keeps the solver's zeros, -0.0 among them; adding 0.0 makes them
 +0.0.
 
-The jet work replays tapes (`reflectjet.tape`) of three units:
-`_side_body` (a side's mode contexts, `_mode_ctx` and `_depth_ops`),
-`_particular_body` (a branch's `_l1`, `_l0`, `_pinv`, `_rhs_scale`) and
-`_fill_body` (its `_kernel_fill`).  A class key holds what the control
-flow reads: the depth; a side's branches, flat or curved, and which of
-its coefficients are zero (the `_nz` tests); a branch step's channel and
-its contexts' absent jets (`sig`).  A recording costs some 20 to 45 runs
-of its unit, so a class records on its `_WARM`th call, once its runs
-have cost about as much.  The interface columns (Python scalars), the
-branch tractions and the numpy 6x6 systems with their checks and
-solves stay outside, and so do the compatibility checks, whose bound
-reads `_COMPAT_RTOL` at each call, and a side's regime and convexity
-checks, in the source's order.
+The jet work replays tapes (`reflectjet.tape`) of four units:
+`_sides_body` (the Lame and zeta jets, mode contexts and interface
+columns of a minus side's incident and reflected branches, or of a
+group's transmitted branches, each plus side on the first one's
+coefficients below the top, so that value numbering makes each shared
+operation once), `_columns_body` (a side's interface columns from its
+interface values, for order 0), `_particular_body` (a branch's `_l1`,
+`_l0`, `_pinv`, `_rhs_scale`) and `_fill_body` (its `_kernel_fill`).
+A class key holds what the control flow reads: the depth; the branches,
+flat or curved, the number of sides and which of the input
+coefficients are zero (a proxy for the `_nz` tests, which are guards);
+normal incidence for a depth-0 unit; a branch step's channel and its
+contexts' absent jets (`sig`).  A side's convexity check and each
+speed's regime check, by `classify_regime`'s arithmetic on the
+covector, run in the tapes in the source's order as guards; a side
+that fails one raises in the body, from `derive_lame_jets` or
+`vertical_wavenumber`.  A recording costs some 20 to 45 runs of its
+unit, so a class records on its `_WARM`th call, once its runs have cost
+about as much.  The branch tractions and the numpy 6x6 systems with
+their checks and solves stay outside, and so do the compatibility
+checks, whose bound reads `_COMPAT_RTOL` at each call.
 
 The forward depth is capped at two orders below principal
 (ELASTIC_DEPTH_CAP): the machinery iterates further, but only orders
@@ -667,16 +691,16 @@ def _interface(mss, tops):
     bits of its one-column solve.  The first singular matrix raises.
 
     The condition check reads the inverse X that the solve gives.
-    cond_2(A) <= ||A||_F ||A^-1||_F, and partial pivoting gives
-    ||XA - I|| <= c n u rho ||X|| ||A|| (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, 2nd ed., ch. 14), c a small constant, n = 6,
-    u = 1.1e-16 and a growth factor rho <= 2^(n-1).  So when
-    ||A||_F ||X||_F <= 1e-3 _COND_LIMIT = 1e9, XA is within 2e-5 of I,
-    ||A^-1||_F <= ||X||_F / (1 - 2e-5), and cond_2(A) < 1.0001e9, which
-    the SVD computes to about u cond_2(A) relative (the bound's factor
-    1e-3 covers both roundings with room): no matrix the SVD loop would
-    reject passes.  Otherwise, a non-finite or singular matrix included,
-    the SVD loop runs and raises as before."""
+    cond_2(A) <= ||A||_F ||A^-1||_F, and the inverse from a partially
+    pivoted LU has ||XA - I|| <= c n u g ||X|| ||A|| (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 14): c a small
+    constant, n = 6, u = 1.1e-16 and a growth factor g <= 2^(n-1).  So
+    where ||A||_F ||X||_F <= 1e-3 _COND_LIMIT (1e9 as shipped),
+    ||XA - I|| <= 2e-5 c, ||A^-1||_F <= ||X||_F / (1 - 2e-5 c), and
+    cond_2(A) is within that factor of 1e9, which an SVD computes to
+    about u cond_2(A) relative: the factor 1e-3 covers both roundings
+    with room, so no matrix that the SVD loop rejects passes.  Elsewhere,
+    a non-finite or singular matrix included, the SVD loop runs."""
     n = len(tops)
     m6 = np.zeros((n, 6, 6), dtype=complex)
     m6[:, :3, :3] = [-ms.S["R"] for ms in mss]
@@ -772,11 +796,11 @@ def _group(mss, pluses) -> list:
                                        + p.cp.coeffs[:K])
                                 for p in pluses}) > 1:
         raise ValueError("a group's plus sides differ below the top coefficient")
-    if len(mss) == 1:
-        return _runs(mss, pluses)
     try:
         return _runs(mss, pluses)
     except Exception:
+        if len(mss) == 1:
+            raise
         # minus side by minus side, the first one's error is raised
         return [_runs([ms], pluses)[0] for ms in mss]
 

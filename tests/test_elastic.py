@@ -463,6 +463,22 @@ def test_group_rejects_plus_sides_differing_below_top(rng):
     pluses[1] = ElasticSideJet(pluses[1].rho, pluses[1].cs, Jet(cp))
     with pytest.raises(ValueError, match="below the top"):
         elastic._group([ms], pluses)
+    # members run on the first one's coefficients below the top, so those
+    # must agree in bits, signs of zero and scalar types, not only by ==
+    plus = model.plus
+    rho0 = float(plus.rho[0])
+
+    def side(value, slope):
+        return ElasticSideJet(Jet((value, slope, plus.rho[2])), plus.cs,
+                              plus.cp)
+
+    zero = side(rho0, 0.0)
+    for other in (side(rho0, -0.0), side(np.float64(rho0), 0.0)):
+        for pair in ([zero, other], [other, zero]):
+            with pytest.raises(ValueError, match="below the top"):
+                elastic._group([ms], pair)
+    assert repr(elastic._group([ms], [zero, zero])) == repr(
+        [2 * elastic._group([ms], [zero])[0]])
 
 
 @pytest.mark.parametrize("curved", [False, True])

@@ -1,7 +1,9 @@
 """Material model: regimes, vertical wavenumbers, Lame jets, validation;
 the package's exported names."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -150,6 +152,14 @@ def test_covector():
     cov = Covector(2.0, (0.6, 0.8))
     assert cov.xi_norm == pytest.approx(1.0)
     assert cov.slowness == pytest.approx(0.5)
+    # the hash is computed once, as the dataclass would: equal covectors,
+    # of float, int or np.float64 fields, hash alike and are one key
+    same = Covector(np.float64(2.0), (0.6, np.float64(0.8)))
+    assert hash(cov) == hash(same) == hash((2.0, (0.6, 0.8)))
+    assert same == cov and len({cov, same, Covector(2, (0.6, 0.8))}) == 1
+    assert repr(cov) == "Covector(tau=2.0, xi=(0.6, 0.8))"
+    assert hash(dataclasses.replace(cov, tau=3.0)) == hash((3.0, (0.6, 0.8)))
+    assert pickle.loads(pickle.dumps(cov)) == cov
 
 
 def test_package_all_resolves():
