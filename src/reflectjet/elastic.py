@@ -44,9 +44,9 @@ SV, SH) of every run on every minus side, then their numpy work as
 stacked calls over all minus sides, one 6x6 solve per minus side of
 all its right-hand sides among them.  numpy gives each matrix of a
 stacked solve or inverse, each column of a multi-column solve, each
-item of a batched matmul (in the layout of the matrix alone) and each
-row of an elementwise product the bits it has alone (a 2-D matmul would
-not), so every output keeps the bits of a separate run.  Every
+item of a batched matmul and each row of an elementwise product the
+bits it has alone (a 2-D matmul would not), so every output keeps the
+bits of a separate run.  Every
 compatibility check of every branch still runs in every run, because
 its bound depends on the plus side through the run's amplitude and
 operator scales.  A group on one minus side raises the error that
@@ -805,12 +805,6 @@ def _group(mss, pluses) -> list:
         return [_runs([ms], pluses)[0] for ms in mss]
 
 
-def _stack(mats):
-    """The 3x3 matrices `mats` as one stack with their memory layout, so
-    that a batched matmul takes the path, and the bits, of each alone."""
-    return np.array([m.T for m in mats]).swapaxes(1, 2)
-
-
 def _runs(mss, pluses) -> list:
     """`_group` on depth >= 1 minus sides, each order's numpy work one
     stacked call over all of them.  With more than one minus side an
@@ -831,8 +825,8 @@ def _runs(mss, pluses) -> list:
         # a transmitted branch per column (P, SV, SH) of each run
         tra.append([b for t in ts for b in _branches(t)])
     m6, sol = _interface(mss, tops)
-    s_i, t_i = (_stack([ms.S["I"] for ms in mss]),
-                _stack([ms.T["I"] for ms in mss]))
+    s_i, t_i = (np.array([ms.S["I"] for ms in mss]),
+                np.array([ms.T["I"] for ms in mss]))
     s_inv = (np.linalg.inv(np.array([ms.S["R"] for ms in mss]))[:, None],
              np.linalg.inv(m6[:, :3, 3:])[:, None])
     # one incident and one reflected branch per column, shared by the runs

@@ -734,9 +734,9 @@ def test_stacked_numpy_forms_keep_the_one_column_bits(rng):
     # the engine's own 6x6 matrices of one covector and of a stack of
     # them: each column of a multi-column solve has the bits of its
     # one-column solve, each matrix of a stacked solve or inverse the bits
-    # of its own call, a batched matmul (one matrix, or one per covector
-    # in the engine's layout) the matrix-vector bits, and a stacked
-    # elementwise product each row's bits
+    # of its own call, a batched matmul (one matrix, or one per covector)
+    # the matrix-vector bits, and a stacked elementwise product each
+    # row's bits
     def bits(a):
         return np.ascontiguousarray(a).view(np.float64).tolist()
 
@@ -770,8 +770,8 @@ def test_stacked_numpy_forms_keep_the_one_column_bits(rng):
             [np.linalg.inv(b) for b in blocks])
         for mats in ([ms.S["I"] for ms in mss], [ms.T["I"] for ms in mss],
                      np.linalg.inv(blocks)):
-            stack = elastic._stack(mats) if isinstance(mats, list) else mats
-            batched = np.matmul(stack[:, None], vecss[:, :, :, None])[..., 0]
+            batched = np.matmul(np.array(mats)[:, None],
+                                vecss[:, :, :, None])[..., 0]
             assert bits(batched) == bits([[mat @ v for v in vecs] for mat, vecs
                                           in zip(mats, vecss)])
         flat = vecss.reshape(-1, 3)
