@@ -808,7 +808,7 @@ def _cli(argv):
     return code, err.getvalue()
 
 
-_PR_INPUTS = (  # the three inputs that exited 1 with a traceback before
+_FIXED_INPUTS = (  # the three inputs that exited 1 with a traceback before
     (dict(ELASTIC_MODEL, plus={"rho_jet": [1.5], "cs_jet": [1.3],
                                "cp_jet": [-3.0]}), [], []),
     (ACOUSTIC_MODEL, ["--grid", "1e300", "--tau", "1e300"], []),
@@ -816,10 +816,10 @@ _PR_INPUTS = (  # the three inputs that exited 1 with a traceback before
 )
 
 
-@example(case=_PR_INPUTS[0])
-@example(case=_PR_INPUTS[1])
-@example(case=_PR_INPUTS[2])
-@settings(derandomize=True, max_examples=30, deadline=None, database=None,
+@example(case=_FIXED_INPUTS[0])
+@example(case=_FIXED_INPUTS[1])
+@example(case=_FIXED_INPUTS[2])
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(case=_cli_cases())
