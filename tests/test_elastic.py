@@ -327,17 +327,14 @@ def test_order0_errors_are_the_sources(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("replayed", [False, True])
-def test_value_scalar_columns_equal_context_columns(rng, monkeypatch,
-                                                    replayed):
+def test_value_scalar_columns_equal_context_columns(rng, request, replayed):
     # the depth-0 unit builds a side's columns from its values alone,
     # with the bits, signed zeros included, of `_ctx_columns` on the
     # contexts `_side_ctxs` builds: float and np.float64 values, normal
     # incidence (kt = 0), tau < 0 and a curved stretch, on the unit's
     # body and on its tape
     if replayed:
-        monkeypatch.setattr(tape, "_TAPES", {})
-        monkeypatch.setattr(tape, "_CALLS", collections.Counter())
-        monkeypatch.setattr(elastic, "_WARM", 1)
+        request.getfixturevalue("fresh_tapes")
     model = random_elastic_model(rng, 0)
     b_crit = model.critical_slowness()
     covs = (Covector(1.0), Covector(1.0, (0.5 * b_crit, 0.3 * b_crit)),
