@@ -676,6 +676,9 @@ class _MinusSide:
             self.S[branch], self.T[branch] = np.array(c).reshape(
                 2, 3, 3).swapaxes(1, 2)
         self.order0_rhs = np.vstack([self.S["I"], self.T["I"]])
+        # the 6x6 system's reflected columns, and its [rhs | I]
+        self.reflected = -np.vstack([self.S["R"], self.T["R"]])
+        self.rhs_eye = np.hstack([self.order0_rhs, np.eye(6)])
 
 
 _CHECK_KEYS = (("I", "P"), ("I", "S"), ("R", "P"), ("R", "S"),
@@ -701,21 +704,20 @@ def _interface(mss, tops):
     about u cond_2(A) relative: the factor 1e-3 covers both roundings
     with room, so no matrix that the SVD loop rejects passes.  Elsewhere,
     a non-finite or singular matrix included, the SVD loop runs."""
-    n = len(tops)
-    m6 = np.zeros((n, 6, 6), dtype=complex)
-    m6[:, :3, :3] = [-ms.S["R"] for ms in mss]
-    m6[:, 3:, :3] = [-ms.T["R"] for ms in mss]
+    one = len(mss) == 1
+    m6 = np.empty((len(tops), 6, 6), dtype=complex)
+    m6[:, :, :3] = mss[0].reflected if one else [
+        ms.reflected for ms in mss]
     m6[:, :, 3:] = np.array(tops, dtype=complex).reshape(
         -1, 2, 3, 3).swapaxes(2, 3).reshape(-1, 6, 3)
-    rhs = np.broadcast_to(np.array([ms.order0_rhs for ms in mss]), (n, 6, 3))
     try:
-        full = np.linalg.solve(m6, np.concatenate(
-            [rhs, np.broadcast_to(np.eye(6), (n, 6, 6))], axis=2))
-        inv = full[:, :, 3:]
+        full = np.linalg.solve(m6, mss[0].rhs_eye if one else np.array(
+            [ms.rhs_eye for ms in mss]))
+        # squared Frobenius norms, from the real and imaginary parts
+        a, x = m6.view(float), full.view(float)[:, :, 6:]
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = ((m6.real ** 2 + m6.imag ** 2).sum(axis=(1, 2))
-                     * (inv.real ** 2 + inv.imag ** 2).sum(axis=(1, 2)))
-        if (bound <= (1e-3 * _COND_LIMIT) ** 2).all():  # squared norms
+            bound = (a * a).sum(axis=(1, 2)) * (x * x).sum(axis=(1, 2))
+        if (bound <= (1e-3 * _COND_LIMIT) ** 2).all():
             return m6, np.ascontiguousarray(full[:, :, :3])
     except np.linalg.LinAlgError:
         pass
@@ -725,7 +727,8 @@ def _interface(mss, tops):
                 f"elastic interface system is singular (cond={cond:.3e})",
                 condition=cond,
             )
-    return m6, np.linalg.solve(m6, rhs)
+    rhs = np.array([ms.order0_rhs for ms in mss])
+    return m6, np.linalg.solve(m6, np.broadcast_to(rhs, (len(tops), 6, 3)))
 
 
 def _order0(ms: _MinusSide, sides) -> list:
