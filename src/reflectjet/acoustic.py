@@ -72,6 +72,7 @@ from .medium import (
     Covector,
     InterfaceModel,
     SymbolSeries,
+    check_hyperbolic,
     curvature_jets,
     vertical_wavenumber,
 )
@@ -156,14 +157,8 @@ def _zeta_jet(speed: float, cs2: Jet, tau: float, stretch: Jet,
     normal line (constant |xi'|^2 for a flat interface, the shape-
     operator spreading profile otherwise).
     """
-    # Regime check on the interface value before the jet square root:
-    # `vertical_wavenumber`'s tests by its arithmetic (hypot(x, 0) is x),
-    # which a tape records; a covector that fails them raises there.
-    xi_norm = math.sqrt(stretch[0])
-    scale = tau ** 2 / speed ** 2 if speed > 0 else 0.0
-    zeta2 = scale - xi_norm ** 2
-    if not (zeta2 > tol * scale and zeta2 >= 0):
-        vertical_wavenumber(Covector(tau, (xi_norm, 0.0)), speed, tol)
+    # regime check on the interface value before the jet square root
+    check_hyperbolic(tau, math.sqrt(stretch[0]), speed, tol)
     radicand = (jet_scale(jet_inv(cs2), tau * tau)
                 - stretch.truncate(cs2.depth))
     return jet_sqrt(radicand)

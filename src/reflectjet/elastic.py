@@ -21,38 +21,33 @@ derivatives of the order J+1 amplitudes.  All remainder contributions
 ride along exactly in the jet coefficients.
 
 The plus side enters only through the transmitted branch and the 6x6
-system, so a run has two halves.  `_MinusSide` holds what the
-covector, minus side, geometry, depth and tolerance fix: the curvature
-jets, the incident and reflected mode contexts (at depth >= 1), their
-interface columns and the order-0 right-hand side.  `_group` runs plus
-sides on minus sides.  Order 0 needs no mode context: a jet's value
-coefficient is the same at any length, so `_order0_columns` builds a
-side's interface columns from its interface values (rho, cs, cp) alone,
-by the Lame, zeta and column code run on depth-0 jets, and `_order0`
-takes the cp root scan's candidates as such values; one stacked
-condition check and solve serve them.  A depth-0 group is `_order0`'s
-matrices plus 0.0.  A jet's coefficient m comes from coefficients <= m
-by the same operations at any length, so plus sides that agree below
-their top coefficients, in bits, signs of zero and scalar types (else
-ValueError), agree in every value that does not reach the top: at
-depth >= 1 a group's runs share the interface (the 6x6 matrix, its
-check and solve, the inverse columns) and the incident and reflected
-cascades, and their transmitted contexts are made on the first plus
-side's coefficients below the top.  A group runs its orders
-step-major: each order runs the particular steps of every column (P,
-SV, SH) of every run on every minus side, then their numpy work as
-stacked calls over all minus sides, one 6x6 solve per minus side of
-all its right-hand sides among them.  numpy gives each matrix of a
-stacked solve or inverse, each column of a multi-column solve, each
-item of a batched matmul and each row of an elementwise product the
-bits it has alone (a 2-D matmul would not), so every output keeps the
-bits of a separate run.  Every
-compatibility check of every branch still runs in every run, because
-its bound depends on the plus side through the run's amplitude and
-operator scales.  A group on one minus side raises the error that
-running its columns one by one, run by run, raises first; on several,
-a failure of any runs them again one by one, so the first minus side's
-error is raised.
+system, so a run has two halves.  `_MinusSide` holds what the covector,
+minus side, geometry, depth and tolerance fix: the curvature jets, the
+incident and reflected mode contexts (at depth >= 1), their interface
+columns and the order-0 right-hand side.  `_group` runs plus sides on
+it.  Order 0 needs no mode context: a jet's value coefficient is the
+same at any length, so `_order0_columns` builds a side's interface
+columns from its interface values (rho, cs, cp) alone, by the Lame, zeta
+and column code run on depth-0 jets, and `_order0` takes the cp root
+scan's candidates as such values; one stacked condition check and solve
+serve them.  A depth-0 group is `_order0`'s matrices plus 0.0.  A jet's
+coefficient m comes from coefficients <= m by the same operations at any
+length, so plus sides that agree below their top coefficients, in bits,
+signs of zero and scalar types (else ValueError), agree in every value
+that does not reach the top: at depth >= 1 a group's runs share the
+interface (the 6x6 matrix, its check and solve, the inverse columns) and
+the incident and reflected cascades, and their transmitted contexts are
+made on the first plus side's coefficients below the top.  A group runs
+its orders step-major: each order runs the particular steps of every
+column (P, SV, SH) of every run, then their numpy work as stacked calls,
+one 6x6 solve of all their right-hand sides.  numpy gives each column of
+a multi-column solve, each item of a batched matmul and each row of an
+elementwise product the bits it has alone (a 2-D matmul would not), so
+every output keeps the bits of a separate run.  Every compatibility
+check of every branch still runs in every run, because its bound depends
+on the plus side through the run's amplitude and operator scales, and a
+group raises the error that running its columns one by one, run by run,
+raises first.
 
 The 6x6 condition check reads the inverse that one solve of
 [rhs | I] gives: ||A||_F ||A^-1||_F bounds cond_2(A), and where the
@@ -92,15 +87,15 @@ group's transmitted branches, each plus side on the first one's
 coefficients below the top, so that value numbering makes each shared
 operation once), `_columns_body` (a side's interface columns from its
 interface values, for order 0), `_particular_body` (a branch's `_l1`,
-`_l0`, `_pinv`, `_rhs_scale`) and `_fill_body` (its `_kernel_fill`).
-A class key holds what the control flow reads: the depth; the branches,
-flat or curved, the number of sides and which of the input
-coefficients are zero (a proxy for the `_nz` tests, which are guards);
-normal incidence for a depth-0 unit; a branch step's channel and its
-contexts' absent jets (`sig`).  A side's convexity check and each
-speed's regime check, by `classify_regime`'s arithmetic on the
-covector, run in the tapes in the source's order as guards; a side
-that fails one raises in the body, from `derive_lame_jets` or
+`_l0`, `_pinv`, `_rhs_scale`) and `_fill_body` (its `_kernel_fill`).  A
+class key holds what the control flow reads: the depth; the branches,
+flat or curved, the number of sides and which of the input coefficients
+are zero (a proxy for the `_nz` tests, which are guards); normal
+incidence for a depth-0 unit; a branch step's channel and its contexts'
+absent jets (`sig`).  A side's convexity check and each speed's regime
+check (`check_hyperbolic`, `classify_regime`'s arithmetic on the
+covector) run in the tapes in the source's order as guards; a side that
+fails one raises in the body, from `derive_lame_jets` or
 `vertical_wavenumber`.  A recording costs some 20 to 45 runs of its
 unit, so a class records on its `_WARM`th call, once its runs have cost
 about as much.  The branch tractions and the numpy 6x6 systems with
@@ -144,6 +139,7 @@ from .medium import (
     ElasticSideJet,
     InterfaceModel,
     SymbolSeries,
+    check_hyperbolic,
     curvature_jets,
     derive_lame_jets,
     vertical_wavenumber,
@@ -564,25 +560,20 @@ def _fill_body(channel, d, ctxs, ws, vals, last):
 _Side = namedtuple("_Side", "rho cs cp")  # a side's jets, for `derive_lame_jets`
 
 
-def _zeta_jet(tau, tol, xi_norm, xi, speed: Jet, stretch: Jet) -> Jet:
+def _zeta_jet(tau, tol, xi_norm, speed: Jet, stretch: Jet) -> Jet:
     """The vertical-wavenumber jet of the speed jet `speed` along the
-    normal.  Its regime is checked first, by `classify_regime`'s
-    arithmetic on the covector (tau, xi), |xi'| = `xi_norm`, which a tape
-    records as a guard; a speed that fails raises in
-    `vertical_wavenumber`."""
-    c0 = speed[0]
-    scale = tau ** 2 / c0 ** 2 if c0 > 0 else 0.0
-    if not scale - xi_norm ** 2 > tol * scale:
-        vertical_wavenumber(Covector(tau, xi), c0, tol)
+    normal, its regime checked first by `check_hyperbolic` on the
+    covector (tau, |xi'| = `xi_norm`)."""
+    check_hyperbolic(tau, xi_norm, speed[0], tol)
     radicand = jet_scale(jet_inv(jet_mul(speed, speed)), tau * tau)
     return jet_sqrt(radicand - stretch)
 
 
-def _lame_zetas(tau, tol, xi_norm, xi, stretch, side: _Side):
+def _lame_zetas(tau, tol, xi_norm, stretch, side: _Side):
     """The lambda, mu, P zeta and S zeta jets of one side, each check in
     the order the side's jets are made."""
     lam, mu = derive_lame_jets(side)
-    return (lam, mu, *(_zeta_jet(tau, tol, xi_norm, xi, speed, stretch)
+    return (lam, mu, *(_zeta_jet(tau, tol, xi_norm, speed, stretch)
                        for speed in (side.cp, side.cs)))
 
 
@@ -604,14 +595,13 @@ def _side_ctxs(cov: Covector, sides, kt, stretch, h, depth: int, tol: float,
     zeros += tuple(not j[depth] for side in jets[1:] for j in side)
     cols, ctxs = tape._replay(
         _sides_body, (branches, depth),
-        (cov.tau, tol, cov.xi_norm, cov.xi, h, kt, stretch, jets),
+        (cov.tau, tol, cov.xi_norm, h, kt, stretch, jets),
         (h is None, zeros), _WARM)
     keys = [(b, m) for b in branches for m in "PS"]
     return cols, [dict(zip(keys, c)) for c in ctxs]
 
 
-def _sides_body(branches, depth, tau, tol, xi_norm, xi, h, kt, stretch,
-                sides):
+def _sides_body(branches, depth, tau, tol, xi_norm, h, kt, stretch, sides):
     """`_side_ctxs` of the (rho, cs, cp) jets in `sides`, each run on the
     first one's coefficients below the top and its own top coefficients,
     so a tape makes each operation they share once."""
@@ -619,7 +609,7 @@ def _sides_body(branches, depth, tau, tol, xi_norm, xi, h, kt, stretch,
     for side in sides:
         side = _Side(*(_jet(a.coeffs[:depth] + b.coeffs[depth:])
                        for a, b in zip(first, side)))
-        lam, mu, *zetas = _lame_zetas(tau, tol, xi_norm, xi, stretch, side)
+        lam, mu, *zetas = _lame_zetas(tau, tol, xi_norm, stretch, side)
         ctxs.append([_mode_ctx(kt, _signed(zeta, branch), side.rho, lam, mu,
                                h, mode, tau)
                      for branch in branches
@@ -633,17 +623,15 @@ def _order0_columns(ms, branches, rho, cs, cp):
     interface values `rho`, `cs`, `cp` on the minus side `ms`, from one
     tape of `_columns_body`: no jet or mode context is made."""
     return tape._replay(_columns_body, (branches,),
-                        (ms.cov.tau, ms.tol, ms.xi_norm, ms.cov.xi, ms.kt[0],
+                        (ms.cov.tau, ms.tol, ms.xi_norm, ms.kt[0],
                          ms.stretch[0], rho, cs, cp), not ms.kt[0], _WARM)
 
 
-def _columns_body(branches, tau, tol, xi_norm, xi, kt0, stretch0, rho, cs,
-                  cp):
+def _columns_body(branches, tau, tol, xi_norm, kt0, stretch0, rho, cs, cp):
     """`_order0_columns`: the depth-0 jets of `_sides_body`, whose values
     are those of the jets at any depth, and their columns."""
     side = _Side(*(_jet((v,)) for v in (rho, cs, cp)))
-    lam, mu, *zetas = _lame_zetas(tau, tol, xi_norm, xi, _jet((stretch0,)),
-                                  side)
+    lam, mu, *zetas = _lame_zetas(tau, tol, xi_norm, _jet((stretch0,)), side)
     return [_interface_columns(kt0, lam[0], mu[0],
                                *(_signed(zeta, branch)[0] for zeta in zetas))
             for branch in branches]
@@ -685,13 +673,13 @@ _CHECK_KEYS = (("I", "P"), ("I", "S"), ("R", "P"), ("R", "S"),
                ("T", "P"), ("T", "S"))
 
 
-def _interface(mss, tops):
+def _interface(ms: _MinusSide, tops):
     """The 6x6 interface matrices whose transmitted columns are `tops`
-    (one `_interface_columns` result each) on the minus sides `mss` (one
-    for every top, or one per top), and their order-0 solutions, as
-    stacks.  One solve of [rhs | I] serves the stack: numpy runs LAPACK
-    on each matrix alone, and each column of a multi-column solve has the
-    bits of its one-column solve.  The first singular matrix raises.
+    (one `_interface_columns` result each) and their order-0 solutions,
+    as stacks.  One solve of [rhs | I] serves the stack: numpy runs
+    LAPACK on each matrix alone, and each column of a multi-column solve
+    has the bits of its one-column solve.  The first singular matrix
+    raises.
 
     The condition check reads the inverse X that the solve gives.
     cond_2(A) <= ||A||_F ||A^-1||_F, and the inverse from a partially
@@ -704,15 +692,12 @@ def _interface(mss, tops):
     about u cond_2(A) relative: the factor 1e-3 covers both roundings
     with room, so no matrix that the SVD loop rejects passes.  Elsewhere,
     a non-finite or singular matrix included, the SVD loop runs."""
-    one = len(mss) == 1
     m6 = np.empty((len(tops), 6, 6), dtype=complex)
-    m6[:, :, :3] = mss[0].reflected if one else [
-        ms.reflected for ms in mss]
+    m6[:, :, :3] = ms.reflected
     m6[:, :, 3:] = np.array(tops, dtype=complex).reshape(
         -1, 2, 3, 3).swapaxes(2, 3).reshape(-1, 6, 3)
     try:
-        full = np.linalg.solve(m6, mss[0].rhs_eye if one else np.array(
-            [ms.rhs_eye for ms in mss]))
+        full = np.linalg.solve(m6, ms.rhs_eye)
         # squared Frobenius norms, from the real and imaginary parts
         a, x = m6.view(float), full.view(float)[:, :, 6:]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -727,16 +712,16 @@ def _interface(mss, tops):
                 f"elastic interface system is singular (cond={cond:.3e})",
                 condition=cond,
             )
-    rhs = np.array([ms.order0_rhs for ms in mss])
-    return m6, np.linalg.solve(m6, np.broadcast_to(rhs, (len(tops), 6, 3)))
+    return m6, np.linalg.solve(m6, np.broadcast_to(ms.order0_rhs,
+                                                   (len(tops), 6, 3)))
 
 
 def _order0(ms: _MinusSide, sides) -> list:
     """Order-0 (R0, T0) of each plus side of `sides`, a (rho, cs, cp)
     triple of interface values each, on a depth-0 minus side, the
     solver's zeros keeping their signs."""
-    _, sol = _interface([ms], [_order0_columns(ms, ("T",), *side)[0]
-                               for side in sides])
+    _, sol = _interface(ms, [_order0_columns(ms, ("T",), *side)[0]
+                             for side in sides])
     return [(x[:3], x[3:]) for x in sol]
 
 
@@ -786,118 +771,84 @@ def _step_values(rows):
     return v[0] + v[1], trac
 
 
-def _group(mss, pluses) -> list:
-    """`forward_series_elastic` for each of `pluses` on each of the minus
-    sides `mss`, built at one depth, as one list per minus side (see the
-    module note on groups)."""
-    K = mss[0].depth
+def _group(ms: _MinusSide, pluses) -> list:
+    """`forward_series_elastic` for each of `pluses` on the minus side
+    `ms` (see the module note on groups)."""
+    K = ms.depth
     if K == 0:  # adding 0.0 turns the solver's -0.0 into +0.0
         sides = [(p.rho[0], p.cs[0], p.cp[0]) for p in pluses]
-        return [[[(r + 0.0, t + 0.0)] for r, t in _order0(ms, sides)]
-                for ms in mss]
+        return [[(r + 0.0, t + 0.0)] for r, t in _order0(ms, sides)]
     if len(pluses) > 1 and len({_exact(p.rho.coeffs[:K] + p.cs.coeffs[:K]
                                        + p.cp.coeffs[:K])
                                 for p in pluses}) > 1:
         raise ValueError("a group's plus sides differ below the top coefficient")
-    try:
-        return _runs(mss, pluses)
-    except Exception:
-        if len(mss) == 1:
-            raise
-        # minus side by minus side, the first one's error is raised
-        return [_runs([ms], pluses)[0] for ms in mss]
-
-
-def _runs(mss, pluses) -> list:
-    """`_group` on depth >= 1 minus sides, each order's numpy work one
-    stacked call over all of them.  With more than one minus side an
-    incompatible cascade raises at once; `_group` then runs them one by
-    one."""
-    K, n = mss[0].depth, len(mss)
     # the transmitted (P, S) contexts of each plus side, and the round-off
-    # yardstick of its cascade checks; the plus sides share coefficient 0,
-    # so one interface per minus side serves them
-    tops, tra, op_scales = [], [], []
-    for ms in mss:
-        cols, ctxs = _side_ctxs(ms.cov, pluses, ms.kt, ms.stretch, ms.h, K,
-                                ms.tol, ("T",))
-        ts = [tuple(c.values()) for c in ctxs]
-        tops.append(cols[0])
-        op_scales.append([max(c.op_scale for c in (*ms.ctx.values(), *t))
-                          for t in ts])
-        # a transmitted branch per column (P, SV, SH) of each run
-        tra.append([b for t in ts for b in _branches(t)])
-    m6, sol = _interface(mss, tops)
-    s_i, t_i = (np.array([ms.S["I"] for ms in mss]),
-                np.array([ms.T["I"] for ms in mss]))
-    s_inv = (np.linalg.inv(np.array([ms.S["R"] for ms in mss]))[:, None],
-             np.linalg.inv(m6[:, :3, 3:])[:, None])
-    # one incident and one reflected branch per column, shared by the runs
-    inc, ref = ([_branches((ms.ctx[b, "P"], ms.ctx[b, "S"])) for ms in mss]
-                for b in "IR")
-    cq = [c % 3 for c in range(len(tra[0]))]
-    alpha = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
-    x = sol.swapaxes(1, 2)[:, cq]
-    vals = np.zeros((n, 6 + len(cq), 3), dtype=complex)
-    error, orders, nq = None, [], 3
+    # yardstick of its cascade checks
+    tops, ctxs = _side_ctxs(ms.cov, pluses, ms.kt, ms.stretch, ms.h, K,
+                            ms.tol, ("T",))
+    ts = [tuple(c.values()) for c in ctxs]
+    op_scales = [max(c.op_scale for c in (*ms.ctx.values(), *t)) for t in ts]
+    # the plus sides share coefficient 0, so one interface serves the group
+    (m6,), (sol,) = _interface(ms, tops)
+    s_inv = np.linalg.inv(ms.S["R"]), np.linalg.inv(m6[:3, 3:])
+    # the branches of the columns (P, SV, SH): one incident and one
+    # reflected per column, shared by the runs, and a transmitted one per
+    # column of each run, run by run
+    inc, ref = (_branches((ms.ctx[b, "P"], ms.ctx[b, "S"])) for b in "IR")
+    tra = [b for t in ts for b in _branches(t)]
+    cq = [c % 3 for c in range(len(tra))]
+    alpha, x = np.eye(3, dtype=complex), sol.T[cq]
+    vals = np.zeros((6 + len(tra), 3), dtype=complex)
+    error, orders, nq = None, [], len(inc)
     for step in range(K + 1):
         d = K - step
         if step:
-            for b in (b for i in range(n) for b in inc[i] + ref[i] + tra[i]):
+            for b in inc + ref + tra:
                 b.step = _branch_particular(b.ctxs, b.amps, b.channel, d)
-            for i in range(n):
-                for c, b in enumerate(tra[i]):
-                    parts = inc[i][c % 3].step, ref[i][c % 3].step, b.step
-                    amp_scale = max(0.0, *(s for p in parts for s in p[1]))
-                    floor = 1e-12 * amp_scale * op_scales[i][c // 3]
-                    try:
-                        for key, check in zip(_CHECK_KEYS, (
-                                k for p in parts for k in p[2])):
-                            _check_compatible(key, check, floor)
-                    except CascadeIncompatible as exc:
-                        if n > 1:
-                            raise
-                        # columns run one by one would stop here: the
-                        # columns before keep running, as a failure of
-                        # theirs comes first, and this one and those
-                        # after drop out
-                        error = exc
-                        del inc[0][c:], ref[0][c:], tra[0][c:], cq[c:]
-                        break
-            if not tra[0]:
+            for c, b in enumerate(tra):
+                parts = inc[c % 3].step, ref[c % 3].step, b.step
+                amp_scale = max(0.0, *(s for p in parts for s in p[1]))
+                floor = 1e-12 * amp_scale * op_scales[c // 3]
+                try:
+                    for key, check in zip(_CHECK_KEYS, (k for p in parts
+                                                        for k in p[2])):
+                        _check_compatible(key, check, floor)
+                except CascadeIncompatible as exc:
+                    # columns run one by one would stop here: the columns
+                    # before keep running, as a failure of theirs comes
+                    # first, and this one and those after drop out
+                    error = exc
+                    del inc[c:], ref[c:], tra[c:], cq[c:]
+                    break
+            if not tra:
                 raise error
-            nq = len(inc[0])
-            vals, trac = (a.reshape(n, -1, 3) for a in _step_values(
-                [b for i in range(n) for b in inc[i] + ref[i] + tra[i]]))
+            nq = len(inc)
+            vals, trac = _step_values(inc + ref + tra)
             # the trace of the incident field vanishes below the principal
             # order
-            alpha = np.linalg.solve(s_i, -vals[:, :nq].swapaxes(1, 2)).swapaxes(
-                1, 2).copy()
-            s_a, t_a = (np.matmul(m[:, None], alpha[:, :, :, None])[..., 0]
-                        for m in (s_i, t_i))
+            alpha = np.linalg.solve(ms.S["I"], -vals[:nq].T).T.copy()
+            s_a, t_a = (np.matmul(m, alpha[:, :, None])[:, :, 0]
+                        for m in (ms.S["I"], ms.T["I"]))
             # the incident displacement (u_I)_J at the interface, zero by
             # construction but kept explicit, and the incident traction,
             # each with the reflected branch's share added
-            disp = vals[:, :nq] + s_a + vals[:, nq:2 * nq]
-            trac_ir = trac[:, :nq] + t_a + trac[:, nq:2 * nq]
-            rhs = np.concatenate([disp[:, cq] - vals[:, 2 * nq:],
-                                  trac_ir[:, cq] - trac[:, 2 * nq:]], axis=2)
-            x = np.linalg.solve(m6, rhs.swapaxes(1, 2)).swapaxes(1, 2)
-        val_r, val_t = vals[:, nq:2 * nq, :, None], vals[:, 2 * nq:, :, None]
-        orders.append((x[:, :, :3] + np.matmul(s_inv[0], val_r)[..., 0][:, cq],
-                       x[:, :, 3:] + np.matmul(s_inv[1], val_t)[..., 0]))
+            disp = vals[:nq] + s_a + vals[nq:2 * nq]
+            trac_ir = trac[:nq] + t_a + trac[nq:2 * nq]
+            rhs = np.concatenate([disp[cq] - vals[2 * nq:],
+                                  trac_ir[cq] - trac[2 * nq:]], axis=1)
+            x = np.linalg.solve(m6, rhs.T).T
+        val_r, val_t = vals[nq:2 * nq, :, None], vals[2 * nq:, :, None]
+        orders.append((x[:, :3] + np.matmul(s_inv[0], val_r)[cq, :, 0],
+                       x[:, 3:] + np.matmul(s_inv[1], val_t)[:, :, 0]))
         if step < K:
-            for i in range(n):
-                for b, v in zip(inc[i] + ref[i] + tra[i],
-                                [*alpha[i], *x[i, :nq, :3], *x[i, :, 3:]]):
-                    _branch_fill(b.ctxs, b.step[0], v, b.channel, b.amps, d)
+            for b, v in zip(inc + ref + tra, [*alpha, *x[:nq, :3], *x[:, 3:]]):
+                _branch_fill(b.ctxs, b.step[0], v, b.channel, b.amps, d)
     if error is not None:
         raise error
     # column (run, q) of each order's stacks is the run's [:, q]
-    mats = [[np.ascontiguousarray(a.reshape(n, -1, 3, 3).swapaxes(2, 3))
+    mats = [[np.ascontiguousarray(a.reshape(-1, 3, 3).swapaxes(1, 2))
              for a in order] for order in orders]
-    return [[[(r[i, j], t[i, j]) for r, t in mats]
-             for j in range(len(pluses))] for i in range(n)]
+    return [[(r[i], t[i]) for r, t in mats] for i in range(len(ts))]
 
 
 def forward_series_elastic(
@@ -923,7 +874,7 @@ def forward_series_elastic(
         raise DepthExceeded(
             f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
         )
-    return _group([_MinusSide(cov, minus, geometry, depth, tol)], [plus])[0][0]
+    return _group(_MinusSide(cov, minus, geometry, depth, tol), [plus])[0]
 
 
 def forward_symbols_elastic(cov: Covector, model: InterfaceModel, depth: int,

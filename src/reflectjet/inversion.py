@@ -680,18 +680,8 @@ def elastic_recover_jets(samples, minus: ElasticSideJet, depth: int,
 
     def run(covs, gm, k, deepest, pluses):
         minus_k = minus.truncate(k)
-
-        def minus_side(cov):
-            return elastic._MinusSide(cov, minus_k, gm, k, glancing_tol)
-
-        try:
-            mss = [minus_side(cov) for cov in covs]
-        except Exception:
-            # covector by covector, the first covector's error is raised
-            for cov in covs:
-                elastic._group([minus_side(cov)], pluses)
-            raise
-        return _order_columns(elastic._group(mss, pluses), k)
+        return _order_columns([elastic._group(elastic._MinusSide(
+            cov, minus_k, gm, k, glancing_tol), pluses) for cov in covs], k)
 
     return _recover_jets(samples, minus, depth, geometry, ElasticSideJet,
                          ("cs", "cp", "rho"), order0, run,

@@ -207,6 +207,18 @@ def classify_regime(cov: Covector, speed: float, tol: float = GLANCING_TOL) -> R
     return Regime.GLANCING
 
 
+def check_hyperbolic(tau, xi_norm, speed, tol: float = GLANCING_TOL) -> None:
+    """Raise as `vertical_wavenumber` does unless the covector (tau, xi'),
+    |xi'| = `xi_norm`, is hyperbolic for `speed`.  The test is
+    `classify_regime`'s arithmetic on plain scalars, so a tape
+    (`reflectjet.tape`) records it as guards; a covector that fails it
+    reaches `vertical_wavenumber`, which raises."""
+    scale = tau ** 2 / speed ** 2 if speed > 0 else 0.0
+    zeta2 = scale - xi_norm ** 2
+    if not (zeta2 > tol * scale and zeta2 >= 0):
+        vertical_wavenumber(Covector(tau, (xi_norm, 0.0)), speed, tol)
+
+
 def vertical_wavenumber(cov: Covector, speed: float, tol: float = GLANCING_TOL) -> float:
     """xi3 = +sqrt(tau^2/c^2 - |xi'|^2) for a hyperbolic covector.
 

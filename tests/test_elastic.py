@@ -131,12 +131,12 @@ def test_every_check_runs_in_every_channel(rng, monkeypatch):
     ms = elastic._MinusSide(cov, model.minus, None, 2, GLANCING_TOL)
     for _ in range(2):
         keys.clear()
-        elastic._group([ms], [model.plus])[0][0]
+        elastic._group(ms, [model.plus])[0]
         # 3 columns (P, SV, SH) times steps 1 and 2
         assert keys == list(elastic._CHECK_KEYS) * 3 * 2
     # so does every member of a group that shares the reflected cascade
     keys.clear()
-    elastic._group([ms], _unit_group(model.plus, 2))
+    elastic._group(ms, _unit_group(model.plus, 2))
     assert keys == list(elastic._CHECK_KEYS) * 3 * 2 * 4
 
 
@@ -321,7 +321,7 @@ def test_order0_errors_are_the_sources(rng, monkeypatch):
                 sides = [good, first, then]
                 assert outcome(elastic._order0, ms,
                                [_values(p) for p in sides]) == error
-                assert outcome(elastic._group, [ms], sides) == error
+                assert outcome(elastic._group, ms, sides) == error
     assert any(key[0] is elastic._columns_body and tape._miss not in runs.values()
                for key, (_, runs) in tape._TAPES.items())
 
@@ -441,8 +441,8 @@ def test_group_equals_separate_runs(rng, curved):
             cov = Covector(1.0, (0.8 * frac * b_crit, 0.6 * frac * b_crit))
             ms = elastic._MinusSide(cov, model.minus, geometry, depth,
                                     GLANCING_TOL)
-            group = elastic._group([ms], pluses)[0]
-            separate = [elastic._group([ms], [p])[0][0] for p in pluses]
+            group = elastic._group(ms, pluses)
+            separate = [elastic._group(ms, [p])[0] for p in pluses]
             fresh = [forward_series_elastic(cov, model.minus, p, geometry,
                                             depth) for p in pluses]
             assert (repr([_as_lists(s) for s in group])
@@ -459,7 +459,7 @@ def test_group_rejects_plus_sides_differing_below_top(rng):
     cp[1] = math.nextafter(cp[1], math.inf)  # one ulp off below the top
     pluses[1] = ElasticSideJet(pluses[1].rho, pluses[1].cs, Jet(cp))
     with pytest.raises(ValueError, match="below the top"):
-        elastic._group([ms], pluses)
+        elastic._group(ms, pluses)
     # members run on the first one's coefficients below the top, so those
     # must agree in bits, signs of zero and scalar types, not only by ==
     plus = model.plus
@@ -473,9 +473,9 @@ def test_group_rejects_plus_sides_differing_below_top(rng):
     for other in (side(rho0, -0.0), side(np.float64(rho0), 0.0)):
         for pair in ([zero, other], [other, zero]):
             with pytest.raises(ValueError, match="below the top"):
-                elastic._group([ms], pair)
-    assert repr(elastic._group([ms], [zero, zero])) == repr(
-        [2 * elastic._group([ms], [zero])[0]])
+                elastic._group(ms, pair)
+    assert repr(elastic._group(ms, [zero, zero])) == repr(
+        2 * elastic._group(ms, [zero]))
 
 
 @pytest.mark.parametrize("curved", [False, True])
@@ -494,8 +494,8 @@ def test_reused_minus_side_changes_nothing(rng, curved):
         ms = elastic._MinusSide(cov, model.minus, geometry, depth,
                                 GLANCING_TOL)
         for plus in others:
-            elastic._group([ms], [plus])[0][0]
-        reused = elastic._group([ms], [model.plus])[0][0]
+            elastic._group(ms, [plus])[0]
+        reused = elastic._group(ms, [model.plus])[0]
         assert _as_lists(reused) == _as_lists(fresh)
 
 
@@ -509,10 +509,10 @@ def test_incident_incompatibility_raises_fresh_and_reused(rng, monkeypatch):
         return forward_series_elastic(cov, model.minus, model.plus, None, 1)
 
     def reused():
-        return elastic._group([ms], [model.plus])[0][0]
+        return elastic._group(ms, [model.plus])[0]
 
     def group():
-        return elastic._group([ms2], _unit_group(model.plus, 2))
+        return elastic._group(ms2, _unit_group(model.plus, 2))
 
     with monkeypatch.context() as patch:
         # a negative relative tolerance: no right-hand side is compatible
@@ -527,10 +527,6 @@ def test_incident_incompatibility_raises_fresh_and_reused(rng, monkeypatch):
         fresh()
     with pytest.raises(CascadeIncompatible, match="incident P-mode"):
         reused()  # a reused minus side after a passing run still checks
-
-
-def _one_covector(ms, pluses):
-    return elastic._group([ms], pluses)[0]
 
 
 @pytest.mark.parametrize("rtol", [-1e-11, -3e-12])
@@ -549,11 +545,11 @@ def test_group_raises_its_first_failing_members_error(monkeypatch, rtol):
             cov = Covector(1.0, (frac * b_crit, 0.2 * frac * b_crit))
             ms = elastic._MinusSide(cov, model.minus, model.geometry, 2,
                                     GLANCING_TOL)
-            alone = [outcome(_one_covector, ms, [p]) for p in pluses]
+            alone = [outcome(elastic._group, ms, [p]) for p in pluses]
             failed = [a for a in alone if not a.startswith("[")]
             want = failed[0] if failed else "[%s]" % ", ".join(
                 a[1:-1] for a in alone)
-            assert outcome(_one_covector, ms, pluses) == want
+            assert outcome(elastic._group, ms, pluses) == want
 
 
 def _elastic_order_run(minus):
@@ -574,9 +570,9 @@ def _per_order(run, covs, geometry, k, pluses):
 
 def _per_covector(covs, minus, geometry, k, pluses):
     """`_per_order` from a minus side and a group per covector."""
-    return [[s[k][0].ravel().tolist() for s in elastic._group([
+    return [[s[k][0].ravel().tolist() for s in elastic._group(
         elastic._MinusSide(cov, minus.truncate(k), geometry, k,
-                           GLANCING_TOL)], pluses)[0]] for cov in covs]
+                           GLANCING_TOL), pluses)] for cov in covs]
 
 
 @pytest.mark.parametrize("rtol", [None, -1e-11])
@@ -707,32 +703,30 @@ def test_condition_check_gives_the_svd_loops_verdict(rng, monkeypatch):
                                     1.1 * model.plus.cp[0])[0]
     nan = (complex("nan"),) + good[1:]
     singular = (0j,) * 3 + good[3:9] + (0j,) * 3 + good[12:]
-    cond = np.linalg.cond(elastic._interface([ms], [other])[0][0])
+    cond = np.linalg.cond(elastic._interface(ms, [other])[0][0])
     stacks = ([good, other], [good, nan], [good, singular],
               [singular, nan], [nan, singular], [other, good])
     for limit in (elastic._COND_LIMIT, math.nextafter(cond, 0.0)):
         monkeypatch.setattr(elastic, "_COND_LIMIT", limit)
         for tops in stacks:
-            m6 = elastic._interface([ms], [good] * len(tops))[0]
+            m6 = elastic._interface(ms, [good] * len(tops))[0]
             m6[:, :, 3:] = np.array(tops).reshape(-1, 2, 3, 3).swapaxes(
                 2, 3).reshape(-1, 6, 3)
             want = _verdict(_svd_loop, m6)
-            assert _verdict(elastic._interface, [ms], tops) == want
+            assert _verdict(elastic._interface, ms, tops) == want
             if want == "passes":
-                sol = elastic._interface([ms], tops)[1]
+                sol = elastic._interface(ms, tops)[1]
                 assert repr(sol.tolist()) == repr(np.linalg.solve(
                     m6, ms.order0_rhs).tolist())
     assert _verdict(_svd_loop, m6) == _verdict(
-        elastic._interface, [ms], [other]) != "passes"
+        elastic._interface, ms, [other]) != "passes"
 
 
 def test_stacked_numpy_forms_keep_the_one_column_bits(rng):
-    # a group's stacked steps rest on these numpy facts, checked here on
-    # the engine's own 6x6 matrices of one covector and of a stack of
-    # them: each column of a multi-column solve has the bits of its
-    # one-column solve, each matrix of a stacked solve or inverse the bits
-    # of its own call, a batched matmul (one matrix, or one per covector)
-    # the matrix-vector bits, and a stacked elementwise product each
+    # a group's stacked steps rest on three numpy facts, checked here on
+    # the engine's own 6x6 matrices: each column of a multi-column solve
+    # has the bits of its one-column solve, a batched matmul has the
+    # matrix-vector bits, and a stacked elementwise product has each
     # row's bits
     def bits(a):
         return np.ascontiguousarray(a).view(np.float64).tolist()
@@ -740,41 +734,25 @@ def test_stacked_numpy_forms_keep_the_one_column_bits(rng):
     for curved in (False, True):
         model = random_elastic_model(rng, 1, curved=curved)
         b_crit = model.critical_slowness()
-        mss = [elastic._MinusSide(Covector(1.0, (f * b_crit, 0.3 * f * b_crit)),
-                                  model.minus, model.geometry, 1,
-                                  GLANCING_TOL) for f in (0.0, 0.5, 0.95)]
-        m6s = elastic._interface(mss, [elastic._ctx_columns(
-            *_transmitted(ms, model.plus).values()) for ms in mss])[0]
-        rhss = rng.standard_normal((3, 6, 12)) + 1j * rng.standard_normal(
-            (3, 6, 12))
-        vecss = rhss.swapaxes(1, 2).copy().reshape(3, -1, 3)
-        for ms, m6, rhs, vecs in zip(mss, m6s, rhss, vecss):
+        for frac in (0.0, 0.5, 0.95):
+            cov = Covector(1.0, (frac * b_crit, 0.3 * frac * b_crit))
+            ms = elastic._MinusSide(cov, model.minus, model.geometry, 1,
+                                    GLANCING_TOL)
+            m6 = elastic._interface(ms, [elastic._ctx_columns(
+                *_transmitted(ms, model.plus).values())])[0][0]
+            rhs = rng.standard_normal((6, 12)) + 1j * rng.standard_normal(
+                (6, 12))
             multi = np.linalg.solve(m6, rhs)
             for j in range(12):
                 assert bits(multi[:, j]) == bits(
                     np.linalg.solve(m6, rhs[:, j].copy()))
+            vecs = rhs.T.copy().reshape(-1, 3)
             for mat in (ms.S["I"], ms.T["I"], np.linalg.inv(m6[:3, 3:])):
                 batched = np.matmul(mat, vecs[:, :, None])[:, :, 0]
                 assert bits(batched) == bits([mat @ v for v in vecs])
             stacked = vecs[:12] * vecs[12:]
             assert bits(stacked) == bits(
                 [a.copy() * b.copy() for a, b in zip(vecs[:12], vecs[12:])])
-        # across the covectors
-        assert bits(np.linalg.solve(m6s, rhss)) == bits(
-            [np.linalg.solve(m6, rhs) for m6, rhs in zip(m6s, rhss)])
-        blocks = m6s[:, :3, 3:]
-        assert bits(np.linalg.inv(blocks)) == bits(
-            [np.linalg.inv(b) for b in blocks])
-        for mats in ([ms.S["I"] for ms in mss], [ms.T["I"] for ms in mss],
-                     np.linalg.inv(blocks)):
-            batched = np.matmul(np.array(mats)[:, None],
-                                vecss[:, :, :, None])[..., 0]
-            assert bits(batched) == bits([[mat @ v for v in vecs] for mat, vecs
-                                          in zip(mats, vecss)])
-        flat = vecss.reshape(-1, 3)
-        half = len(flat) // 2
-        assert bits(flat[:half] * flat[half:]) == bits(
-            [a.copy() * b.copy() for a, b in zip(flat[:half], flat[half:])])
 
 
 def test_engine_calls_retain_nothing(rng):
@@ -834,7 +812,7 @@ def _group_lists(cov, minus, geometry, depth, pluses):
     """A fresh minus side's group, as lists: every bit, signed zeros
     included, shows in their repr."""
     ms = elastic._MinusSide(cov, minus, geometry, depth, GLANCING_TOL)
-    return [_as_lists(s) for s in elastic._group([ms], pluses)[0]]
+    return [_as_lists(s) for s in elastic._group(ms, pluses)]
 
 
 @pytest.fixture

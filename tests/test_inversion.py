@@ -555,7 +555,7 @@ def _scalar_interface(ms, side):
     ctx = elastic._side_ctxs(ms.cov, [plus], ms.kt, ms.stretch, ms.h,
                              ms.depth, ms.tol, ("T",))[1][0]
     top = elastic._ctx_columns(ctx["T", "P"], ctx["T", "S"])
-    m6 = elastic._interface([ms], [top])[0][0]
+    m6 = elastic._interface(ms, [top])[0][0]
     return np.linalg.cond(m6), np.linalg.solve(m6, ms.order0_rhs)
 
 

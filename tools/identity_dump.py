@@ -207,14 +207,6 @@ def _elastic_group_pluses(plus, depth):
             for tops in ELASTIC_TOPS]
 
 
-def _group(ms, pluses):
-    """`elastic._group` of `pluses` on the one minus side `ms`, on a tree
-    whose `_group` takes a list of minus sides or one."""
-    if "mss" in inspect.signature(elastic._group).parameters:
-        return elastic._group([ms], pluses)[0]
-    return elastic._group(ms, pluses)
-
-
 def _order0(ms, pluses):
     """`elastic._order0` of the plus sides `pluses`, on a tree whose
     `_order0` takes (rho, cs, cp) values or plus sides and a cache."""
@@ -236,8 +228,6 @@ def _interface(ms, pluses):
             ctx = elastic._side_ctxs(ms.cov, plus, ms.kt, ms.stretch, ms.h,
                                      0, ms.tol, ("T",), {})
         tops.append(elastic._ctx_columns(ctx["T", "P"], ctx["T", "S"]))
-    if "mss" in inspect.signature(elastic._interface).parameters:
-        return elastic._interface([ms], tops)
     return elastic._interface(ms, tops)
 
 
@@ -263,7 +253,7 @@ def _dump_elastic_groups(out, depths, tag):
                                   model.geometry, depth, GLANCING_TOL)
                     for n in range(1, 5):
                         group = (ms if isinstance(ms, str) else
-                                 _attempt(_group, ms, pluses[:n]))
+                                 _attempt(elastic._group, ms, pluses[:n]))
                         out(f"elastic._group{tag} {label}{kind} {cov!r} "
                             f"depth={depth} n={n}: {group!r}")
 
