@@ -2,12 +2,14 @@
 the package's exported names."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 
 import numpy as np
 import pytest
 
+from conftest import outcome
 import reflectjet
 from reflectjet.errors import ConvexityViolation, EvanescentError, GlancingError
 from reflectjet.jets import Jet, jet_inv, jet_mul, jet_sqrt
@@ -18,6 +20,7 @@ from reflectjet.medium import (
     InterfaceGeometry,
     InterfaceModel,
     Regime,
+    check_hyperbolic,
     classify_regime,
     derive_lame_jets,
     vertical_wavenumber,
@@ -54,6 +57,23 @@ def test_glancing_tolerance_is_relative():
     with pytest.raises(GlancingError):
         vertical_wavenumber(Covector(1.0, (b, 0.0)), 1.0, tol=1e-9)
     assert vertical_wavenumber(Covector(1.0, (b, 0.0)), 1.0, tol=1e-12) > 0
+
+
+def test_check_hyperbolic_agrees_with_vertical_wavenumber():
+    # the regime test that the engines' tapes record passes where
+    # `vertical_wavenumber` returns and raises its error elsewhere: the
+    # three regimes, each edge of a glancing band, a zero, negative, NaN
+    # or tiny speed, tau < 0, and a negative tolerance, which lets a
+    # negative radicand through `classify_regime`
+    edges = math.sqrt(1.0 - 5e-10), math.sqrt(1.0 + 5e-10)
+    for tau, xi_norm, speed, tol in itertools.product(
+            (1.0, -2.0), (0.0, 0.6, *edges, 1.0, 2.0),
+            (1.0, 2.0, 0.0, -1.0, math.nan, 1e-200),
+            (1e-9, 1e-12, 0.0, -1e-9)):
+        want = outcome(vertical_wavenumber, Covector(tau, (xi_norm, 0.0)),
+                       speed, tol)
+        got = outcome(check_hyperbolic, tau, xi_norm, speed, tol)
+        assert got == ("None" if "Error" not in want else want)
 
 
 def test_xi3_monotone_in_slowness(rng):
