@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -58,7 +59,9 @@ from .medium import (  # the tolerances are re-exported
 
 log = logging.getLogger("reflectjet.inversion")
 
-ROOT_TOL = 1e-12  # xtol of the bracketed root refinement
+# xtol of the bracketed root refinement: Brent's method (Brent 1973,
+# ch. 4) as in scipy's brentq.c, see `_brent`
+ROOT_TOL = 1e-12
 _ROOT_SCAN_POINTS = 96
 
 
@@ -250,21 +253,71 @@ def acoustic_recover_order0(samples, minus: AcousticSideJet,
     return values
 
 
+def _brent(func, a, b, fa, fb, xtol):
+    """The root of `func` in [a, b] by Brent's method (R. P. Brent,
+    *Algorithms for Minimization Without Derivatives*, 1973, ch. 4), step
+    for step as scipy's `brentq.c` with rtol = 4 eps and 100 iterations,
+    so the root, and the errors on a NaN value or on no convergence, are
+    `scipy.optimize.brentq`'s.  `fa` = func(a) and `fb` = func(b) must be
+    finite with opposite signs; they are not evaluated again."""
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4 * sys.float_info.epsilon * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, unless a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C's inf or nan: no short step
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = func(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"The function value at x={xcur} is NaN; "
+                             "solver cannot continue.")
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def _scan_roots(func, lo, hi, scan=None):
     """Roots of `func` on [lo, hi], as floats: sign changes over a uniform
-    grid, refined by bracketed root finding; exact zeros on the grid,
-    its ends included, count.
-    `scan(grid)`, if given, evaluates `func` on the whole grid at once."""
-    from scipy.optimize import brentq
-
-    grid = np.linspace(lo, hi, _ROOT_SCAN_POINTS)
+    grid, refined by `_brent` from the grid's own values; exact zeros on
+    the grid, its ends included, count.
+    `scan(grid)`, if given, evaluates `func` on the whole grid at once,
+    with the bits of `func` at each point."""
+    # the grid as Python floats, whose arithmetic is faster than numpy's
+    # scalars and gives the same bits
+    grid = np.linspace(lo, hi, _ROOT_SCAN_POINTS).tolist()
     values = scan(grid) if scan is not None else [func(x) for x in grid]
     roots = []
-    for i, x in enumerate(grid.tolist()):
+    for i, x in enumerate(grid):
         if values[i] == 0.0:
             roots.append(x)
         elif i + 1 < len(grid) and values[i] * values[i + 1] < 0.0:
-            roots.append(brentq(func, x, grid[i + 1], xtol=ROOT_TOL))
+            roots.append(_brent(func, x, grid[i + 1], values[i],
+                                values[i + 1], ROOT_TOL))
     return roots
 
 
@@ -626,10 +679,7 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
         return [float((r[0, 0] - meas[0, 0]).real)
                 for r in forward_r(cps, probe)]
 
-    # the grid as Python floats, whose arithmetic is faster than numpy's
-    # scalars and gives the same bits
-    roots = _scan_roots(lambda cp: gaps([cp])[0], cp_lo, cp_hi,
-                        scan=lambda grid: gaps(grid.tolist()))
+    roots = _scan_roots(lambda cp: gaps([cp])[0], cp_lo, cp_hi, scan=gaps)
     if not roots:
         raise NoRoot("no compressional speed matches the P-P reflection")
 

@@ -3,12 +3,20 @@ amplitudes, elastic recovery, and the curvature factorization."""
 
 import inspect
 import math
+import random
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import max_rel_err, outcome, two_direction_grid
+from conftest import (
+    child_env,
+    max_rel_err,
+    outcome,
+    two_direction_grid,
+)
 
 from reflectjet import acoustic, elastic, inversion
 from reflectjet.acoustic import forward_symbols
@@ -528,6 +536,122 @@ def test_scan_roots_counts_exact_zeros_at_both_ends():
             assert roots == [shift] and type(roots[0]) is float
     roots = _scan_roots(lambda x: x - 1.5, 1.0, 2.0)
     assert roots == [pytest.approx(1.5)] and type(roots[0]) is float
+
+
+def _bracket_family(rng):
+    """A random function: a polynomial, a trigonometric or exponential
+    one, or a flat cubed arctangent, whose root runs Brent's method out
+    of iterations."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(rng.randrange(2, 7))]
+        return lambda x: sum(c * x ** k for k, c in enumerate(coeffs))
+    if kind == 1:
+        a, w = rng.uniform(0.5, 3.0), rng.uniform(0.5, 20.0)
+        p = rng.uniform(0.0, 6.0)
+        return lambda x: a * math.sin(w * x + p) + 0.1 * math.cos(3.0 * x)
+    if kind == 2:
+        a, c = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
+        return lambda x: math.exp(a * x) - c
+    r = rng.uniform(-1.0, 1.0)
+    return lambda x: math.atan(x - r) ** 3
+
+
+def _hex_outcome(fn):
+    try:
+        return fn().hex()
+    except (RuntimeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_brent_is_scipys_brentq():
+    # the root, its bits and its error are brentq's, from two calls fewer:
+    # the bracket's values are the caller's
+    from scipy.optimize import brentq
+    rng = random.Random(24)
+    brackets = failures = 0
+    while brackets < 5000:
+        func = _bracket_family(rng)
+        a = rng.uniform(-2.0, 0.0)
+        b = a + rng.uniform(0.01, 4.0)
+        fa, fb = func(a), func(b)
+        if not fa * fb < 0.0:
+            continue
+        xtol = rng.choice([1e-12, 2e-12, 1e-8])
+        calls = Counter()
+
+        def counted(tag):
+            def f(x):
+                calls[tag] += 1
+                return func(x)
+            return f
+
+        theirs = _hex_outcome(lambda: brentq(counted("scipy"), a, b,
+                                             xtol=xtol))
+        ours = _hex_outcome(lambda: inversion._brent(counted("port"), a, b,
+                                                     fa, fb, xtol))
+        assert ours == theirs, (a, b, xtol)
+        assert calls["port"] == calls["scipy"] - 2
+        brackets += 1
+        failures += theirs.startswith("RuntimeError")
+    assert failures > 500
+
+
+def test_brent_raises_scipys_error_on_a_nan_value():
+    from scipy.optimize import brentq
+
+    def func(x):
+        return math.nan if 0.1 < x < 0.9 else x - 0.5
+
+    theirs = _hex_outcome(lambda: brentq(func, 0.0, 1.0, xtol=1e-12))
+    ours = _hex_outcome(lambda: inversion._brent(func, 0.0, 1.0, -0.5, 0.5,
+                                                 1e-12))
+    assert ours == theirs == ("ValueError: The function value at x=0.5 is "
+                              "NaN; solver cannot continue.")
+
+
+def test_scan_values_are_the_scalar_calls(monkeypatch):
+    # `_brent` takes the bracket's values from the scan, which holds only
+    # while they are the values of the scalar calls it makes itself
+    scans = []
+    real = inversion._scan_roots
+
+    def record(func, lo, hi, scan=None):
+        scans.append((func, lo, hi, scan))
+        return real(func, lo, hi, scan)
+
+    monkeypatch.setattr(inversion, "_scan_roots", record)
+    for seed in range(3):
+        model = random_elastic_model(np.random.default_rng(seed), 0)
+        elastic_recover_order0(
+            _elastic_samples(model, hyperbolic_grid(model, 5), 0),
+            model.minus)
+    samples = _relative_samples(CONTRAST, 0.05, [0.15, 0.25, 0.35, 0.42])
+    acoustic_recover_relative(samples, CONTRAST.minus,
+                              Covector(1.0, (0.05, 0.0)))
+    assert [scan is None for *_, scan in scans] == [False] * 3 + [True]
+    for func, lo, hi, scan in scans:
+        grid = np.linspace(lo, hi, inversion._ROOT_SCAN_POINTS)
+        scalar = [func(x).hex() for x in grid.tolist()]
+        if scan is not None:
+            assert [v.hex() for v in scan(grid.tolist())] == scalar
+        else:
+            # the parent scan's numpy scalars give the same bits
+            assert [float(func(x)).hex() for x in grid] == scalar
+
+
+def test_elastic_roundtrip_loads_no_scipy(tmp_path):
+    code = ("import sys\n"
+            "from reflectjet.cli import main\n"
+            "code = main(['roundtrip', '--kind', 'elastic', '--depth', '1',\n"
+            "             '--count', '1', '--out', sys.argv[1]])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(tmp_path / "rt.json")],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def _scan_pluses(monkeypatch, samples, minus):

@@ -53,7 +53,11 @@ bit for bit as they were:
   missing model file named beside a malformed `--grid`, with the same
   token.  An exception that escapes
   the CLI's `main`, `SystemExit` among them, is printed in the exit
-  code's place, so trees whose `main` raises on these can be dumped too.
+  code's place, so trees whose `main` raises on these can be dumped too;
+* the `repr` of `acoustic_recover_relative` results on ratio sets of
+  seeded flat models, the other caller of the root scan, with the
+  plus-side parameter sets of an `AmbiguousRoot` that the scan found, a
+  `NoRoot` from ratios off by 5 %, and the transparent interface.
 
 An exception is printed as its type and message, so it is compared too.
 A dump takes about 40 s on one core.
@@ -72,6 +76,7 @@ import numpy as np
 
 from reflectjet import acoustic, elastic, inversion
 from reflectjet.cli import main as cli_main
+from reflectjet.errors import AmbiguousRoot
 from reflectjet.inversion import (
     SymbolSample,
     SymbolSamples,
@@ -425,6 +430,46 @@ def dump_order_runs(out):
         elastic._COMPAT_RTOL = rtol
 
 
+def _relative(*args, **kwargs):
+    try:
+        return repr(inversion.acoustic_recover_relative(*args, **kwargs))
+    except AmbiguousRoot as exc:  # the roots are part of the output
+        return f"AmbiguousRoot: {exc} roots={exc.roots!r}"
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def dump_relative(out):
+    def ratio_samples(model, b_ref, bs, scale=1.0):
+        def r0(b):
+            cov = Covector(1.0, (b, 0.0))
+            return acoustic.forward_symbols(cov, model, 0).orders[0][1]
+
+        ref = r0(b_ref)
+        return [SymbolSample(Covector(1.0, (b, 0.0)), 0,
+                             float((r0(b) / ref).real) * scale) for b in bs]
+
+    for seed in range(8):
+        model = random_acoustic_model(np.random.default_rng(seed), 0)
+        b_crit = model.critical_slowness()
+        reference = Covector(1.0, (0.05 * b_crit, 0.0))
+        for fractions in ((0.3, 0.6), (0.2, 0.5, 0.8)):
+            bs = [f * b_crit for f in fractions]
+            # a residual tolerance of 0.1 lets several scan roots through
+            # (AmbiguousRoot), and ratios off by 5 % match none (NoRoot)
+            for scale, tol in ((1.0, 1e-6), (1.0, 0.1), (1.05, 1e-6)):
+                samples = ratio_samples(model, reference.slowness, bs, scale)
+                result = _relative(samples, model.minus, reference,
+                                   residual_tol=tol)
+                out(f"acoustic_recover_relative seed={seed} {fractions} "
+                    f"scale={scale} tol={tol}: {result}")
+    side = AcousticSideJet(Jet([1.0]), Jet([1.0]))
+    samples = [SymbolSample(Covector(1.0, (b, 0.0)), 0, 1.0)
+               for b in (0.2, 0.3, 0.4)]
+    out(f"acoustic_recover_relative transparent: "
+        f"{_relative(samples, side, Covector(1.0, (0.05, 0.0)))}")
+
+
 def _cli(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -611,7 +656,8 @@ def main():
     for dump in (dump_forward, dump_groups, dump_elastic_groups,
                  dump_recovery, dump_order0, dump_principal,
                  dump_order0_stacks, dump_cli, dump_bad_input,
-                 dump_bad_options, dump_interface_ladder, dump_order_runs):
+                 dump_bad_options, dump_interface_ladder, dump_order_runs,
+                 dump_relative):
         dump(print)
 
 
