@@ -303,8 +303,9 @@ def _brent(func, a, b, fa, fb, xtol):
 
 def _scan_roots(func, lo, hi, scan=None):
     """Roots of `func` on [lo, hi], as floats: sign changes over a uniform
-    grid, refined by `_brent` from the grid's own values; exact zeros on
-    the grid, its ends included, count.
+    grid, refined by Brent's method (Brent 1973; scipy's `brentq.c`) in
+    `_brent` from the grid's own values; exact zeros on the grid, its
+    ends included, count.
     `scan(grid)`, if given, evaluates `func` on the whole grid at once,
     with the bits of `func` at each point."""
     # the grid as Python floats, whose arithmetic is faster than numpy's
