@@ -636,7 +636,7 @@ def test_scan_values_are_the_scalar_calls(monkeypatch):
         if scan is not None:
             assert [v.hex() for v in scan(grid.tolist())] == scalar
         else:
-            # the parent scan's numpy scalars give the same bits
+            # numpy's scalars give the same bits too
             assert [float(func(x)).hex() for x in grid] == scalar
 
 
