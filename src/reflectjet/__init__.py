@@ -10,7 +10,6 @@ curvatures, from sampled reflection-symbol data.
 from .jets import Jet, jet_inv, jet_log, jet_mul
 from .geometry import (
     CurvatureSpectrum,
-    level_set_curvature_profile,
     mean_curvature_normal_derivatives,
 )
 from .medium import (
@@ -26,7 +25,6 @@ from .medium import (
     vertical_wavenumber,
 )
 from .acoustic import (
-    AcousticSymbolSeries,
     flux_residual,
     forward_symbols,
     principal_rt,
@@ -52,7 +50,6 @@ __all__ = [
     "jet_inv",
     "CurvatureSpectrum",
     "mean_curvature_normal_derivatives",
-    "level_set_curvature_profile",
     "AcousticSideJet",
     "ElasticSideJet",
     "InterfaceGeometry",
@@ -63,11 +60,9 @@ __all__ = [
     "vertical_wavenumber",
     "derive_lame_jets",
     "SymbolSeries",
-    "AcousticSymbolSeries",
     "forward_symbols",
     "principal_rt",
     "flux_residual",
-    "ElasticSymbolSeries",
     "principal_rt_matrices",
     "sh_reflection",
     "forward_symbols_elastic",

@@ -38,22 +38,24 @@ does not touch) and `_group`, which runs plus sides on it.  A jet's
 coefficient m comes from coefficients <= m by the same operations at any
 length, so a minus side built deeper serves every lower depth with the
 same bits.  A group's plus sides must agree below their top coefficients
-in bits and types (else ValueError); then their orders 0..-(depth-1)
-agree.  Each runs on the first plus side's coefficients below the top,
-so the tape makes each operation they share once.
+in bits and types (else ValueError, `medium.check_group`); then their
+orders 0..-(depth-1) agree.  Each runs on the first plus side's
+coefficients below the top, so the tape makes each operation they share
+once.  The vertical-wavenumber jets and the regime test come from
+`medium.zeta_jet`, which the elastic engine runs too, and the depth
+checks from `medium.check_depth`.
 Each half replays a tape (`reflectjet.tape`) of its body's scalar
 operations.  A class key holds the depth, the depth the minus side was
 built at, flat or curved, the number of plus sides and which share a cs
 jet, and the type of every input scalar; the first call of a class
 records it.  Every comparison the body makes (`jet_inv`'s zero test,
-`jet_log`'s positivity test, the regime test) is a guard of the tape; on
-a miss the body runs and raises its own error.
+`jet_log`'s positivity test, the regime test, which reads |xi'| as
+`Covector.xi_norm`, as `classify_regime` does) is a guard of the tape;
+on a miss the body runs and raises its own error.
 """
 
 from __future__ import annotations
 
-import math
-from array import array
 from collections import namedtuple
 
 from .errors import DepthExceeded
@@ -63,7 +65,6 @@ from .jets import (
     jet_inv,
     jet_mul,
     jet_scale,
-    jet_sqrt,
 )
 from .jets import _jet, _leibniz_terms
 from .medium import (
@@ -72,13 +73,13 @@ from .medium import (
     Covector,
     InterfaceModel,
     SymbolSeries,
-    check_hyperbolic,
+    _exact,
+    check_depth,
+    check_group,
     curvature_jets,
     vertical_wavenumber,
+    zeta_jet,
 )
-
-
-AcousticSymbolSeries = SymbolSeries  # the public name of the acoustic series
 
 
 # Per-branch transport data, as coefficient tuples: g (d(a)/dnu = g*a + s)
@@ -148,22 +149,6 @@ def _branch_state(rho: Jet, cs2: Jet, zeta: Jet, h: Jet | None, depth: int):
     return _BranchState(g.coeffs, inv_rcz.coeffs, mu.coeffs, zeta[0])
 
 
-def _zeta_jet(speed: float, cs2: Jet, tau: float, stretch: Jet,
-              tol: float) -> Jet:
-    """Jet of the (positive) vertical wavenumber along the normal, at the
-    depth of the cs^2 jet; `speed` is the side's cs value.
-
-    `stretch` is the jet of the squared tangential wavenumber along the
-    normal line (constant |xi'|^2 for a flat interface, the shape-
-    operator spreading profile otherwise).
-    """
-    # regime check on the interface value before the jet square root
-    check_hyperbolic(tau, math.sqrt(stretch[0]), speed, tol)
-    radicand = (jet_scale(jet_inv(cs2), tau * tau)
-                - stretch.truncate(cs2.depth))
-    return jet_sqrt(radicand)
-
-
 def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
                 tol: float):
     """The covector and tolerance with the curvature jets, the incident
@@ -173,16 +158,16 @@ def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
     from .tape import _replay  # loaded on first use, not at import
 
     h, stretch = curvature_jets(cov, geometry, depth)
-    args = (cov.tau, tol, h, stretch, minus.rho.truncate(depth),
+    args = (cov.tau, tol, cov.xi_norm, h, stretch, minus.rho.truncate(depth),
             minus.cs.truncate(depth))
     return (cov, tol, h, stretch) + _replay(_minus_body, (depth,), args,
                                             h is None)
 
 
-def _minus_body(depth, tau, tol, h, stretch, rho, cs):
+def _minus_body(depth, tau, tol, xi_norm, h, stretch, rho, cs):
     """The branch states and incident amplitude jets of `_minus_side`."""
     cs2 = jet_mul(cs, cs)
-    z_minus = _zeta_jet(cs[0], cs2, tau, stretch, tol)
+    z_minus = zeta_jet(tau, tol, xi_norm, cs, stretch)
     br_i = _branch_state(rho, cs2, z_minus, h, depth)
     br_r = _branch_state(rho, cs2, jet_scale(z_minus, -1.0), h, depth)
     amp_i = [_fill(1.0 + 0.0j, br_i, None, depth)]
@@ -208,12 +193,7 @@ def forward_series(
     runs groups of plus sides through the same two halves, `_minus_side`
     and `_group`, and reuses each minus side it builds.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    if minus.depth < depth or plus.depth < depth:
-        raise DepthExceeded(
-            f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
-        )
+    check_depth(depth, minus, plus)
     return _group(_minus_side(cov, minus, geometry, depth, tol), depth,
                   [plus])[0]
 
@@ -224,21 +204,12 @@ def _group(minus_side, depth: int, pluses) -> list:
     return _plus_group(depth, pluses)(minus_side)
 
 
-def _exact(coeffs):
-    """`coeffs` as a key that tells apart bits, signs of zero and scalar
-    types, which == does not."""
-    return array("d", coeffs).tobytes(), *map(type, coeffs)
-
-
 def _plus_group(depth: int, pluses):
     """`_group` of `pluses` as a function of the minus side: the checks
     and truncations of the plus sides run once, here."""
     from .tape import _replay
 
-    if len(pluses) > 1 and len({
-            _exact(p.rho.coeffs[:depth] + p.cs.coeffs[:depth])
-            for p in pluses}) > 1:
-        raise ValueError("a group's plus sides differ below the top coefficient")
+    check_group(pluses, depth)
     sides = tuple((p.rho.truncate(depth), p.cs.truncate(depth))
                   for p in pluses)
     first = {}  # cs coefficients -> the first plus side with them
@@ -248,13 +219,14 @@ def _plus_group(depth: int, pluses):
     def group(minus_side):
         cov, tol, h, stretch, br_i, br_r, amp_i = minus_side
         return _replay(_group_body, (depth, share),
-                       (cov.tau, tol, h, stretch, br_i, br_r, amp_i, sides),
+                       (cov.tau, tol, cov.xi_norm, h, stretch, br_i, br_r,
+                        amp_i, sides),
                        (len(amp_i), h is None))
     return group
 
 
-def _group_body(depth, share, tau, tol, h, stretch, br_i, br_r, amp_i,
-                sides):
+def _group_body(depth, share, tau, tol, xi_norm, h, stretch, br_i, br_r,
+                amp_i, sides):
     """`_group`'s series of the plus sides' (rho, cs) jets in `sides`, each
     run on the first one's coefficients below the top and its own top
     coefficients, the cs one taken from plus side share[i]."""
@@ -266,8 +238,8 @@ def _group_body(depth, share, tau, tol, h, stretch, br_i, br_r, amp_i,
         rho = _jet(rho_1.coeffs[:depth] + rho.coeffs[depth:])
         cs = _jet(cs_1.coeffs[:depth] + sides[first][1].coeffs[depth:])
         cs2 = jet_mul(cs, cs)
-        br_t = _branch_state(rho, cs2, _zeta_jet(cs[0], cs2, tau, stretch,
-                                                 tol), h, depth)
+        br_t = _branch_state(rho, cs2, zeta_jet(tau, tol, xi_norm, cs,
+                                                stretch), h, depth)
         mu_p = br_t.mu[0]
         denom = mu_m * br_i.zeta0 + mu_p * br_t.zeta0
         r0 = (mu_m * br_i.zeta0 - mu_p * br_t.zeta0) / denom

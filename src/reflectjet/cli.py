@@ -235,11 +235,14 @@ def _relative_jet_errors(recovered, truth):
 def _roundtrip_one(model, depth, covs, tols, recover_geometry):
     import numpy as np
 
-    from . import elastic, inversion
+    from . import inversion
 
     kind = "elastic" if model.is_elastic else "acoustic"
-    forward = (elastic.forward_symbols_elastic if kind == "elastic"
-               else acoustic.forward_symbols)
+    forward = acoustic.forward_symbols
+    if kind == "elastic":
+        from . import elastic
+
+        forward = elastic.forward_symbols_elastic
     series = [forward(c, model, depth, tols["glancing"]) for c in covs]
     samples = inversion.SymbolSamples.from_acoustic_series(series)
     report = _recover(kind, samples, model.minus, depth,

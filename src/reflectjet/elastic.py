@@ -93,8 +93,8 @@ flat or curved, the number of sides and which of the input coefficients
 are zero (a proxy for the `_nz` tests, which are guards); normal
 incidence for a depth-0 unit; a branch step's channel and its contexts'
 absent jets (`sig`).  A side's convexity check and each speed's regime
-check (`check_hyperbolic`, `classify_regime`'s arithmetic on the
-covector) run in the tapes in the source's order as guards; a side that
+check (`check_hyperbolic` in `medium.zeta_jet`, on `Covector.xi_norm`)
+run in the tapes in the source's order as guards; a side that
 fails one raises in the body, from `derive_lame_jets` or
 `vertical_wavenumber`.  A recording costs some 20 to 45 runs of its
 unit, so a class records on its `_WARM`th call, once its runs have cost
@@ -110,7 +110,10 @@ rejected rather than returned unvalidated.
 Conventions shared with the acoustic engine: positive vertical
 wavenumbers, reflected branch negated, normal jets pointing into the
 transmitted side.  At normal incidence the incidence plane degenerates
-and the SV/SH axes default to (e1, e2).
+and the SV/SH axes default to (e1, e2).  The rules the two engines
+share live in `medium`: the regime-checked vertical-wavenumber jet
+(`zeta_jet`), the group rule (`check_group`) and the depth checks
+(`check_depth`).
 """
 
 from __future__ import annotations
@@ -121,7 +124,6 @@ from collections import namedtuple
 import numpy as np
 
 from . import tape
-from .acoustic import _exact
 from .errors import CascadeIncompatible, DepthExceeded, SingularInterfaceSystem
 from .jets import (
     Jet,
@@ -139,10 +141,12 @@ from .medium import (
     ElasticSideJet,
     InterfaceModel,
     SymbolSeries,
-    check_hyperbolic,
+    check_depth,
+    check_group,
     curvature_jets,
     derive_lame_jets,
     vertical_wavenumber,
+    zeta_jet,
 )
 
 ELASTIC_DEPTH_CAP = 2
@@ -152,9 +156,6 @@ _COND_LIMIT = 1e12
 _WARM = 32  # the call of a class that records its tape (`tape._replay`)
 
 P, SV, SH = 0, 1, 2  # mode-coefficient slots
-
-
-ElasticSymbolSeries = SymbolSeries  # the public name of the elastic series
 
 
 def sh_reflection(cov: Covector, minus: ElasticSideJet, plus: ElasticSideJet,
@@ -560,20 +561,11 @@ def _fill_body(channel, d, ctxs, ws, vals, last):
 _Side = namedtuple("_Side", "rho cs cp")  # a side's jets, for `derive_lame_jets`
 
 
-def _zeta_jet(tau, tol, xi_norm, speed: Jet, stretch: Jet) -> Jet:
-    """The vertical-wavenumber jet of the speed jet `speed` along the
-    normal, its regime checked first by `check_hyperbolic` on the
-    covector (tau, |xi'| = `xi_norm`)."""
-    check_hyperbolic(tau, xi_norm, speed[0], tol)
-    radicand = jet_scale(jet_inv(jet_mul(speed, speed)), tau * tau)
-    return jet_sqrt(radicand - stretch)
-
-
 def _lame_zetas(tau, tol, xi_norm, stretch, side: _Side):
     """The lambda, mu, P zeta and S zeta jets of one side, each check in
     the order the side's jets are made."""
     lam, mu = derive_lame_jets(side)
-    return (lam, mu, *(_zeta_jet(tau, tol, xi_norm, speed, stretch)
+    return (lam, mu, *(zeta_jet(tau, tol, xi_norm, speed, stretch)
                        for speed in (side.cp, side.cs)))
 
 
@@ -778,10 +770,7 @@ def _group(ms: _MinusSide, pluses) -> list:
     if K == 0:  # adding 0.0 turns the solver's -0.0 into +0.0
         sides = [(p.rho[0], p.cs[0], p.cp[0]) for p in pluses]
         return [[(r + 0.0, t + 0.0)] for r, t in _order0(ms, sides)]
-    if len(pluses) > 1 and len({_exact(p.rho.coeffs[:K] + p.cs.coeffs[:K]
-                                       + p.cp.coeffs[:K])
-                                for p in pluses}) > 1:
-        raise ValueError("a group's plus sides differ below the top coefficient")
+    check_group(pluses, K)
     # the transmitted (P, S) contexts of each plus side, and the round-off
     # yardstick of its cascade checks
     tops, ctxs = _side_ctxs(ms.cov, pluses, ms.kt, ms.stretch, ms.h, K,
@@ -864,16 +853,11 @@ def forward_series_elastic(
     `geometry` is an InterfaceGeometry or None (flat): a group of one
     plus side (see the module note).
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
     if depth > ELASTIC_DEPTH_CAP:
         raise DepthExceeded(
             f"elastic forward depth is capped at {ELASTIC_DEPTH_CAP}"
         )
-    if minus.depth < depth or plus.depth < depth:
-        raise DepthExceeded(
-            f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
-        )
+    check_depth(depth, minus, plus)  # a negative depth passes the cap
     return _group(_MinusSide(cov, minus, geometry, depth, tol), [plus])[0]
 
 

@@ -8,7 +8,8 @@ its s-derivatives at s = 0 give the closed form
 
     d^J H / d nu^J = (-1)^J J! sum_i kappa_i^(J+1),
 
-which is what the engines consume.  The profile itself is kept as an
+which is what the engines consume.  The profile itself, in exact
+rational arithmetic (`rational_curvature_profile`), is kept as the
 independent oracle for that formula.
 
 Normalization note: some texts define mean curvature as the *average* of
@@ -47,28 +48,6 @@ def mean_curvature_normal_derivatives(spec: CurvatureSpectrum, order: int) -> fl
     return sign * math.factorial(order) * sum(k ** (order + 1) for k in spec.kappas)
 
 
-def level_set_curvature_profile(spec: CurvatureSpectrum, s: float) -> float:
-    """Mean curvature of the parallel surface at signed normal distance s.
-
-    Independent oracle for `mean_curvature_normal_derivatives`: its J-th
-    s-derivative at s = 0 equals the closed-form value.  Crossing a focal
-    point (1 + s kappa_i = 0) is rejected.
-    """
-    return _curvature_profile(spec, s, float)
-
-
-def _curvature_profile(spec: CurvatureSpectrum, s, number):
-    """sum_i kappa_i / (1 + s kappa_i), with every kappa_i cast to `number`."""
-    total = number(0)
-    for k in spec.kappas:
-        kn = number(k)
-        denom = 1 + s * kn
-        if denom == 0:
-            raise FocalPoint(f"focal point at s={s} for curvature {k}")
-        total += kn / denom
-    return total
-
-
 def mean_curvature_jet(spec: CurvatureSpectrum, depth: int) -> Jet:
     """Jet of H along the normal, coefficients from the closed form."""
     return Jet(mean_curvature_normal_derivatives(spec, j) for j in range(depth + 1))
@@ -100,8 +79,21 @@ def richardson_derivative(func, x, order: int, step=1e-3):
 
 
 def rational_curvature_profile(spec: CurvatureSpectrum, s) -> "Fraction":
-    """level_set_curvature_profile in exact rational arithmetic."""
-    return _curvature_profile(spec, s, Fraction)
+    """Mean curvature sum_i kappa_i / (1 + s kappa_i) of the parallel
+    surface at signed normal distance s, in exact rational arithmetic.
+
+    Independent oracle for `mean_curvature_normal_derivatives`: its J-th
+    s-derivative at s = 0 equals the closed-form value.  Crossing a focal
+    point (1 + s kappa_i = 0) is rejected.
+    """
+    total = Fraction(0)
+    for k in spec.kappas:
+        kn = Fraction(k)
+        denom = 1 + s * kn
+        if denom == 0:
+            raise FocalPoint(f"focal point at s={s} for curvature {k}")
+        total += kn / denom
+    return total
 
 
 def tangential_stretch_jet(spec: CurvatureSpectrum, xi, depth: int) -> Jet:

@@ -94,9 +94,6 @@ class Jet:
     def __getitem__(self, k):
         return self.coeffs[k]
 
-    def __len__(self):
-        return len(self.coeffs)
-
     def __iter__(self):
         return iter(self.coeffs)
 
@@ -111,21 +108,11 @@ class Jet:
 
     # operator sugar for the engines; the primary surface is the
     # module-level functions below
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return jet_mul(self, other)
-        return jet_scale(self, other)
-
-    __rmul__ = __mul__
-
     def __add__(self, other):
         return jet_add(self, other)
 
     def __sub__(self, other):
         return jet_add(self, jet_scale(other, -1.0))
-
-    def __neg__(self):
-        return jet_scale(self, -1.0)
 
     def truncate(self, depth: int) -> "Jet":
         """Drop derivatives above `depth` (extend with zeros if shorter).

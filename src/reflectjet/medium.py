@@ -10,6 +10,10 @@ Conventions fixed here and used consistently everywhere downstream:
 * The model is laterally frozen: material parameters vary only along the
   normal at the evaluation point.  Tangential variation is handled by
   running the engines point by point along the interface.
+
+The rules both engines share live here once: the regime test, reading
+|xi'| as `Covector.xi_norm`, and the jet it guards (`zeta_jet`), the
+depth checks (`check_depth`) and the group rule (`check_group`).
 """
 
 from __future__ import annotations
@@ -17,16 +21,18 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import (
     ConvexityViolation,
+    DepthExceeded,
     EvanescentError,
     GlancingError,
     RegimeError,
 )
 from .geometry import CurvatureSpectrum, mean_curvature_jet, tangential_stretch_jet
-from .jets import Jet, constant_jet, jet_add, jet_mul, jet_scale
+from .jets import Jet, constant_jet, jet_add, jet_inv, jet_mul, jet_scale, jet_sqrt
 
 GLANCING_TOL = 1e-9
 # default bounds of the inversion's solves (reflectjet.inversion)
@@ -219,6 +225,18 @@ def check_hyperbolic(tau, xi_norm, speed, tol: float = GLANCING_TOL) -> None:
         vertical_wavenumber(Covector(tau, (xi_norm, 0.0)), speed, tol)
 
 
+def zeta_jet(tau, tol, xi_norm, speed: Jet, stretch: Jet) -> Jet:
+    """The jet sqrt(tau^2/c^2 - q) of the speed jet `speed` along the
+    normal, at its depth, q the squared tangential wavenumber jet
+    `stretch`, once `check_hyperbolic` passes (tau, |xi'| = `xi_norm`,
+    the covector's `Covector.xi_norm`, as `classify_regime` reads it).
+    The engines' tapes (`reflectjet.tape`) do not log this module's
+    `math`, so it calls only jet functions and operators."""
+    check_hyperbolic(tau, xi_norm, speed[0], tol)
+    radicand = jet_scale(jet_inv(jet_mul(speed, speed)), tau * tau)
+    return jet_sqrt(radicand - stretch.truncate(speed.depth))
+
+
 def vertical_wavenumber(cov: Covector, speed: float, tol: float = GLANCING_TOL) -> float:
     """xi3 = +sqrt(tau^2/c^2 - |xi'|^2) for a hyperbolic covector.
 
@@ -262,6 +280,34 @@ def curvature_jets(cov: Covector, geometry: InterfaceGeometry | None, depth: int
     spec = geometry.spectrum
     h = mean_curvature_jet(spec, depth - 1) if depth > 0 else None
     return h, tangential_stretch_jet(spec, cov.xi, depth)
+
+
+def check_depth(depth: int, minus, plus) -> None:
+    """A forward run's checks of the symbol `depth` against the jets of
+    the sides `minus` and `plus`."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    if minus.depth < depth or plus.depth < depth:
+        raise DepthExceeded(
+            f"symbol depth {depth} exceeds model depth {min(minus.depth, plus.depth)}"
+        )
+
+
+def _exact(coeffs):
+    """`coeffs` as a key that tells apart bits, signs of zero and scalar
+    types, which == does not."""
+    return array("d", coeffs).tobytes(), *map(type, coeffs)
+
+
+def check_group(pluses, depth: int) -> None:
+    """Raise ValueError unless the plus sides `pluses` agree below
+    coefficient `depth` of each jet, in bits, signs of zero and scalar
+    types: then a group runs each on the first one's coefficients below
+    the top (see the engines' module notes)."""
+    if len(pluses) > 1 and len({
+            _exact(sum((j.coeffs[:depth] for j in vars(p).values()), ()))
+            for p in pluses}) > 1:  # vars: the side's jets, in field order
+        raise ValueError("a group's plus sides differ below the top coefficient")
 
 
 def derive_lame_jets(side: ElasticSideJet):

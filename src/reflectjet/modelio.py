@@ -135,36 +135,35 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_acoustic_rows(fh, entries):
-    """entries: (covector, series-or-None, regime-string-or-None)."""
-    fh.write(",".join(ACOUSTIC_HEADER) + "\n")
+def _write_rows(fh, header, entries, cells):
+    """The symbol CSV of `entries`, (covector, series or None, regime or
+    None) each: a row per order and cell of `cells(R, T)`, each cell
+    (row and col fields, R value, T value), or a comment line naming the
+    regime of a skipped covector."""
+    fh.write(",".join(header) + "\n")
     for cov, series, regime in entries:
+        where = [_fmt(cov.tau), _fmt(cov.xi[0]), _fmt(cov.xi[1])]
         if series is None:
-            fh.write(f"# skipped tau={_fmt(cov.tau)} xi1={_fmt(cov.xi[0])} "
-                     f"xi2={_fmt(cov.xi[1])} regime={regime}\n")
+            fh.write("# skipped tau={} xi1={} xi2={} regime={}\n".format(
+                *where, regime))
             continue
-        for j, a_r, a_t in series.orders:
-            fields = [_fmt(cov.tau), _fmt(cov.xi[0]), _fmt(cov.xi[1]), str(j),
-                      _fmt(a_r.real), _fmt(a_r.imag),
-                      _fmt(a_t.real), _fmt(a_t.imag)]
-            fh.write(",".join(fields) + "\n")
+        for j, r, t in series.orders:
+            for cell, a_r, a_t in cells(r, t):
+                fields = [*where, str(j), *cell, _fmt(a_r.real),
+                          _fmt(a_r.imag), _fmt(a_t.real), _fmt(a_t.imag)]
+                fh.write(",".join(fields) + "\n")
+
+
+def write_acoustic_rows(fh, entries):
+    """`_write_rows` of acoustic series: an order is one 1x1 cell."""
+    _write_rows(fh, ACOUSTIC_HEADER, entries, lambda r, t: [((), r, t)])
 
 
 def write_elastic_rows(fh, entries):
-    fh.write(",".join(ELASTIC_HEADER) + "\n")
-    for cov, series, regime in entries:
-        if series is None:
-            fh.write(f"# skipped tau={_fmt(cov.tau)} xi1={_fmt(cov.xi[0])} "
-                     f"xi2={_fmt(cov.xi[1])} regime={regime}\n")
-            continue
-        for j, r, t in series.orders:
-            for row in range(3):
-                for col in range(3):
-                    fields = [_fmt(cov.tau), _fmt(cov.xi[0]), _fmt(cov.xi[1]),
-                              str(j), str(row + 1), str(col + 1),
-                              _fmt(r[row, col].real), _fmt(r[row, col].imag),
-                              _fmt(t[row, col].real), _fmt(t[row, col].imag)]
-                    fh.write(",".join(fields) + "\n")
+    """`_write_rows` of elastic series: an order's 3x3 cells, by rows."""
+    _write_rows(fh, ELASTIC_HEADER, entries, lambda r, t: [
+        ((str(i + 1), str(k + 1)), r[i, k], t[i, k])
+        for i in range(3) for k in range(3)])
 
 
 def _parse_float(field, value, path, line_no):

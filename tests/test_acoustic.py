@@ -20,7 +20,12 @@ from reflectjet.acoustic import (
     forward_symbols,
     principal_rt,
 )
-from reflectjet.errors import DepthExceeded, EvanescentError
+from reflectjet.errors import (
+    DepthExceeded,
+    EvanescentError,
+    GlancingError,
+    RegimeError,
+)
 from reflectjet.jets import Jet
 from reflectjet.medium import (
     GLANCING_TOL,
@@ -29,6 +34,8 @@ from reflectjet.medium import (
     ElasticSideJet,
     InterfaceGeometry,
     InterfaceModel,
+    Regime,
+    classify_regime,
     vertical_wavenumber,
 )
 from reflectjet.sampling import (
@@ -201,6 +208,47 @@ def test_transmission_consistency_every_order(rng):
 def test_depth_exceeded():
     with pytest.raises(DepthExceeded):
         forward_symbols(Covector(1.0, (0.0, 0.0)), CONTRAST, 1)
+
+
+def _ulps(x, n):
+    """`x` moved by `n` ulps."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+def test_regime_is_classify_regimes_at_the_curved_band(rng):
+    # the engine raises a RegimeError exactly where classify_regime calls
+    # either side's speed glancing or evanescent, within 3 ulps of each
+    # edge of each band of curved models; reading |xi'| as sqrt(q(0)),
+    # not Covector.xi_norm, gave this covector an order -2 of 9.7e21
+    model = _model([1.0, 0.2, -0.1], [1.0, 0.1, 0.05], [1.5, 0.1, 0.2],
+                   [0.5, 0.1, -0.1], (0.5, -0.5))
+    cov = Covector(1.0, (0.9999960795025631, 0.0027999963399347695))
+    with pytest.raises(GlancingError):
+        forward_symbols(cov, model, 2)
+    cases = [(model, cov)]
+    for _ in range(60):
+        model = random_acoustic_model(rng, 2, curved=True)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        for side in (model.minus, model.plus):
+            for edge in (1.0 - GLANCING_TOL, 1.0 + GLANCING_TOL):
+                for n in range(-3, 4):
+                    b = _ulps(math.sqrt(edge) / side.cs[0], n)
+                    cases.append((model, Covector(1.0, (b * math.cos(angle),
+                                                        b * math.sin(angle)))))
+    flagged = 0
+    for model, cov in cases:
+        want = any(classify_regime(cov, side.cs[0]) is not Regime.HYPERBOLIC
+                   for side in (model.minus, model.plus))
+        try:
+            forward_series(cov, model.minus, model.plus, model.geometry, 2)
+            got = False
+        except RegimeError:
+            got = True
+        assert got == want, cov
+        flagged += want
+    assert 0 < flagged < len(cases)
 
 
 def _with_top(side, depth, rho_top, cs_top):

@@ -262,6 +262,22 @@ def test_forward_writes_skipped_rows(tmp_path, doc, grid, skipped):
     assert len(samples.samples) == 1
 
 
+def test_forward_skips_a_covector_glancing_on_a_curved_interface(tmp_path):
+    # classify_regime calls this covector glancing for the minus side; the
+    # engine read |xi'| otherwise and wrote an order -2 of 1.2e22
+    doc = {"minus": {"rho_jet": [1.0, 0.2, -0.1], "cs_jet": [1.0, 0.1, 0.05]},
+           "plus": {"rho_jet": [1.5, 0.1, 0.2], "cs_jet": [0.5, 0.1, -0.1]},
+           "geometry": {"kappa1": 0.5, "kappa2": -0.5}}
+    out = tmp_path / "sym.csv"
+    assert main(["forward", "--model", _write_model(tmp_path, doc),
+                 "--out", str(out), "--grid", "0.9999999995",
+                 "--direction", "5,12", "--depth", "2"]) == 0
+    assert out.read_text().splitlines() == [
+        "tau,xi1,xi2,order,re_aR,im_aR,re_aT,im_aT",
+        "# skipped tau=1.0 xi1=0.3846153844230769 xi2=0.9230769226153847 "
+        "regime=glancing"]
+
+
 def test_forward_determinism_and_jobs(tmp_path):
     model = _write_model(tmp_path, ACOUSTIC_MODEL)
     outs = []
@@ -664,6 +680,8 @@ def test_bad_log_level_exit2(tmp_path, monkeypatch, capsys):
     ["curvature-check", "--spectra", "1,1", "--step", "1e-300"],
     ["roundtrip", "--seed", "-1"],
     ["forward", "--grid", "1e300", "--tau", "1e300"],
+    ["forward", "--depth", "1.5"],
+    ["roundtrip", "--count", "x"],
 ])
 def test_bad_numeric_options_exit2(tmp_path, capsys, argv):
     # each is rejected with one message line, not a traceback and not a

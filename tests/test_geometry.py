@@ -7,7 +7,6 @@ import pytest
 from reflectjet.errors import FocalPoint
 from reflectjet.geometry import (
     CurvatureSpectrum,
-    level_set_curvature_profile,
     mean_curvature_jet,
     mean_curvature_normal_derivatives,
     rational_curvature_profile,
@@ -43,20 +42,7 @@ def test_sign_alternation_sphere():
     assert all(v > 0 if j % 2 == 0 else v < 0 for j, v in enumerate(values))
 
 
-def test_profile_examples():
-    assert level_set_curvature_profile(CurvatureSpectrum((0.0, 0.0)), 0.7) == 0.0
-    r = 1.5
-    spec = CurvatureSpectrum((1.0 / r, 1.0 / r))
-    s = 0.3
-    assert level_set_curvature_profile(spec, s) == pytest.approx(2.0 / (r + s))
-    # cylinder-like spectrum at s = 0 is just 1/r
-    assert level_set_curvature_profile(
-        CurvatureSpectrum((1.0 / r, 0.0)), 0.0) == pytest.approx(1.0 / r)
-
-
 def test_focal_point():
-    with pytest.raises(FocalPoint):
-        level_set_curvature_profile(CurvatureSpectrum((2.0, -2.0)), 0.5)
     with pytest.raises(FocalPoint):
         rational_curvature_profile(CurvatureSpectrum((2.0, -2.0)),
                                    Fraction(1, 2))

@@ -146,6 +146,12 @@ def test_condition_limit_raises_ill_conditioned(rng):
                               geometry=InterfaceGeometry(), cond_limit=1.0)
     assert info.value.order == -1
     assert info.value.condition > 1.0
+    # a design column that is identically zero, whatever the limit
+    with pytest.raises(IllConditioned) as info:
+        inversion._lstsq_real([np.ones(2, complex), np.zeros(2, complex)],
+                              np.ones(2, complex), np.zeros(2, complex), -1,
+                              1e8, 1e-8)
+    assert info.value.condition == math.inf
 
 
 def test_curved_round_trip_recovers_kappas(rng):
@@ -462,6 +468,28 @@ def test_relative_transparent_is_ambiguous():
         acoustic_recover_relative(samples, side, Covector(1.0, (0.05, 0.0)))
 
 
+def _seed0_ratios(scale=1.0, fractions=(0.3, 0.6)):
+    """The ratio samples, minus side and reference of a seeded flat model
+    at `fractions` of its critical slowness, the ratios times `scale`."""
+    model = random_acoustic_model(np.random.default_rng(0), 0)
+    b_crit = model.critical_slowness()
+    samples = _relative_samples(model, 0.05 * b_crit,
+                                [f * b_crit for f in fractions])
+    return ([SymbolSample(s.covector, 0, s.value * scale) for s in samples],
+            model.minus, Covector(1.0, (0.05 * b_crit, 0.0)))
+
+
+def test_relative_loose_tolerance_is_ambiguous():
+    # at residual_tol 0.1 a second scan root explains the ratios too, and
+    # the error carries both parameter sets, the true one among them
+    samples, minus, reference = _seed0_ratios()
+    truth = acoustic_recover_relative(samples, minus, reference)
+    with pytest.raises(AmbiguousRoot) as info:
+        acoustic_recover_relative(samples, minus, reference,
+                                  residual_tol=0.1)
+    assert len(info.value.roots) == 2 and truth in info.value.roots
+
+
 def test_relative_noise_sensitivity(rng):
     samples = _relative_samples(CONTRAST, 0.05, [0.15, 0.25, 0.35, 0.42],
                                 noise=1e-8, rng=rng)
@@ -652,6 +680,19 @@ def test_elastic_roundtrip_loads_no_scipy(tmp_path):
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_acoustic_roundtrip_loads_no_elastic_engine(tmp_path):
+    code = ("import sys\n"
+            "from reflectjet.cli import main\n"
+            "code = main(['roundtrip', '--kind', 'acoustic', '--depth', '1',\n"
+            "             '--count', '1', '--out', sys.argv[1]])\n"
+            "print(code, 'reflectjet.elastic' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(tmp_path / "rt.json")],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def _scan_pluses(monkeypatch, samples, minus):
@@ -920,6 +961,13 @@ _A_MODEL1 = random_acoustic_model(np.random.default_rng(7), 1)
                                    _A_MODEL1.minus, 1,
                                    geometry=_A_MODEL1.geometry),
      "DegenerateAngles: order -1 needs >= 2 distinct |b| samples"),
+    (lambda: acoustic_recover_relative(*_seed0_ratios(fractions=(0.3,))),
+     "DegenerateAngles: relative-amplitude recovery needs >= 2 "
+     "non-reference samples"),
+    (lambda: acoustic_recover_relative(*_seed0_ratios(1.05)),
+     "NoRoot: no consistent plus-side speed in the bracket"),
+    (lambda: SymbolSamples.from_acoustic_series([]).at_order(-1),
+     "MissingOrder: no samples at symbol order -1"),
     (lambda: elastic_recover_order0(_sh_only([0.9, 0.95], _E_MINUS, 1.0),
                                     _E_MINUS),
      "NoRoot: no admissible plus-side compressional speed: the sample grid "

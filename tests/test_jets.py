@@ -66,6 +66,8 @@ def test_inv_examples():
 def test_errors():
     with pytest.raises(DepthMismatch):
         jet_mul(Jet([1.0, 0.0]), Jet([1.0]))
+    with pytest.raises(DepthMismatch):
+        jet_add(Jet([1.0, 0.0]), Jet([1.0]))
     with pytest.raises(NonPositiveBase):
         jet_log(Jet([0.0, 1.0]))
     with pytest.raises(NonPositiveBase):

@@ -12,7 +12,7 @@ import pytest
 from conftest import outcome
 import reflectjet
 from reflectjet.errors import ConvexityViolation, EvanescentError, GlancingError
-from reflectjet.jets import Jet, jet_inv, jet_mul, jet_sqrt
+from reflectjet.jets import Jet, jet_inv, jet_mul, jet_scale, jet_sqrt
 from reflectjet.medium import (
     AcousticSideJet,
     Covector,
@@ -115,7 +115,7 @@ def test_derive_lame_round_trip(rng):
         side = ElasticSideJet(rho, cs, cp)
         lam, mu = derive_lame_jets(side)
         cs_back = jet_sqrt(jet_mul(mu, jet_inv(rho)))
-        cp_back = jet_sqrt(jet_mul(lam + 2.0 * mu, jet_inv(rho)))
+        cp_back = jet_sqrt(jet_mul(lam + jet_scale(mu, 2.0), jet_inv(rho)))
         for got, want in ((cs_back, cs), (cp_back, cp)):
             assert all(abs(x - y) <= 1e-12 * max(abs(y), 1.0)
                        for x, y in zip(got.coeffs, want.coeffs))

@@ -57,7 +57,13 @@ bit for bit as they were:
 * the `repr` of `acoustic_recover_relative` results on ratio sets of
   seeded flat models, the other caller of the root scan, with the
   plus-side parameter sets of an `AmbiguousRoot` that the scan found, a
-  `NoRoot` from ratios off by 5 %, and the transparent interface.
+  `NoRoot` from ratios off by 5 %, and the transparent interface;
+* at covectors within 8 ulps of each edge of each speed's glancing band,
+  at glancing tolerances 1e-9 and 0, along four directions, on curved
+  acoustic models and elastic models with the same S speeds, the
+  covectors of a curved model that once disagreed with `classify_regime`
+  among them: `classify_regime`'s verdict for each speed and the `repr`
+  of each engine's order -2.
 
 An exception is printed as its type and message, so it is compared too.
 A dump takes about 40 s on one core.
@@ -69,6 +75,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -90,6 +97,9 @@ from reflectjet.medium import (
     AcousticSideJet,
     Covector,
     ElasticSideJet,
+    InterfaceGeometry,
+    InterfaceModel,
+    classify_regime,
 )
 from reflectjet.modelio import model_from_dict, model_to_dict
 from reflectjet.sampling import random_acoustic_model, random_elastic_model
@@ -648,6 +658,67 @@ def dump_bad_input(out):
                 f"wrote={rec.exists()}")
 
 
+def _order_minus2(forward, cov, model, tol):
+    series = _attempt(forward, cov, model.minus, model.plus, model.geometry,
+                      2, tol)
+    return series if isinstance(series, str) else repr(series[2])
+
+
+def _elastic_twin(model):
+    """An elastic model with the acoustic `model`'s rho and cs jets, cp
+    twice cs."""
+    return InterfaceModel(*(ElasticSideJet(s.rho, s.cs, Jet(
+        [2.0 * c for c in s.cs.coeffs])) for s in (model.minus, model.plus)),
+        model.geometry)
+
+
+def _band_covectors(speed, tol, directions):
+    """The covectors within 8 ulps of each edge of `speed`'s glancing band
+    at `tol`, along each of `directions`."""
+    covs = []
+    for dx, dy in directions:
+        for edge in sorted({1.0 - tol, 1.0 + tol}):
+            b = math.sqrt(edge) / speed
+            for _ in range(8):
+                b = math.nextafter(b, 0.0)
+            for _ in range(17):
+                covs.append(Covector(1.0, (b * dx, b * dy)))
+                b = math.nextafter(b, math.inf)
+    return covs
+
+
+def dump_regime_boundary(out):
+    # a model and two covectors that the acoustic engine called
+    # hyperbolic, reading |xi'| as sqrt(q(0)), not Covector.xi_norm
+    side = AcousticSideJet
+    fixed = InterfaceModel(side(Jet([1.0, 0.2, -0.1]), Jet([1.0, 0.1, 0.05])),
+                           side(Jet([1.5, 0.1, 0.2]), Jet([0.5, 0.1, -0.1])),
+                           InterfaceGeometry(0.5, -0.5))
+    repro = [Covector(1.0, (0.9999960795025631, 0.0027999963399347695)),
+             Covector(1.0, (0.3846153844230769, 0.9230769226153847))]
+    models = [fixed] + [random_acoustic_model(np.random.default_rng(seed), 2,
+                                              curved=True) for seed in SEEDS]
+    directions = [(x / math.hypot(x, y), y / math.hypot(x, y))
+                  for x, y in ((1.0, 0.0), (5.0, 12.0), (0.6, 0.8),
+                               (-3.0, 1.0))]
+    for index, acoustic_model in enumerate(models):
+        for kind, model, forward in (
+                ("acoustic", acoustic_model, acoustic.forward_series),
+                ("elastic", _elastic_twin(acoustic_model),
+                 elastic.forward_series_elastic)):
+            speeds = model.speeds()
+            for tol in (GLANCING_TOL, 0.0):
+                covs = repro if index == 0 else []
+                for speed in speeds:
+                    covs = covs + _band_covectors(speed, tol, directions)
+                for cov in covs:
+                    regimes = ",".join(classify_regime(cov, s, tol).value
+                                       for s in speeds)
+                    out(f"regime boundary {kind} model={index} tol={tol} "
+                        f"{cov!r} [{regimes}]: "
+                        f"{_order_minus2(forward, cov, model, tol)}")
+
+
 def main():
     # every float of an array in full: the shortest repr that round-trips
     np.set_printoptions(floatmode="unique")
@@ -655,7 +726,7 @@ def main():
                  dump_recovery, dump_order0, dump_principal,
                  dump_order0_stacks, dump_cli, dump_bad_input,
                  dump_bad_options, dump_interface_ladder, dump_order_runs,
-                 dump_relative):
+                 dump_relative, dump_regime_boundary):
         dump(print)
 
 
