@@ -151,17 +151,16 @@ def _branch_state(rho: Jet, cs2: Jet, zeta: Jet, h: Jet | None, depth: int):
 
 def _minus_side(cov: Covector, minus: AcousticSideJet, geometry, depth: int,
                 tol: float):
-    """The covector and tolerance with the curvature jets, the incident
-    and reflected branch states and the incident amplitude jets of every
-    order: all that does not depend on the plus side.  `_group` runs plus
-    sides on it at this depth or any lower one."""
+    """The covector's tau and |xi'|, the tolerance, the curvature jets,
+    the incident and reflected branch states and the incident amplitude
+    jets of every order: all that does not depend on the plus side.
+    `_group` runs plus sides on it at this depth or any lower one."""
     from .tape import _replay  # loaded on first use, not at import
 
     h, stretch = curvature_jets(cov, geometry, depth)
-    args = (cov.tau, tol, cov.xi_norm, h, stretch, minus.rho.truncate(depth),
-            minus.cs.truncate(depth))
-    return (cov, tol, h, stretch) + _replay(_minus_body, (depth,), args,
-                                            h is None)
+    head = (cov.tau, tol, cov.xi_norm, h, stretch)
+    return head + _replay(_minus_body, (depth,), head + (
+        minus.rho.truncate(depth), minus.cs.truncate(depth)), h is None)
 
 
 def _minus_body(depth, tau, tol, xi_norm, h, stretch, rho, cs):
@@ -217,10 +216,8 @@ def _plus_group(depth: int, pluses):
                   for i, (_, cs) in enumerate(sides))
 
     def group(minus_side):
-        cov, tol, h, stretch, br_i, br_r, amp_i = minus_side
-        return _replay(_group_body, (depth, share),
-                       (cov.tau, tol, cov.xi_norm, h, stretch, br_i, br_r,
-                        amp_i, sides),
+        h, amp_i = minus_side[3], minus_side[-1]
+        return _replay(_group_body, (depth, share), minus_side + (sides,),
                        (len(amp_i), h is None))
     return group
 
