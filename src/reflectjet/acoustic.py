@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DepthExceeded
 from .jets import (
     Jet,
     jet_derivative,
@@ -261,8 +260,6 @@ def forward_symbols(cov: Covector, model: InterfaceModel, depth: int,
     """Full symbol series (aR)_J, (aT)_J, J = 0..-depth, at one covector."""
     if model.is_elastic:
         raise TypeError("acoustic engine requires an acoustic model")
-    if depth > model.depth:
-        raise DepthExceeded(f"depth {depth} exceeds model depth {model.depth}")
     values = forward_series(cov, model.minus, model.plus, model.geometry,
                             depth, tol)
     orders = tuple((-k, aR, aT) for k, (aR, aT) in enumerate(values))

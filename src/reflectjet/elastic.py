@@ -38,16 +38,18 @@ that does not reach the top: at depth >= 1 a group's runs share the
 interface (the 6x6 matrix, its check and solve, the inverse columns) and
 the incident and reflected cascades, and their transmitted contexts are
 made on the first plus side's coefficients below the top.  A group runs
-its orders step-major: each order runs the particular steps of every
-column (P, SV, SH) of every run, then their numpy work as stacked calls,
-one 6x6 solve of all their right-hand sides.  numpy gives each column of
-a multi-column solve, each item of a batched matmul and each row of an
-elementwise product the bits it has alone (a 2-D matmul would not), so
-every output keeps the bits of a separate run.  Every compatibility
-check of every branch still runs in every run, because its bound depends
-on the plus side through the run's amplitude and operator scales, and a
-group raises the error that running its columns one by one, run by run,
-raises first.
+its orders step-major: each order reads the particular steps of every
+column (P, SV, SH) of every run, then runs their numpy work as stacked
+calls, one 6x6 solve of all their right-hand sides; one branch step then
+fills each branch's amplitudes of the order and makes its particular
+step of the next, each branch's operations in the order of a separate
+run.  numpy gives each column of a multi-column solve, each item of a
+batched matmul and each row of an elementwise product the bits it has
+alone (a 2-D matmul would not), so every output keeps the bits of a
+separate run.  Every compatibility check of every branch still runs in
+every run, because its bound depends on the plus side through the run's
+amplitude and operator scales, and a group raises the error that running
+its columns one by one, run by run, raises first.
 
 The 6x6 condition check reads the inverse that one solve of
 [rhs | I] gives: ||A||_F ||A^-1||_F bounds cond_2(A), and where the
@@ -80,27 +82,29 @@ and in `principal_rt_matrices`, but not in the raw `_order0` stack,
 which keeps the solver's zeros, -0.0 among them; adding 0.0 makes them
 +0.0.
 
-The jet work replays tapes (`reflectjet.tape`) of four units:
+The jet work replays tapes (`reflectjet.tape`) of three units:
 `_sides_body` (the Lame and zeta jets, mode contexts and interface
 columns of a minus side's incident and reflected branches, or of a
 group's transmitted branches, each plus side on the first one's
 coefficients below the top, so that value numbering makes each shared
 operation once), `_columns_body` (a side's interface columns from its
-interface values, for order 0), `_particular_body` (a branch's `_l1`,
-`_l0`, `_pinv`, `_rhs_scale`) and `_fill_body` (its `_kernel_fill`).  A
-class key holds what the control flow reads: the depth; the branches,
-flat or curved, the number of sides and which of the input coefficients
-are zero (a proxy for the `_nz` tests, which are guards); normal
-incidence for a depth-0 unit; a branch step's channel and its contexts'
-absent jets (`sig`).  A side's convexity check and each speed's regime
-check (`check_hyperbolic` in `medium.zeta_jet`, on `Covector.xi_norm`)
-run in the tapes in the source's order as guards; a side that
-fails one raises in the body, from `derive_lame_jets` or
-`vertical_wavenumber`.  A recording costs some 20 to 45 runs of its
-unit, so a class records on its `_WARM`th call, once its runs have cost
-about as much.  The branch tractions and the numpy 6x6 systems with
-their checks and solves stay outside, and so do the compatibility
-checks, whose bound reads `_COMPAT_RTOL` at each call.
+interface values, for order 0) and `_step_body` (a branch step:
+`_fill_body`, its `_kernel_fill` at depth d, then `_particular_body`,
+its `_l1`, `_l0`, `_pinv` and `_rhs_scale` at depth d - 1, so one replay
+advances a branch by one order).  A class key holds what the control
+flow reads: the depth; the branches, flat or curved, the number of sides
+and which of the input coefficients are zero (a proxy for the `_nz`
+tests, which are guards); normal incidence for a depth-0 unit; a branch
+step's channel and its contexts' absent jets (`sig`).  A side's
+convexity check and each speed's regime check (`check_hyperbolic` in
+`medium.zeta_jet`, on `Covector.xi_norm`) run in the tapes in the
+source's order as guards; a side that fails one raises in the body, from
+`derive_lame_jets`, `vertical_wavenumber` or `zeta_jet`.  A recording
+costs some 20 to 45 runs of its unit, so a class records on its
+`_WARM`th call, once its runs have cost about as much.  The branch
+tractions and the numpy 6x6 systems with their checks and solves stay
+outside, and so do the compatibility checks, whose bound reads
+`_COMPAT_RTOL` at each call.
 
 The forward depth is capped at two orders below principal
 (ELASTIC_DEPTH_CAP): the machinery iterates further, but only orders
@@ -517,17 +521,33 @@ def _ctx_columns(ctx_p: _ModeCtx, ctx_s: _ModeCtx):
 # the P amplitudes are absent altogether.
 
 
-def _branch_particular(ctxs, amps, channel, d: int):
-    """Order-J particular solutions of one branch from the amplitudes
-    `amps` of its orders 0..J+1, with the scales of the order J+1
-    amplitudes and the pending compatibility checks, all in (P, S)
-    order."""
-    last = tuple((amp[-1], amp[-2] if len(amp) > 1 else None) for amp in amps)
-    shape = len(amps[0]), channel, ctxs[0].sig, ctxs[1].sig  # see `sig`
-    return tape._replay(_particular_body, (d,), (ctxs, last), shape, _WARM)
+def _branch_step(b, vals, d: int):
+    """Append each mode's order-J amplitude jets (depth d >= 1) of the
+    branch `b` to its amplitudes, from its last particular step and the
+    kernel values `vals` in (P, SV, SH) slots, and make its order J-1
+    particular step, from one tape of `_step_body`.  Only the slots of
+    the branch's channel are filled, the others being zero."""
+    amps = b.amps
+    last = tuple(amp[-1] if amp else None for amp in amps)
+    filled, b.step = tape._replay(
+        _step_body, (b.channel, d), (b.ctxs, b.step[0], tuple(vals), last),
+        (len(amps[0]), b.ctxs[0].sig, b.ctxs[1].sig), _WARM)  # see `sig`
+    for amp, a in zip(amps, filled):
+        amp.append(a)
+
+
+def _step_body(channel, d, ctxs, ws, vals, last):
+    """`_fill_body` at depth d, then `_particular_body` at depth d - 1 on
+    the amplitudes it fills and the ones before them, `last`."""
+    filled = _fill_body(channel, d, ctxs, ws, vals, last)
+    return filled, _particular_body(d - 1, ctxs, tuple(zip(filled, last)))
 
 
 def _particular_body(d, ctxs, last):
+    """Order-J particular solutions of one branch from the (order J+1,
+    order J+2 or None) amplitudes `last` of each mode, with the scales
+    of the order J+1 amplitudes and the pending compatibility checks, all
+    in (P, S) order."""
     ws, scales, checks = [], [], []
     for ctx, (amp1, amp2) in zip(ctxs, last):
         rhs = tuple(_scale(c, -1.0) for c in _l1(ctx, amp1, d))
@@ -540,18 +560,9 @@ def _particular_body(d, ctxs, last):
     return ws, scales, checks
 
 
-def _branch_fill(ctxs, ws, vals, channel, amps, d: int):
-    """Append each mode's order-J amplitude jets to `amps`, from `ws` and
-    the kernel values `vals` in (P, SV, SH) slots; only the slots of
-    `channel` are filled, the others being zero."""
-    last = tuple(amp[-1] if amp else None for amp in amps)
-    for amp, a in zip(amps, tape._replay(
-            _fill_body, (channel, d), (ctxs, ws, tuple(vals), last),
-            (len(amps[0]), ctxs[0].sig, ctxs[1].sig), _WARM)):
-        amp.append(a)
-
-
 def _fill_body(channel, d, ctxs, ws, vals, last):
+    """Each mode's order-J amplitude jets from its particular solution in
+    `ws`, the kernel values `vals` and its order J+1 amplitudes `last`."""
     return [_kernel_fill(ctx, w, [(vals[slot], ctx.kernels[slot])
                                   for slot in channel
                                   if ctx.kernels[slot] is not None], a, d)
@@ -708,13 +719,13 @@ def _interface(ms: _MinusSide, tops):
                                                    (len(tops), 6, 3)))
 
 
-def _order0(ms: _MinusSide, sides) -> list:
-    """Order-0 (R0, T0) of each plus side of `sides`, a (rho, cs, cp)
-    triple of interface values each, on a depth-0 minus side, the
-    solver's zeros keeping their signs."""
-    _, sol = _interface(ms, [_order0_columns(ms, ("T",), *side)[0]
-                             for side in sides])
-    return [(x[:3], x[3:]) for x in sol]
+def _order0(ms: _MinusSide, sides) -> np.ndarray:
+    """The order-0 solutions of the plus sides `sides`, a (rho, cs, cp)
+    triple of interface values each, on a depth-0 minus side, as one
+    (len(sides), 6, 3) stack: R0 is a solution's rows :3, T0 its rows 3:,
+    the solver's zeros keeping their signs."""
+    return _interface(ms, [_order0_columns(ms, ("T",), *side)[0]
+                           for side in sides])[1]
 
 
 class _Branch:
@@ -769,7 +780,7 @@ def _group(ms: _MinusSide, pluses) -> list:
     K = ms.depth
     if K == 0:  # adding 0.0 turns the solver's -0.0 into +0.0
         sides = [(p.rho[0], p.cs[0], p.cp[0]) for p in pluses]
-        return [[(r + 0.0, t + 0.0)] for r, t in _order0(ms, sides)]
+        return [[(x[:3] + 0.0, x[3:] + 0.0)] for x in _order0(ms, sides)]
     check_group(pluses, K)
     # the transmitted (P, S) contexts of each plus side, and the round-off
     # yardstick of its cascade checks
@@ -792,8 +803,6 @@ def _group(ms: _MinusSide, pluses) -> list:
     for step in range(K + 1):
         d = K - step
         if step:
-            for b in inc + ref + tra:
-                b.step = _branch_particular(b.ctxs, b.amps, b.channel, d)
             for c, b in enumerate(tra):
                 parts = inc[c % 3].step, ref[c % 3].step, b.step
                 amp_scale = max(0.0, *(s for p in parts for s in p[1]))
@@ -831,7 +840,7 @@ def _group(ms: _MinusSide, pluses) -> list:
                        x[:, 3:] + np.matmul(s_inv[1], val_t)[:, :, 0]))
         if step < K:
             for b, v in zip(inc + ref + tra, [*alpha, *x[:nq, :3], *x[:, 3:]]):
-                _branch_fill(b.ctxs, b.step[0], v, b.channel, b.amps, d)
+                _branch_step(b, v, d)
     if error is not None:
         raise error
     # column (run, q) of each order's stacks is the run's [:, q]
@@ -853,11 +862,11 @@ def forward_series_elastic(
     `geometry` is an InterfaceGeometry or None (flat): a group of one
     plus side (see the module note).
     """
+    check_depth(depth, minus, plus)  # the model's depth first, then the cap
     if depth > ELASTIC_DEPTH_CAP:
         raise DepthExceeded(
             f"elastic forward depth is capped at {ELASTIC_DEPTH_CAP}"
         )
-    check_depth(depth, minus, plus)  # a negative depth passes the cap
     return _group(_MinusSide(cov, minus, geometry, depth, tol), [plus])[0]
 
 
@@ -866,8 +875,6 @@ def forward_symbols_elastic(cov: Covector, model: InterfaceModel, depth: int,
     """Matrix symbol series R_J, T_J, J = 0..-depth, at one covector."""
     if not model.is_elastic:
         raise TypeError("elastic engine requires an elastic model")
-    if depth > model.depth:
-        raise DepthExceeded(f"depth {depth} exceeds model depth {model.depth}")
     values = forward_series_elastic(cov, model.minus, model.plus,
                                     model.geometry, depth, tol)
     orders = tuple((-k, r, t) for k, (r, t) in enumerate(values))

@@ -667,18 +667,18 @@ def elastic_recover_order0(samples, minus: ElasticSideJet,
                                       glancing_tol) for s in group]
 
     def forward_r(cps, ms):
+        """The (len(cps), 3, 3) stack of the R0 of each cp on `ms`."""
         sides = [(rho_plus, cs_plus, cp) for cp in cps]
         for side in sides:
             check_elastic_side(*side, side)
-        return [r for r, _ in elastic._order0(ms, sides)]
+        return elastic._order0(ms, sides)[:, :3]
 
     # smallest |b|: P-P entry is monotone in impedance there
     probe = minus_sides[0]
     meas = np.asarray(group[0].value, dtype=complex)
 
     def gaps(cps):
-        return [float((r[0, 0] - meas[0, 0]).real)
-                for r in forward_r(cps, probe)]
+        return (forward_r(cps, probe)[:, 0, 0] - meas[0, 0]).real.tolist()
 
     roots = _scan_roots(lambda cp: gaps([cp])[0], cp_lo, cp_hi, scan=gaps)
     if not roots:

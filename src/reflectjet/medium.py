@@ -29,6 +29,7 @@ from .errors import (
     DepthExceeded,
     EvanescentError,
     GlancingError,
+    NonPositiveBase,
     RegimeError,
 )
 from .geometry import CurvatureSpectrum, mean_curvature_jet, tangential_stretch_jet
@@ -231,10 +232,18 @@ def zeta_jet(tau, tol, xi_norm, speed: Jet, stretch: Jet) -> Jet:
     `stretch`, once `check_hyperbolic` passes (tau, |xi'| = `xi_norm`,
     the covector's `Covector.xi_norm`, as `classify_regime` reads it).
     The engines' tapes (`reflectjet.tape`) do not log this module's
-    `math`, so it calls only jet functions and operators."""
+    `math`, so it calls only jet functions and operators.  The radicand's
+    value is rounded another way than the test's, so at `tol` = 0 it can
+    be <= 0 where the test passes: the covector is then glancing to
+    working precision, and GlancingError is raised."""
     check_hyperbolic(tau, xi_norm, speed[0], tol)
     radicand = jet_scale(jet_inv(jet_mul(speed, speed)), tau * tau)
-    return jet_sqrt(radicand - stretch.truncate(speed.depth))
+    try:
+        return jet_sqrt(radicand - stretch.truncate(speed.depth))
+    except NonPositiveBase:  # jet_sqrt's test: the value is not > 0
+        raise GlancingError(
+            f"covector glancing to working precision for speed {speed[0]:.6g}"
+        ) from None
 
 
 def vertical_wavenumber(cov: Covector, speed: float, tol: float = GLANCING_TOL) -> float:

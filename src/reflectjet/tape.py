@@ -18,7 +18,10 @@ those.  A comparison is logged as a guard; when a replayed guard
 disagrees, the function runs on the real values.  Reading a `_Var` as a
 plain value (`float()`, `bool()`, `hash()`, an index, formatting) raises
 `_Escape`.  While a function records, only the loaded `_MODULES` see the
-logging stand-ins for `math`, `cmath`, `complex` and `max`.
+logging stand-ins for `math`, `cmath`, `complex` and `max`.  A recording
+is freed when it ends: its values and its map of them (value numbering)
+refer to each other only until the function has run, so reference
+counting frees them without waiting for a garbage collection.
 """
 
 from __future__ import annotations
@@ -290,6 +293,9 @@ def _record(body, static, args, packer):
                 for k in _STAND_INS:
                     del space[k]
                 space.update(old)
+    # the recorded values refer to the recording through `seen`: with the
+    # map gone, the recording goes when its last value does
+    rec.seen.clear()
     if out is _miss:  # the body raises its own error, or runs the class
         body(*static, *args)
         return packer or _packer([]), _miss

@@ -1,11 +1,13 @@
 """Acoustic symbol engine: worked coefficients, an independently derived
 order -1 closed form, flux conservation, homogeneity, curvature terms."""
 
+import gc
 import itertools
 import math
 import operator
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -523,6 +525,30 @@ def test_recording_logs_a_repeated_operation_once():
     assert len(rec.lines) == 5
 
 
+def test_recording_is_freed_when_it_ends(monkeypatch):
+    # once the body has run, a recording's values and its map of them no
+    # longer hold each other, so reference counting frees the recording
+    # as `_replay` returns, with the garbage collector off
+    recordings = []
+
+    class Watched(tape._Recording):
+        def __init__(self):
+            super().__init__()
+            recordings.append(weakref.ref(self))
+
+    monkeypatch.setattr(tape, "_TAPES", {})
+    monkeypatch.setattr(tape, "_Recording", Watched)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert (repr(tape._replay(_repeating, (), (1.5, 2.5), ()))
+                == repr(_repeating(1.5, 2.5)))
+        assert len(recordings) == 1 and recordings[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _repeating(a, b):
     """A body that repeats operations and a comparison."""
     ratio = a / b if a < b else b / a
@@ -641,8 +667,11 @@ def _deep(side):
      "TypeError: acoustic engine requires an acoustic model"),
     (lambda: flux_residual(_COV, _ELASTIC_MODEL),
      "TypeError: acoustic engine requires an acoustic model"),
+    (lambda: forward_symbols(_COV, CONTRAST, 1),
+     "DepthExceeded: symbol depth 1 exceeds model depth 0"),
 ])
 def test_engine_rejects_bad_depth_and_kind(call, error):
-    # a negative depth, a side shallower than the depth asked for, and an
-    # elastic model, each named before any engine work
+    # a negative depth, a side shallower than the depth asked for (one
+    # message, in the series and the symbols), and an elastic model, each
+    # named before any engine work
     assert outcome(call) == error

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from reflectjet.modelio import (
     read_symbol_csv,
 )
 from reflectjet.errors import ParseError
+from reflectjet.sampling import random_acoustic_model
 
 ACOUSTIC_MODEL = {
     "minus": {"rho_jet": [1.0, 0.3], "cs_jet": [1.0, -0.2]},
@@ -275,6 +277,22 @@ def test_forward_skips_a_covector_glancing_on_a_curved_interface(tmp_path):
     assert out.read_text().splitlines() == [
         "tau,xi1,xi2,order,re_aR,im_aR,re_aT,im_aT",
         "# skipped tau=1.0 xi1=0.3846153844230769 xi2=0.9230769226153847 "
+        "regime=glancing"]
+
+
+def test_forward_skips_a_covector_glancing_to_working_precision(tmp_path):
+    # at glancing tolerance 0 the regime test passes this covector, but
+    # the zeta radicand, rounded another way, is not positive: it exited
+    # 3 with NonPositiveBase
+    model = random_acoustic_model(np.random.default_rng(1), 2, curved=True)
+    out = tmp_path / "sym.csv"
+    assert main(["forward", "--model",
+                 _write_model(tmp_path, model_to_dict(model)),
+                 "--out", str(out), "--grid", "0.1905310456374162",
+                 "--direction", "0.6,0.8", "--depth", "2",
+                 "--tol", "glancing=0"]) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "# skipped tau=1.0 xi1=0.11431862738244972 xi2=0.152424836509933 "
         "regime=glancing"]
 
 

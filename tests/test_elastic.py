@@ -387,10 +387,15 @@ _COV = Covector(1.0, (0.3, 0.0))
      "TypeError: elastic engine requires an elastic model"),
     (lambda: principal_rt_matrices(_COV, _ACOUSTIC_MODEL),
      "TypeError: elastic engine requires an elastic model"),
+    (lambda: forward_symbols_elastic(_COV, InterfaceModel(_SIDE0, _SIDE0), 1),
+     "DepthExceeded: symbol depth 1 exceeds model depth 0"),
+    (lambda: forward_series_elastic(_COV, _SIDE1, _SIDE1, None, 3),
+     "DepthExceeded: symbol depth 3 exceeds model depth 1"),
 ])
 def test_engine_rejects_bad_depth_and_kind(call, error):
-    # a negative depth, a side shallower than the depth asked for, and an
-    # acoustic model, each named before any engine work
+    # a negative depth, a side shallower than the depth asked for (one
+    # message, in the series and the symbols, and named before the cap),
+    # and an acoustic model, each named before any engine work
     assert outcome(call) == error
 
 
@@ -867,15 +872,11 @@ def test_tape_key_holds_absent_kernel_jets(rng, fresh_tapes):
         ctx = elastic._side_ctxs(cov, [model.minus], kt, stretch, None, 2,
                                  GLANCING_TOL, ("I",))[1][0]
         ctxs = (ctx["I", "P"], ctx["I", "S"])
-        amps, ws, steps = ([], []), (elastic._ABSENT,) * 2, []
-        for d in (2, 1, 0):
-            if d < 2:
-                ws, scales, checks = elastic._branch_particular(
-                    ctxs, amps, elastic._PSV, d)
-                steps.append((ws, scales, checks))
-            if d:
-                elastic._branch_fill(ctxs, ws, vals, elastic._PSV, amps, d)
-        return [c.kernels for c in ctxs], amps, steps
+        branch, steps = elastic._branches(ctxs)[elastic.P], []
+        for d in (2, 1):  # each step fills order -(2-d) and steps past it
+            elastic._branch_step(branch, vals, d)
+            steps.append(branch.step)
+        return [c.kernels for c in ctxs], branch.amps, steps
 
     for kt in (Jet([1e-3, 0.0, 0.0]), Jet([1e-300, 0.0, 0.0])) * 2:
         assert outcome(cascade, kt) == by_source(cascade, kt)

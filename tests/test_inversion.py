@@ -766,7 +766,8 @@ def test_cp_scan_stacked_equals_scalar(monkeypatch):
     probe, pluses = _scan_pluses(monkeypatch, samples, model.minus)
     meas = np.asarray(samples.at_order(0)[0].value, dtype=complex)
     stacked = elastic._order0(probe, pluses)
-    for plus, (r0, t0) in zip(pluses, stacked):
+    for plus, x in zip(pluses, stacked):
+        r0, t0 = x[:3], x[3:]
         _, sol = _scalar_interface(probe, plus)
         assert repr(r0.tolist()) == repr(sol[:3].tolist())
         assert repr(t0.tolist()) == repr(sol[3:].tolist())

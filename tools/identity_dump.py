@@ -3,6 +3,10 @@
     PYTHONPATH=<tree>/src python tools/identity_dump.py > <tree>.dump
     cmp parent.dump change.dump
 
+With `--warm-one` every elastic tape class records on its first call
+(`elastic._WARM = 1`), so the dump runs the elastic tapes where the
+shipped setting runs the source; dump both trees both ways.
+
 Byte-identical dumps of two trees show that a change left these outputs
 bit for bit as they were:
 
@@ -71,6 +75,7 @@ A dump takes about 40 s on one core.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import inspect
 import io
@@ -223,12 +228,17 @@ def _elastic_group_pluses(plus, depth):
 
 
 def _order0(ms, pluses):
-    """`elastic._order0` of the plus sides `pluses`, on a tree whose
-    `_order0` takes (rho, cs, cp) values or plus sides and a cache."""
+    """`elastic._order0` of the plus sides `pluses`, as a list of (R0, T0),
+    on a tree whose `_order0` takes (rho, cs, cp) values or plus sides and
+    a cache, and returns such a list or the stacked solutions."""
     if "sides" in inspect.signature(elastic._order0).parameters:
-        return elastic._order0(ms, [(p.rho[0], p.cs[0], p.cp[0])
-                                    for p in pluses])
-    return elastic._order0(ms, pluses, {})
+        result = elastic._order0(ms, [(p.rho[0], p.cs[0], p.cp[0])
+                                      for p in pluses])
+    else:
+        result = elastic._order0(ms, pluses, {})
+    if isinstance(result, np.ndarray):
+        return [(x[:3], x[3:]) for x in result]
+    return result
 
 
 def _interface(ms, pluses):
@@ -720,6 +730,12 @@ def dump_regime_boundary(out):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--warm-one", action="store_true",
+                        help="record each elastic tape class on its first "
+                             "call (elastic._WARM = 1)")
+    if parser.parse_args().warm_one:
+        elastic._WARM = 1
     # every float of an array in full: the shortest repr that round-trips
     np.set_printoptions(floatmode="unique")
     for dump in (dump_forward, dump_groups, dump_elastic_groups,
