@@ -293,9 +293,7 @@ def _record(body, static, args, packer):
                 for k in _STAND_INS:
                     del space[k]
                 space.update(old)
-    # the recorded values refer to the recording through `seen`: with the
-    # map gone, the recording goes when its last value does
-    rec.seen.clear()
+    rec.seen.clear()  # its values refer to `rec`: no cycle outlives the body
     if out is _miss:  # the body raises its own error, or runs the class
         body(*static, *args)
         return packer or _packer([]), _miss
